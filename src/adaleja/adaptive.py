@@ -18,6 +18,17 @@ of a downward-closed set are never componentwise comparable, so the
 basis polynomial added by accepting one vanishes at every other pending
 candidate's node.  Scored indicators therefore stay exact until their
 index is accepted or the run ends, and each candidate is scored once.
+
+Apart from the model work (model calls, or assemblies and solves), one
+step costs the scoring of its new candidates (one interpolant evaluation
+each, linear in the current set size), the sort of the admissible
+frontier and a scan of the pending candidates; the index set and the
+surrogate arrays grow in amortized constant time.  Nothing is rebuilt from
+the whole index set.
+
+A non-finite model value, surplus or residual indicator raises a solve
+error naming the multi-index and its point, instead of stalling
+refinement in that direction and folding NaN into the surrogate.
 """
 from __future__ import annotations
 
@@ -156,9 +167,19 @@ def run_adaptive(model, config: AdaptiveConfig, distributions, maps=None,
                 raise SolveError(
                     f"model evaluation failed at index {ix}, "
                     f"point {x.tolist()}: {exc}") from exc
+            if not np.isfinite(values[ix]):
+                raise SolveError(f"non-finite model value {values[ix]} at index {ix}",
+                                 point=x.tolist())
             report.lu_count += 1
             report.fb_count += 1
         return values[ix]
+
+    def surplus(ix):
+        s = model_value(ix) - sur.predict_node(ix)
+        if not np.isfinite(s):
+            raise SolveError(f"non-finite surplus {s} at index {ix}",
+                             point=sur.node_point(ix).tolist())
+        return s
 
     root = (0,) * sur.n_dim
     sur.add_point(root, model_value(root))
@@ -170,7 +191,7 @@ def run_adaptive(model, config: AdaptiveConfig, distributions, maps=None,
     while True:
         for ix in sur.index_set.admissible_neighbors():
             if ix not in pending:
-                pending[ix] = model_value(ix) - sur.predict_node(ix)
+                pending[ix] = surplus(ix)
         best_ix, best_val = _largest(pending)
         if config.tol is not None and best_val < config.tol:
             break
@@ -239,6 +260,10 @@ def run_adaptive_adjoint(model: ParametricLinearModel, config: AdaptiveConfig,
                 report.res_count += 1
                 resid = f - A @ primal.predict_node(ix)
                 pending[ix] = complex(np.vdot(dual.predict_node(ix), resid))
+                if not np.isfinite(pending[ix]):
+                    raise SolveError(
+                        f"non-finite residual indicator {pending[ix]} at index {ix}",
+                        point=x.tolist())
         best_ix, best_val = _largest(pending)
         if config.tol is not None and best_val < config.tol:
             break

@@ -9,6 +9,12 @@ silently broken interpolant.
 
 With one new node per level in each dimension, grid points correspond
 one-to-one with multi-indices, so the set size is also the node count.
+
+The admissible frontier is kept incrementally, after the active/old index
+sets of dimension-adaptive quadrature (Gerstner & Griebel 2003): adding an
+index can only make its own forward neighbors admissible, so ``add`` costs
+O(dim^2) tuple operations and ``admissible_neighbors`` only sorts the
+frontier, whatever the size of the set.
 """
 from __future__ import annotations
 
@@ -60,6 +66,7 @@ class MultiIndexSet:
         self.dim = dim
         self._order: list[tuple] = []
         self._members: set[tuple] = set()
+        self._frontier: set[tuple] = set()
         if indices is None:
             indices = [(0,) * dim]
         for ix in indices:
@@ -71,6 +78,8 @@ class MultiIndexSet:
         if missing is not None:
             raise ContractError(
                 f"index set is not downward closed: {missing[0]} requires {missing[1]}")
+        for ix in self._order:
+            self._grow_frontier(ix)
 
     @classmethod
     def total_degree(cls, dim, degree):
@@ -114,32 +123,46 @@ class MultiIndexSet:
     def sorted_indices(self):
         return sorted(self._members)
 
+    def _has_parents(self, index):
+        """All backward neighbors of a validated tuple are members."""
+        members = self._members
+        for k, c in enumerate(index):
+            if c and index[:k] + (c - 1,) + index[k + 1:] not in members:
+                return False
+        return True
+
+    def _grow_frontier(self, index):
+        """Admit the forward neighbors of a member that became admissible."""
+        for k in range(self.dim):
+            fwd = index[:k] + (index[k] + 1,) + index[k + 1:]
+            if fwd not in self._members and self._has_parents(fwd):
+                self._frontier.add(fwd)
+
     def is_admissible(self, index) -> bool:
         """True when ``index`` is absent and all its parents are present."""
         index = _as_index(index, self.dim)
-        if index in self._members:
-            return False
-        return all(nb in self._members for nb in backward_neighbors(index))
+        return index not in self._members and self._has_parents(index)
 
     def admissible_neighbors(self):
         """Forward neighbors that keep the set downward closed, lex order."""
-        seen = set()
-        for ix in self._order:
-            for fwd in forward_neighbors(ix):
-                if fwd not in seen and self.is_admissible(fwd):
-                    seen.add(fwd)
-        return sorted(seen)
+        return sorted(self._frontier)
 
     def add(self, index):
         """Absorb an admissible index; reject anything else."""
         index = _as_index(index, self.dim)
         if index in self._members:
             raise ContractError(f"index {index} is already in the set")
-        if not self.is_admissible(index):
+        if not self._has_parents(index):
             raise ContractError(f"index {index} is not admissible")
+        self._absorb(index)
+        return index
+
+    def _absorb(self, index):
+        """Add a validated admissible tuple without re-checking it."""
         self._members.add(index)
         self._order.append(index)
-        return index
+        self._frontier.discard(index)
+        self._grow_frontier(index)
 
     def max_level(self):
         """Componentwise maximum over the set, as a tuple."""

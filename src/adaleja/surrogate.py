@@ -10,6 +10,12 @@ multi-index owns exactly one grid point and one surplus.
 Surpluses may be complex scalars (quantity-of-interest surrogates) or
 complex vectors (solution-field surrogates); both share the same code
 path.  Finished surrogates serialize to a self-contained JSON document.
+
+Every way of growing a surrogate (``add_point``, ``add_restricted``,
+``restrict`` and ``deserialize``) writes through one append path into a
+levels array and a flat surplus array whose capacity doubles when full,
+so absorbing an index costs one evaluation at its node plus amortized
+O(1) bookkeeping, and evaluation reads the arrays without rebuilding them.
 """
 from __future__ import annotations
 
@@ -27,6 +33,9 @@ SCHEMA_VERSION = 1
 
 # Soft cap on the point-by-index weight block, in matrix entries.
 _MAX_BLOCK = 4_194_304
+
+# Rows allocated by the first append; the arrays double from there.
+_INITIAL_CAPACITY = 16
 
 
 def _as_map_list(maps, n_dim):
@@ -55,11 +64,13 @@ class Surrogate:
         self.distributions = dists
         self.maps = _as_map_list(maps, len(dists))
         self._indices = MultiIndexSet(len(dists), [])
-        self._surpluses: list[np.ndarray] = []
+        # rows [:len(self)] are live: one level tuple and one flattened
+        # surplus per absorbed index, in absorption order
+        self._levels = np.empty((0, len(dists)), dtype=int)
+        self._surpluses = np.empty((0, 0), dtype=complex)
         self._value_shape: tuple | None = None
         self._nodes1d = [np.empty(0) for _ in dists]
         self._dens = [[] for _ in dists]
-        self._matrix_cache = None
 
     @property
     def n_dim(self) -> int:
@@ -91,6 +102,11 @@ class Surrogate:
             have = len(self._nodes1d[d])
             if lev + 1 > have:
                 nodes = leja_nodes(self.distributions[d], lev + 1)
+                if not np.array_equal(nodes[:have], self._nodes1d[d]):
+                    raise ContractError(
+                        f"stored nodes of dimension {d} are not the Leja "
+                        f"prefix of {self.distributions[d].kind}; refusing to "
+                        f"extend them to level {lev}")
                 self._nodes1d[d] = nodes
                 dens = self._dens[d]
                 for l in range(have, lev + 1):
@@ -124,14 +140,14 @@ class Surrogate:
         """Exact preimage of a grid node: the raw Leja coordinates."""
         return np.array([[self._nodes1d[d][lev] for d, lev in enumerate(index)]])
 
-    def _surplus_matrix(self):
-        if self._matrix_cache is None:
-            flat = [s.reshape(-1) for s in self._surpluses]
-            self._matrix_cache = np.array(flat, dtype=complex)
-        return self._matrix_cache
+    def _surplus_values(self):
+        """Live surpluses in absorption order, shape (len(self),) + value shape."""
+        n = len(self)
+        return self._surpluses[:n].reshape((n,) + (self._value_shape or ()))
 
     def _evaluate_pre(self, S):
-        levels = np.array(list(self._indices), dtype=int)
+        n = len(self)
+        levels = self._levels[:n]
         max_lev = levels.max(axis=0)
         n_pts = S.shape[0]
         factors = []
@@ -145,9 +161,9 @@ class Surrogate:
                 run = run * (S[:, d] - nodes[l - 1])
                 fac[:, l] = run / dens[l]
             factors.append(fac)
-        mat = self._surplus_matrix()
+        mat = self._surpluses[:n]
         out = np.empty((n_pts, mat.shape[1]), dtype=complex)
-        step = max(1, _MAX_BLOCK // max(len(self._indices), 1))
+        step = max(1, _MAX_BLOCK // n)
         for start in range(0, n_pts, step):
             stop = min(start + step, n_pts)
             weights = factors[0][start:stop, levels[:, 0]]
@@ -201,6 +217,37 @@ class Surrogate:
 
     # -- construction ----------------------------------------------------
 
+    def _admissible(self, index):
+        index = _as_index(index, self.n_dim)
+        if not self._indices.is_admissible(index):
+            raise ContractError(f"index {index} is not admissible")
+        return index
+
+    def _as_value(self, value):
+        """Complex array of the value shape, which the first value fixes."""
+        value = np.asarray(value, dtype=complex)
+        if self._value_shape is None:
+            self._value_shape = value.shape
+            self._surpluses = np.empty((0, value.size), dtype=complex)
+        elif value.shape != self._value_shape:
+            raise ContractError(
+                f"value shape {value.shape} does not match {self._value_shape}")
+        return value
+
+    def _append(self, index, surplus):
+        """Store a checked admissible index and its surplus: the one write path."""
+        n = len(self)
+        if n == len(self._levels):
+            cap = max(2 * n, _INITIAL_CAPACITY)
+            levels = np.empty((cap, self.n_dim), dtype=int)
+            levels[:n] = self._levels
+            surpluses = np.empty((cap, self._surpluses.shape[1]), dtype=complex)
+            surpluses[:n] = self._surpluses
+            self._levels, self._surpluses = levels, surpluses
+        self._levels[n] = index
+        self._surpluses[n] = surplus.reshape(-1)
+        self._indices._absorb(index)
+
     def add_point(self, index, model_value):
         """Absorb an admissible index with the model value at its node.
 
@@ -208,23 +255,12 @@ class Surrogate:
         current interpolant's prediction at the node, so interpolation at
         all previously absorbed nodes is untouched.
         """
-        index = _as_index(index, self.n_dim)
-        if not self._indices.is_admissible(index):
-            raise ContractError(f"index {index} is not admissible")
-        value = np.asarray(model_value, dtype=complex)
-        if self._value_shape is None:
-            self._value_shape = value.shape
-        elif value.shape != self._value_shape:
-            raise ContractError(
-                f"value shape {value.shape} does not match {self._value_shape}")
+        index = self._admissible(index)
+        value = self._as_value(model_value)
         self._ensure_levels(index)
         if len(self._indices):
-            prediction = self._evaluate_pre(self._raw_preimage(index))[0]
-        else:
-            prediction = np.zeros(self._value_shape, dtype=complex)
-        self._indices.add(index)
-        self._surpluses.append(value - prediction)
-        self._matrix_cache = None
+            value = value - self._evaluate_pre(self._raw_preimage(index))[0]
+        self._append(index, value)
         return self
 
     def predict_node(self, index):
@@ -242,7 +278,7 @@ class Surrogate:
 
     def surplus(self, index):
         index = _as_index(index, self.n_dim)
-        for ix, s in zip(self._indices, self._surpluses):
+        for ix, s in zip(self._indices, self._surplus_values()):
             if ix == index:
                 return s if self._value_shape else complex(s)
         raise ContractError(f"index {index} is not in the set")
@@ -273,26 +309,17 @@ class Surrogate:
         out = Surrogate(self.distributions, self.maps)
         out._nodes1d = [col.copy() for col in self._nodes1d]
         out._dens = [list(dens) for dens in self._dens]
-        for ix, s in zip(self._indices, self._surpluses):
+        for ix, s in zip(self._indices, self._surplus_values()):
             if ix in keep:
                 out.add_restricted(ix, s)
         return out
 
     def add_restricted(self, index, surplus):
-        """Append a pre-computed surplus (restriction/deserialization path)."""
-        index = _as_index(index, self.n_dim)
-        if not self._indices.is_admissible(index):
-            raise ContractError(f"index {index} is not admissible")
-        surplus = np.asarray(surplus, dtype=complex)
-        if self._value_shape is None:
-            self._value_shape = surplus.shape
-        elif surplus.shape != self._value_shape:
-            raise ContractError(
-                f"value shape {surplus.shape} does not match {self._value_shape}")
+        """Append a pre-computed surplus (restriction path)."""
+        index = self._admissible(index)
+        surplus = self._as_value(surplus)
         self._ensure_levels(index)
-        self._indices.add(index)
-        self._surpluses.append(surplus)
-        self._matrix_cache = None
+        self._append(index, surplus)
         return self
 
 
@@ -300,8 +327,8 @@ def serialize(sur: Surrogate) -> bytes:
     """UTF-8 JSON encoding of a surrogate; floats round trip exactly."""
     if not len(sur):
         raise SerializationError("refusing to serialize an empty surrogate")
-    levels = np.array(sur.indices, dtype=int)
-    max_lev = levels.max(axis=0)
+    max_lev = sur._levels[:len(sur)].max(axis=0)
+    surpluses = sur._surplus_values()
     payload = {
         "version": SCHEMA_VERSION,
         "N": sur.n_dim,
@@ -310,8 +337,8 @@ def serialize(sur: Surrogate) -> bytes:
         "nodes1d": [sur._nodes1d[d][:max_lev[d] + 1].tolist()
                     for d in range(sur.n_dim)],
         "indices": [list(ix) for ix in sur.indices],
-        "surpluses_re": [np.real(s).tolist() for s in sur._surpluses],
-        "surpluses_im": [np.imag(s).tolist() for s in sur._surpluses],
+        "surpluses_re": np.real(surpluses).tolist(),
+        "surpluses_im": np.imag(surpluses).tolist(),
     }
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
@@ -361,9 +388,15 @@ def deserialize(data) -> Surrogate:
     sur = Surrogate(dists, maps)
     nodes1d = [np.asarray(col, dtype=float) for col in doc["nodes1d"]]
     try:
-        surpluses = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
     except ValueError as exc:
         raise SerializationError(f"ragged surplus arrays: {exc}") from exc
+    if re.shape != im.shape:
+        raise SerializationError(
+            f"'surpluses_re' has shape {re.shape}, 'surpluses_im' {im.shape}")
+    # assigned by part: re + 1j * im would turn an imaginary -0.0 into 0.0
+    surpluses = np.empty(re.shape, dtype=complex)
+    surpluses.real, surpluses.imag = re, im
     try:
         for d in range(n_dim):
             need = max(ix[d] for ix in indices) + 1
@@ -379,11 +412,7 @@ def deserialize(data) -> Surrogate:
             ix = _as_index(ix, n_dim)
             if not sur._indices.is_admissible(ix):
                 raise ContractError(f"index {ix} out of admissible order")
-            if sur._value_shape is None:
-                sur._value_shape = np.asarray(s).shape
-            sur._indices.add(ix)
-            sur._surpluses.append(np.asarray(s, dtype=complex))
-        sur._matrix_cache = None
+            sur._append(ix, sur._as_value(s))
     except ContractError as exc:
         raise SerializationError(f"inconsistent surrogate data: {exc}") from exc
     return sur

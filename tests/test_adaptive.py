@@ -103,6 +103,23 @@ class TestSurplusDriver:
         with pytest.raises(SolveError, match="model evaluation failed"):
             run_adaptive(broken, AdaptiveConfig(budget=5), UNIT_SQUARE)
 
+    def test_non_finite_value_names_index_and_point(self):
+        # the level-1 node of a uniform law sits at -1
+        def holed(y):
+            return np.nan if y[0] < -0.5 else runge2(y)
+
+        with pytest.raises(SolveError, match=r"non-finite model value .* index "
+                                             r"\(1, 0\) at point \(-1\.0, 0\.0\)"):
+            run_adaptive(holed, AdaptiveConfig(budget=10), UNIT_SQUARE)
+
+    def test_non_finite_surplus_names_index_and_point(self):
+        def cliff(y):
+            return 1e308 if y[0] >= 0.0 else -1e308
+
+        with pytest.raises(SolveError, match=r"non-finite surplus .* index "
+                                             r"\(1, 0\) at point \(-1\.0, 0\.0\)"):
+            run_adaptive(cliff, AdaptiveConfig(budget=10), UNIT_SQUARE)
+
 
 class TestReportCsv:
     def test_header_and_formatting(self):
@@ -196,6 +213,18 @@ class TestAdjointDriver:
         dists = [uniform(lo, hi) for lo, hi in model.support()]
         with pytest.raises(ContractError):
             run_adaptive_adjoint(model, AdaptiveConfig(budget=5), dists)
+
+    def test_non_finite_indicator_names_index_and_point(self):
+        class HoledLadder(LadderModel):
+            def assemble(self, y):
+                A, f, j, offset = super().assemble(y)
+                return A, (f * np.nan if y[0] < -0.5 else f), j, offset
+
+        model = HoledLadder(2, sections=8, damping=0.1)
+        cfg = AdaptiveConfig(budget=10, indicator=ADJOINT)
+        with pytest.raises(SolveError, match=r"non-finite residual indicator .* "
+                                             r"index \(1, 0\) at point \(-1\.0, 0\.0\)"):
+            run_adaptive_adjoint(model, cfg, UNIT_SQUARE)
 
     def test_black_box_model_rejected(self):
         with pytest.raises(ContractError):

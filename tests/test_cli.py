@@ -183,6 +183,22 @@ class TestBuild:
         assert code == 1
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_non_finite_model_exits_one(self, tmp_path, capsys, monkeypatch):
+        class Holed:
+            n_params = 2
+
+            def __call__(self, y):
+                return complex("nan") if y[0] < -0.5 else 1.0 + y[0] * y[1]
+
+        monkeypatch.setattr("adaleja.cli.make_model", lambda spec: Holed())
+        path = write_config(tmp_path, BUILD_CONFIG)
+        out = tmp_path / "o"
+        code = run_command(["build", "--config", path, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite model value" in err
+        assert not (out / "surrogate.json").exists()
+
 
 class TestConverge:
     def test_error_decreases_along_sweep(self, tmp_path):

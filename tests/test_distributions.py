@@ -29,8 +29,11 @@ class TestPdf:
     @pytest.mark.parametrize("d", [beta33(-1, 1), beta33(3, 9), uniform(-1, 1), uniform(0.5, 1.5)])
     def test_normalization(self, d):
         grid = np.linspace(d.lower, d.upper, 1_000_001)
-        vals = np.array([d.pdf(g) for g in grid])
+        vals = d.pdf(grid)
         assert abs(np.trapezoid(vals, grid) - 1.0) < 1e-10
+        # the scalar path must agree with the array path, on and off support
+        probe = np.linspace(d.lower - 0.1 * d.width, d.upper + 0.1 * d.width, 300)
+        assert_allclose([d.pdf(y) for y in probe], d.pdf(probe), rtol=1e-14, atol=0)
 
     def test_nonnegative(self):
         d = beta33(-2.0, 5.0)

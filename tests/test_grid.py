@@ -2,6 +2,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaleja import MultiIndexSet, backward_neighbors, forward_neighbors
 from adaleja.errors import ContractError
@@ -124,3 +126,56 @@ class TestEnumeration:
     def test_membership(self):
         s = MultiIndexSet.total_degree(2, 1)
         assert (0, 1) in s and (1, 1) not in s
+
+
+def brute_force_frontier(s):
+    """Rescan of every member: forward neighbors whose parents are all present."""
+    found = set()
+    for ix in s:
+        for fwd in forward_neighbors(ix):
+            if fwd not in s and all(b in s for b in backward_neighbors(fwd)):
+                found.add(fwd)
+    return sorted(found)
+
+
+def grow(s, data, steps):
+    """Absorb randomly drawn admissible neighbors, checking the frontier each time."""
+    for _ in range(steps):
+        s.add(data.draw(st.sampled_from(s.admissible_neighbors())))
+        assert s.admissible_neighbors() == brute_force_frontier(s)
+    return s
+
+
+class TestIncrementalFrontier:
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 6), steps=st.integers(0, 40), data=st.data())
+    def test_growth_matches_brute_force(self, dim, steps, data):
+        s = MultiIndexSet(dim)
+        assert s.admissible_neighbors() == brute_force_frontier(s)
+        grow(s, data, steps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 6), steps=st.integers(0, 30), data=st.data())
+    def test_constructor_matches_brute_force(self, dim, steps, data):
+        grown = grow(MultiIndexSet(dim), data, steps)
+        members = data.draw(st.permutations(list(grown)))
+        rebuilt = MultiIndexSet(dim, members)
+        assert rebuilt.admissible_neighbors() == brute_force_frontier(rebuilt)
+        assert rebuilt.admissible_neighbors() == grown.admissible_neighbors()
+        grow(rebuilt, data, 5)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(1, 6), degree=st.integers(0, 4), data=st.data())
+    def test_total_degree_matches_brute_force(self, dim, degree, data):
+        s = MultiIndexSet.total_degree(dim, degree)
+        frontier = s.admissible_neighbors()
+        assert frontier == brute_force_frontier(s)
+        assert all(sum(ix) == degree + 1 for ix in frontier)
+        assert len(frontier) == comb(dim + degree, dim - 1)
+        grow(s, data, 5)
+
+    def test_empty_set_has_empty_frontier(self):
+        s = MultiIndexSet(3, [])
+        assert s.admissible_neighbors() == []
+        s.add((0, 0, 0))
+        assert s.admissible_neighbors() == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]

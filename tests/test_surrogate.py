@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from adaleja import (IdentityMap, MultiIndexSet, SausageMap, Surrogate, beta33,
-                     deserialize, load_surrogate, save_surrogate, serialize,
-                     uniform)
+                     deserialize, load_surrogate, save_surrogate, sample_joint,
+                     serialize, uniform)
 from adaleja.errors import ContractError, SerializationError, UnsupportedVersionError
 
 UNIT = [uniform(-1.0, 1.0)]
@@ -235,6 +237,24 @@ class TestSerialization:
         with pytest.raises(SerializationError):
             deserialize(json.dumps(doc).encode())
 
+    def test_tampered_nodes_are_not_replaced(self):
+        f = lambda y: float(np.exp(y[0]))
+        doc = json.loads(serialize(fit_1d(f, 3)))
+        doc["nodes1d"][0][2] += 1e-3
+        loaded = deserialize(json.dumps(doc).encode())
+        assert loaded.nodes1d(0)[2] == doc["nodes1d"][0][2]
+        with pytest.raises(ContractError, match="dimension 0"):
+            loaded.add_point((3,), 0.0)
+        assert loaded.nodes1d(0)[2] == doc["nodes1d"][0][2]
+
+    def test_loaded_nodes_extend(self):
+        f = lambda y: float(np.exp(y[0]))
+        s = fit_1d(f, 3)
+        loaded = deserialize(serialize(s))
+        for sur in (s, loaded):
+            sur.add_point((3,), f(sur.node_point((3,))))
+        assert serialize(loaded) == serialize(s)
+
     def test_file_round_trip(self, tmp_path):
         s = fit_1d(lambda y: float(y[0]), 3)
         path = tmp_path / "sur.json"
@@ -242,3 +262,70 @@ class TestSerialization:
         r = load_surrogate(path)
         pts = np.linspace(-1, 1, 11)[:, None]
         assert_allclose(r.evaluate(pts), s.evaluate(pts), rtol=0)
+
+
+def smooth(y):
+    return complex(np.exp(0.3 * np.sum(y)), np.cos(y[0]))
+
+
+def smooth_vector(y):
+    return np.array([smooth(y), y[0] * y[-1], 1.0])
+
+
+@st.composite
+def growth(draw, size):
+    """Laws, maps and an admissible absorption order of ``size`` indices."""
+    dim = draw(st.integers(2, 3))
+    dists = draw(st.lists(st.sampled_from([uniform(-1, 1), beta33(0, 2)]),
+                          min_size=dim, max_size=dim))
+    maps = draw(st.lists(st.sampled_from([IdentityMap(), SausageMap(9)]),
+                         min_size=dim, max_size=dim))
+    grid = MultiIndexSet(dim)
+    while len(grid) < size:
+        grid.add(draw(st.sampled_from(grid.admissible_neighbors())))
+    return dists, maps, list(grid)
+
+
+def grown(dists, maps, order, f):
+    sur = Surrogate(dists, maps)
+    for ix in order:
+        sur.add_point(ix, f(sur.node_point(ix)))
+    return sur
+
+
+def same_bits(a, b, pts):
+    return np.asarray(a.evaluate(pts)).tobytes() == np.asarray(b.evaluate(pts)).tobytes()
+
+
+# sizes on both sides of the first two capacity doublings of the arrays
+@pytest.mark.parametrize("size", [15, 16, 17, 33])
+@pytest.mark.parametrize("f", [smooth, smooth_vector], ids=["scalar", "vector"])
+class TestGrowthProperties:
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_interpolates_at_every_node(self, size, f, data):
+        dists, maps, order = data.draw(growth(size))
+        sur = grown(dists, maps, order, f)
+        assert sur.indices == order
+        nodes = sur.node_points()
+        assert_allclose(sur.evaluate(nodes), np.array([f(x) for x in nodes]),
+                        rtol=1e-9, atol=1e-9)
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_round_trips_are_bit_exact(self, size, f, data):
+        dists, maps, order = data.draw(growth(size))
+        k = data.draw(st.integers(1, size))
+        sur = grown(dists, maps, order, f)
+        pts = sample_joint(dists, 40, 7)
+        back = deserialize(serialize(sur))
+        assert serialize(back) == serialize(sur)
+        assert same_bits(back, sur, pts)
+        # an absorption-order prefix is downward closed, and its surpluses
+        # were computed on exactly that prefix
+        prefix = grown(dists, maps, order[:k], f)
+        for source in (sur, back):
+            cut = source.restrict(order[:k])
+            assert serialize(cut) == serialize(prefix)
+            assert same_bits(cut, prefix, pts)
+            assert same_bits(deserialize(serialize(cut)), prefix, pts)
