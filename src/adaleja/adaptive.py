@@ -1,34 +1,28 @@
 """Dimension-adaptive surrogate construction.
 
-Two drivers share one greedy loop shape: absorb the root, score every
-admissible neighbor, accept the candidate with the largest indicator,
-repeat until the node budget is hit, then fold all still-pending
-candidates into the final surrogate.
+Both drivers run one greedy loop, ``_refine``, after the active/old
+index sets of Gerstner & Griebel 2003: absorb the root, score each new
+admissible neighbor once, accept the candidate with the largest
+indicator modulus (smallest index on ties), stop at the node budget or
+below ``tol``, then fold the still-pending candidates into the surrogate.
+The drivers differ only in the closures they pass it:
 
-The surplus-steered driver treats the model as a black box and uses the
-modulus of the hierarchical surplus as the indicator, which costs one
-model evaluation per scored candidate.  The adjoint-steered driver works
-on parametric linear systems: candidates are scored by the residual
-error indicator, which needs only an assembly, and a full factorization
-is spent solely on accepted indices, where one LU serves both the primal
-and the dual solve.
+* surplus (black boxes): a candidate costs one checked model call, and
+  its indicator is the hierarchical surplus; pending candidates are
+  folded in with their model values.
+* adjoint (parametric linear systems): a candidate costs one assembly,
+  and its indicator is the residual z̃ᴴ(f − A c̃); an accepted index
+  reuses that assembly for one LU serving the primal and the dual solve,
+  and pending candidates are folded in with their indicators as surpluses.
 
-A structural fact keeps the bookkeeping cheap: two admissible neighbors
-of a downward-closed set are never componentwise comparable, so the
-basis polynomial added by accepting one vanishes at every other pending
-candidate's node.  Scored indicators therefore stay exact until their
-index is accepted or the run ends, and each candidate is scored once.
-
-Apart from the model work (model calls, or assemblies and solves), one
-step costs the scoring of its new candidates (one interpolant evaluation
-each, linear in the current set size), the sort of the admissible
-frontier and a scan of the pending candidates; the index set and the
-surrogate arrays grow in amortized constant time.  Nothing is rebuilt from
-the whole index set.
-
-A non-finite model value, surplus or residual indicator raises a solve
-error naming the multi-index and its point, instead of stalling
-refinement in that direction and folding NaN into the surrogate.
+Two admissible neighbors of a downward-closed set are never
+componentwise comparable, so the basis polynomial an acceptance adds
+vanishes at every other pending node: scored indicators stay exact until
+their index is accepted or the run ends.  Apart from model work, a step
+costs one interpolant evaluation per new candidate and a sort of the
+frontier; nothing is rebuilt from the whole index set.  A non-finite
+model value, surplus or residual indicator raises a solve error naming
+the index and its point.
 """
 from __future__ import annotations
 
@@ -39,8 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, SolveError
-from .linmodel import ParametricLinearModel, factorize, substitute
-from .surrogate import Surrogate
+from .linmodel import (ParametricLinearModel, _residual_indicator,
+                       _solve_assembled, solve_dual)
+from .surrogate import Surrogate, _model_value
 
 SURPLUS = "surplus"
 ADJOINT = "adjoint"
@@ -142,6 +137,35 @@ def _largest(pending):
     return best_ix, best_val
 
 
+def _refine(sur, config, report, score, accept, fold, on_accept):
+    """The greedy loop both drivers share; ``sur`` is the steered surrogate.
+
+    ``accept(ix)`` absorbs an index, ``score(ix)`` returns the indicator of
+    a new admissible candidate, and ``fold(ix, indicator)`` absorbs a
+    candidate still pending when the loop stops.
+    """
+    root = (0,) * sur.n_dim
+    accept(root)
+    rec = report.record(root, abs(sur.surplus(root)))
+    pending: dict[tuple, complex] = {}
+    while True:
+        if on_accept is not None:  # the acceptance just recorded
+            on_accept(sur, rec)
+        for ix in sur.index_set.admissible_neighbors():
+            if ix not in pending:
+                pending[ix] = score(ix)
+        best_ix, best_val = _largest(pending)
+        if config.tol is not None and best_val < config.tol:
+            break
+        if len(sur) + len(pending) >= config.budget:
+            break
+        del pending[best_ix]
+        accept(best_ix)
+        rec = report.record(best_ix, best_val)
+    for ix in sorted(pending):
+        fold(ix, pending[ix])
+
+
 def run_adaptive(model, config: AdaptiveConfig, distributions, maps=None,
                  on_accept=None):
     """Surplus-steered adaptive interpolation of a black-box model.
@@ -156,54 +180,28 @@ def run_adaptive(model, config: AdaptiveConfig, distributions, maps=None,
     report = AdaptiveReport()
     values: dict[tuple, complex] = {}
 
-    def model_value(ix):
-        if ix not in values:
-            x = sur.node_point(ix)
-            try:
-                values[ix] = complex(model(x))
-            except SolveError:
-                raise
-            except Exception as exc:
-                raise SolveError(
-                    f"model evaluation failed at index {ix}, "
-                    f"point {x.tolist()}: {exc}") from exc
-            if not np.isfinite(values[ix]):
-                raise SolveError(f"non-finite model value {values[ix]} at index {ix}",
-                                 point=x.tolist())
-            report.lu_count += 1
-            report.fb_count += 1
-        return values[ix]
+    def call(ix):
+        value = _model_value(model, sur, ix)
+        if value.ndim:
+            raise ContractError(f"run_adaptive needs a scalar model, got shape "
+                                f"{value.shape} at index {ix}")
+        report.lu_count += 1
+        report.fb_count += 1
+        return complex(value)
 
-    def surplus(ix):
-        s = model_value(ix) - sur.predict_node(ix)
+    def score(ix):
+        values[ix] = call(ix)
+        s = values[ix] - sur.predict_node(ix)
         if not np.isfinite(s):
             raise SolveError(f"non-finite surplus {s} at index {ix}",
-                             point=sur.node_point(ix).tolist())
+                             point=sur.node_point(ix))
         return s
 
-    root = (0,) * sur.n_dim
-    sur.add_point(root, model_value(root))
-    rec = report.record(root, abs(sur.surplus(root)))
-    if on_accept is not None:
-        on_accept(sur, rec)
+    def accept(ix):
+        sur.add_point(ix, values.pop(ix) if ix in values else call(ix))
 
-    pending: dict[tuple, complex] = {}
-    while True:
-        for ix in sur.index_set.admissible_neighbors():
-            if ix not in pending:
-                pending[ix] = surplus(ix)
-        best_ix, best_val = _largest(pending)
-        if config.tol is not None and best_val < config.tol:
-            break
-        if len(sur) + len(pending) >= config.budget:
-            break
-        del pending[best_ix]
-        sur.add_point(best_ix, values[best_ix])
-        rec = report.record(best_ix, best_val)
-        if on_accept is not None:
-            on_accept(sur, rec)
-    for ix in sorted(pending):
-        sur.add_point(ix, values[ix])
+    _refine(sur, config, report, score, accept,
+            lambda ix, _: sur.add_point(ix, values[ix]), on_accept)
     return sur, report
 
 
@@ -227,55 +225,33 @@ def run_adaptive_adjoint(model: ParametricLinearModel, config: AdaptiveConfig,
         raise ContractError(
             f"model has {model.n_params} parameters, got {qoi.n_dim} distributions")
     report = AdaptiveReport()
+    # kept from scoring to acceptance, so an accepted index is assembled once
     assemblies: dict[tuple, tuple] = {}
+
+    def score(ix):
+        x = qoi.node_point(ix)
+        assemblies[ix] = model.assemble(x)
+        A, f, _, _ = assemblies[ix]
+        report.res_count += 1
+        eta = _residual_indicator(A, f, primal.predict_node(ix),
+                                  dual.predict_node(ix))
+        if not np.isfinite(eta):
+            raise SolveError(f"non-finite residual indicator {eta} at index {ix}",
+                             point=x)
+        return eta
 
     def accept(ix):
         x = qoi.node_point(ix)
-        if ix in assemblies:
-            A, f, j, offset = assemblies.pop(ix)
-        else:
-            A, f, j, offset = model.assemble(x)
-        factors = factorize(A, x)
+        system = assemblies.pop(ix) if ix in assemblies else model.assemble(x)
+        c, fac = _solve_assembled(system, x)
+        z = solve_dual(model, x, fac)
         report.lu_count += 1
-        c = substitute(factors, A, f, x)
-        z = substitute(factors, A, j, x, adjoint=True)
         report.fb_count += 2
-        qoi.add_point(ix, np.vdot(j, c) + offset)
+        qoi.add_point(ix, np.vdot(fac.j, c) + fac.offset)
         primal.add_point(ix, c)
         dual.add_point(ix, z)
 
-    root = (0,) * qoi.n_dim
-    accept(root)
-    rec = report.record(root, abs(qoi.surplus(root)))
-    if on_accept is not None:
-        on_accept(qoi, rec)
-
-    pending: dict[tuple, complex] = {}
-    while True:
-        for ix in qoi.index_set.admissible_neighbors():
-            if ix not in pending:
-                x = qoi.node_point(ix)
-                A, f, j, offset = model.assemble(x)
-                assemblies[ix] = (A, f, j, offset)
-                report.res_count += 1
-                resid = f - A @ primal.predict_node(ix)
-                pending[ix] = complex(np.vdot(dual.predict_node(ix), resid))
-                if not np.isfinite(pending[ix]):
-                    raise SolveError(
-                        f"non-finite residual indicator {pending[ix]} at index {ix}",
-                        point=x.tolist())
-        best_ix, best_val = _largest(pending)
-        if config.tol is not None and best_val < config.tol:
-            break
-        if len(qoi) + len(pending) >= config.budget:
-            break
-        del pending[best_ix]
-        accept(best_ix)
-        rec = report.record(best_ix, best_val)
-        if on_accept is not None:
-            on_accept(qoi, rec)
-    for ix in sorted(pending):
-        qoi.add_restricted(ix, pending[ix])
+    _refine(qoi, config, report, score, accept, qoi.add_restricted, on_accept)
     return qoi, primal, dual, report
 
 
@@ -305,5 +281,5 @@ def corrected_evaluate(qoi_sur: Surrogate, primal_sur: Surrogate,
     out = np.empty(pts.shape[0], dtype=complex)
     for p in range(pts.shape[0]):
         A, f, _, _ = model.assemble(pts[p])
-        out[p] = base[p] + np.vdot(z_tilde[p], f - A @ c_tilde[p])
+        out[p] = base[p] + _residual_indicator(A, f, c_tilde[p], z_tilde[p])
     return complex(out[0]) if single else out

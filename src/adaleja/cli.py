@@ -231,19 +231,6 @@ def _cv_tracker(config, model, distributions, require=False):
     return _CvTracker(model, distributions, n_cv, int(seed), per_iteration)
 
 
-def _isotropic_build(model, distributions, maps, level, report):
-    """Fit on the largest total-degree set and log one row per node."""
-    indices = MultiIndexSet.total_degree(len(distributions), level)
-    sur = Surrogate(distributions, maps)
-    for index in indices.sorted_indices():
-        value = model(sur.node_point(index))
-        sur.add_point(index, value)
-        report.lu_count += 1
-        report.fb_count += 1
-        report.record(index, abs(sur.surplus(index)))
-    return sur
-
-
 def _build_surrogate(config, model, distributions, maps, out_dir=None, tracker=None):
     """Run the configured algorithm; returns (target, report_or_None, extra_files)."""
     algorithm = config.get("algorithm")
@@ -260,8 +247,14 @@ def _build_surrogate(config, model, distributions, maps, out_dir=None, tracker=N
         return expansion, None, extra
     if algorithm == "isotropic-smolyak":
         level = _positive_int(config, "level")
+        indices = MultiIndexSet.total_degree(len(distributions), level)
+        sur = Surrogate.fit(model, distributions, indices, maps)
+        # one row per node in absorption order, one model call each
         report = AdaptiveReport()
-        sur = _isotropic_build(model, distributions, maps, level, report)
+        for ix in sur.indices:
+            report.lu_count += 1
+            report.fb_count += 1
+            report.record(ix, abs(sur.surplus(ix)))
         if tracker is not None:
             report.records[-1].cv_error = tracker.measure(sur)[0]
         return sur, report, extra

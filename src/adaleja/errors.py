@@ -19,11 +19,13 @@ class SolveError(RuntimeError):
 
     def __init__(self, message, point=None, cond=None):
         if point is not None:
-            message = f"{message} at point {tuple(point)}"
+            # plain floats, so a numpy array prints as (-1.0, 0.0)
+            point = tuple(float(c) for c in point)
+            message = f"{message} at point {point}"
         if cond is not None:
             message = f"{message} (condition estimate {cond:.3e})"
         super().__init__(message)
-        self.point = None if point is None else tuple(point)
+        self.point = point
         self.cond = cond
 
 

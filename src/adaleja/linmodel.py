@@ -71,9 +71,8 @@ def factorize(A, y):
             warnings.simplefilter("error")
             return lu_factor(A)
     except (np.linalg.LinAlgError, Warning, ValueError) as exc:
-        raise SolveError(
-            f"factorization failed at y={np.asarray(y).tolist()}: {exc} "
-            f"(cond estimate {_cond_estimate(A):.3e})") from exc
+        raise SolveError(f"factorization failed: {exc}", point=y,
+                         cond=_cond_estimate(A)) from exc
 
 
 def substitute(factors, A, b, y, adjoint=False):
@@ -86,10 +85,8 @@ def substitute(factors, A, b, y, adjoint=False):
     op = A.conj().T if adjoint else A
     resid = np.linalg.norm(op @ x - b) / max(np.linalg.norm(b), 1e-300)
     if not np.isfinite(resid) or resid > _RESIDUAL_TOL:
-        raise SolveError(
-            f"{'dual' if adjoint else 'primal'} residual {resid:.3e} at "
-            f"y={np.asarray(y).tolist()} "
-            f"(cond estimate {_cond_estimate(A):.3e})")
+        raise SolveError(f"{'dual' if adjoint else 'primal'} residual {resid:.3e}",
+                         point=y, cond=_cond_estimate(A))
     return x
 
 
@@ -101,7 +98,12 @@ def solve_primal(model: ParametricLinearModel, y):
     the factorization, raises a solve error carrying the parameter point
     and a condition estimate.
     """
-    A, f, j, offset = model.assemble(y)
+    return _solve_assembled(model.assemble(y), y)
+
+
+def _solve_assembled(system, y):
+    """Primal solve of an assembled ``(A, f, j, offset)``; see solve_primal."""
+    A, f, j, offset = system
     lu, piv = factorize(A, y)
     c = substitute((lu, piv), A, f, y)
     return c, Factorization(lu, piv, A, f, j, offset)
@@ -125,8 +127,11 @@ def _cond_estimate(A):
 def error_indicator(model: ParametricLinearModel, y, primal_approx, dual_approx):
     """Residual-weighted error indicator z̃ᴴ(f − A c̃); assembly only."""
     A, f, _, _ = model.assemble(y)
-    c = np.asarray(primal_approx)
-    z = np.asarray(dual_approx)
+    return _residual_indicator(A, f, primal_approx, dual_approx)
+
+
+def _residual_indicator(A, f, c, z):
+    """z̃ᴴ(f − A c̃) for an assembled A and f: the one residual formula."""
     return complex(np.vdot(z, f - A @ c))
 
 

@@ -24,7 +24,8 @@ import json
 import numpy as np
 
 from .distributions import Distribution, make_distribution
-from .errors import ContractError, SerializationError, UnsupportedVersionError
+from .errors import (ContractError, SerializationError, SolveError,
+                     UnsupportedVersionError)
 from .grid import MultiIndexSet, _as_index
 from .leja import leja_nodes
 from .maps import ConformalMap, IdentityMap, make_map
@@ -47,6 +48,26 @@ def _as_map_list(maps, n_dim):
     if len(out) != n_dim:
         raise ContractError(f"got {len(out)} maps for {n_dim} dimensions")
     return out
+
+
+def _model_value(model, sur, index):
+    """Model value at the node of ``index``, as a complex array.
+
+    A model exception, or a non-finite value (scalar or any vector
+    entry), raises a solve error naming the index and its point.
+    """
+    x = sur.node_point(index)
+    try:
+        value = np.asarray(model(x), dtype=complex)
+    except SolveError:
+        raise
+    except Exception as exc:
+        raise SolveError(f"model evaluation failed at index {index}: {exc}",
+                         point=x) from exc
+    if not np.isfinite(value).all():
+        raise SolveError(f"non-finite model value {value} at index {index}",
+                         point=x)
+    return value
 
 
 class Surrogate:
@@ -198,7 +219,8 @@ class Surrogate:
         level-0 factor is identically one.
         """
         index = _as_index(index, self.n_dim)
-        if index not in self._indices and not self._indices.is_admissible(index):
+        # stored indices have all their parents too
+        if not self._indices._has_parents(index):
             raise ContractError(
                 f"index {index} is neither stored nor admissible")
         self._ensure_levels(index)
@@ -218,8 +240,9 @@ class Surrogate:
     # -- construction ----------------------------------------------------
 
     def _admissible(self, index):
+        """Validate an index once, then check it is absent with all parents."""
         index = _as_index(index, self.n_dim)
-        if not self._indices.is_admissible(index):
+        if index in self._indices or not self._indices._has_parents(index):
             raise ContractError(f"index {index} is not admissible")
         return index
 
@@ -289,10 +312,12 @@ class Surrogate:
 
         Indices are absorbed in lexicographic order, which refines the
         componentwise partial order, so every parent precedes its children.
+        A failing model call or a non-finite value raises a solve error
+        naming the index and its point.
         """
         sur = cls(distributions, maps)
         for ix in sorted(tuple(i) for i in index_set):
-            sur.add_point(ix, model(sur.node_point(ix)))
+            sur.add_point(ix, _model_value(model, sur, ix))
         return sur
 
     def restrict(self, indices):
@@ -409,10 +434,7 @@ def deserialize(data) -> Surrogate:
             for col in nodes1d]
         for ix, s in zip(indices, surpluses):
             # nodes are already in place; bypass the Leja regeneration
-            ix = _as_index(ix, n_dim)
-            if not sur._indices.is_admissible(ix):
-                raise ContractError(f"index {ix} out of admissible order")
-            sur._append(ix, sur._as_value(s))
+            sur._append(sur._admissible(ix), sur._as_value(s))
     except ContractError as exc:
         raise SerializationError(f"inconsistent surrogate data: {exc}") from exc
     return sur

@@ -103,6 +103,11 @@ class TestSurplusDriver:
         with pytest.raises(SolveError, match="model evaluation failed"):
             run_adaptive(broken, AdaptiveConfig(budget=5), UNIT_SQUARE)
 
+    def test_vector_model_rejected(self):
+        with pytest.raises(ContractError, match=r"scalar model, got shape \(2,\)"):
+            run_adaptive(lambda y: np.array([1.0, 2.0]), AdaptiveConfig(budget=5),
+                         UNIT_SQUARE)
+
     def test_non_finite_value_names_index_and_point(self):
         # the level-1 node of a uniform law sits at -1
         def holed(y):
@@ -167,6 +172,22 @@ class TestAdjointDriver:
         _, (qoi, primal, dual, report) = run
         assert (len(qoi), len(primal), len(dual)) == (60, 57, 57)
         assert (report.lu_count, report.fb_count, report.res_count) == (57, 114, 59)
+
+    def test_accepts_reuse_the_scoring_assembly(self):
+        class Counting(LadderModel):
+            assemblies = 0
+
+            def assemble(self, y):
+                self.assemblies += 1
+                return super().assemble(y)
+
+        model = Counting(1, sections=8, damping=0.1, with_frequency=True)
+        dists = [uniform(lo, hi) for lo, hi in model.support()]
+        cfg = AdaptiveConfig(budget=60, indicator=ADJOINT)
+        *_, report = run_adaptive_adjoint(model, cfg, dists)
+        # only the root is assembled at acceptance; every other index is
+        # assembled once, when it is scored
+        assert model.assemblies == report.res_count + 1
 
     def test_primal_dual_share_indices(self, run):
         _, (qoi, primal, dual, report) = run

@@ -2,11 +2,16 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
-from adaleja.cli import run_command
+from adaleja.cli import make_model, run_command
+from adaleja.distributions import make_distribution
 from adaleja.errors import SolveError
+from adaleja.grid import MultiIndexSet
+from adaleja.maps import make_map
+from adaleja.surrogate import Surrogate
 
 
 def write_config(directory, data, name="config.json"):
@@ -16,9 +21,23 @@ def write_config(directory, data, name="config.json"):
     return path
 
 
+def read_json(path):
+    with open(path) as handle:
+        return json.load(handle)
+
+
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
+
+
+class Holed:
+    """Two-parameter black box that is NaN on part of its domain."""
+
+    n_params = 2
+
+    def __call__(self, y):
+        return complex("nan") if y[0] < -0.5 else 1.0 + y[0] * y[1]
 
 
 BUILD_CONFIG = {
@@ -78,7 +97,7 @@ class TestBuild:
         _, out = built
         for name in ("surrogate.json", "report.csv", "manifest.json"):
             assert os.path.exists(os.path.join(out, name))
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = read_json(os.path.join(out, "manifest.json"))
         assert manifest["command"] == "build"
         assert manifest["seed"] == 3
         assert manifest["config"]["budget"] == 25
@@ -100,8 +119,8 @@ class TestBuild:
         again = str(root / "again")
         assert run_command(["build", "--config", config, "--out", again]) == 0
         for name in ("surrogate.json", "report.csv", "manifest.json"):
-            first = open(os.path.join(out, name), "rb").read()
-            second = open(os.path.join(again, name), "rb").read()
+            first = Path(out, name).read_bytes()
+            second = Path(again, name).read_bytes()
             assert first == second
 
     def test_manifest_reruns_as_config(self, built):
@@ -111,8 +130,8 @@ class TestBuild:
                             os.path.join(out, "manifest.json"),
                             "--out", replay])
         assert code == 0
-        assert (open(os.path.join(out, "surrogate.json"), "rb").read()
-                == open(os.path.join(replay, "surrogate.json"), "rb").read())
+        assert (Path(out, "surrogate.json").read_bytes()
+                == Path(replay, "surrogate.json").read_bytes())
 
     def test_adjoint_stores_vector_surrogates(self, tmp_path):
         config = dict(BUILD_CONFIG, algorithm="adaptive-adjoint", budget=15)
@@ -137,7 +156,7 @@ class TestBuild:
         assert rows[0] == ["total_degree", "max_abs_coeff"]
         assert len(rows) == 1 + 5
         assert not os.path.exists(os.path.join(out, "report.csv"))
-        payload = json.load(open(os.path.join(out, "surrogate.json")))
+        payload = read_json(os.path.join(out, "surrogate.json"))
         assert payload["kind"] == "gpc"
 
     def test_distribution_count_mismatch(self, tmp_path, capsys):
@@ -156,7 +175,7 @@ class TestBuild:
         out = str(tmp_path / "run")
         assert run_command(["build", "--config", path, "--out", out,
                             "--seed", "99"]) == 0
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = read_json(os.path.join(out, "manifest.json"))
         assert manifest["seed"] == 99
         assert manifest["config"]["seed"] == 99
 
@@ -165,7 +184,7 @@ class TestBuild:
         out = str(tmp_path / "run")
         assert run_command(["build", "--config", path, "--out", out,
                             "--threads", "2"]) == 0
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = read_json(os.path.join(out, "manifest.json"))
         assert manifest["config"]["threads"] == 2
         assert os.environ["OMP_NUM_THREADS"] == "2"
 
@@ -184,14 +203,43 @@ class TestBuild:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_non_finite_model_exits_one(self, tmp_path, capsys, monkeypatch):
-        class Holed:
-            n_params = 2
-
-            def __call__(self, y):
-                return complex("nan") if y[0] < -0.5 else 1.0 + y[0] * y[1]
-
         monkeypatch.setattr("adaleja.cli.make_model", lambda spec: Holed())
         path = write_config(tmp_path, BUILD_CONFIG)
+        out = tmp_path / "o"
+        code = run_command(["build", "--config", path, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite model value" in err
+        assert not (out / "surrogate.json").exists()
+
+    def test_isotropic_report_matches_fit(self, tmp_path):
+        config = {
+            "model": {"model": "runge", "n_params": 2, "c": 10.0},
+            "distributions": BUILD_CONFIG["distributions"],
+            "maps": {"map": "sausage", "order": 3},
+            "algorithm": "isotropic-smolyak", "level": 4, "seed": 0,
+        }
+        path = write_config(tmp_path, config)
+        out = str(tmp_path / "run")
+        assert run_command(["build", "--config", path, "--out", out]) == 0
+        rows = read_rows(os.path.join(out, "report.csv"))[1:]
+        dists = [make_distribution(d) for d in config["distributions"]]
+        index_set = MultiIndexSet.total_degree(2, 4)
+        sur = Surrogate.fit(make_model(config["model"]), dists, index_set,
+                            make_map(config["maps"]))
+        expected = index_set.sorted_indices()
+        assert len(rows) == len(expected) == 15
+        for k, (row, ix) in enumerate(zip(rows, expected)):
+            assert row[:2] == [str(k), " ".join(map(str, ix))]
+            assert float(row[2]) == abs(sur.surplus(ix))
+            # one model call per node, counted cumulatively
+            assert row[3:6] == [str(k + 1), str(k + 1), "0"]
+
+    def test_isotropic_non_finite_model_exits_one(self, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.setattr("adaleja.cli.make_model", lambda spec: Holed())
+        config = dict(BUILD_CONFIG, algorithm="isotropic-smolyak", level=3)
+        path = write_config(tmp_path, config)
         out = tmp_path / "o"
         code = run_command(["build", "--config", path, "--out", str(out)])
         assert code == 1

@@ -113,6 +113,13 @@ class TestSolves:
             solve_primal(Degenerate(), np.array([0.7]))
         assert "0.7" in str(exc_info.value)
 
+    def test_error_point_prints_as_plain_floats(self):
+        err = SolveError("breakdown", point=np.array([-1.0, 0.5]), cond=2.0)
+        assert str(err) == ("breakdown at point (-1.0, 0.5) "
+                            "(condition estimate 2.000e+00)")
+        assert err.point == (-1.0, 0.5)
+        assert all(type(c) is float for c in err.point)
+
 
 class TestMaterial:
     def test_all_table_values_exact(self):

@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 from adaleja import (IdentityMap, MultiIndexSet, SausageMap, Surrogate, beta33,
                      deserialize, load_surrogate, save_surrogate, sample_joint,
                      serialize, uniform)
-from adaleja.errors import ContractError, SerializationError, UnsupportedVersionError
+from adaleja.errors import (ContractError, SerializationError, SolveError,
+                            UnsupportedVersionError)
 
 UNIT = [uniform(-1.0, 1.0)]
 
@@ -78,6 +79,31 @@ class TestSurplus:
         s.add_point((0,), 1.0)
         with pytest.raises(ContractError):
             s.add_point((0,), 2.0)
+
+
+class TestFit:
+    SQUARE = [uniform(-1.0, 1.0), uniform(-1.0, 1.0)]
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_non_finite_value_names_index_and_point(self, shape):
+        # lexicographic absorption meets the level-1 node of y0, at -1,
+        # first at (1, 0); a vector value is NaN in its last entry only
+        def holed(y):
+            value = np.ones(shape)
+            value.flat[-1] = np.nan if y[0] < -0.5 else 1.0
+            return value
+
+        with pytest.raises(SolveError, match=r"non-finite model value .* index "
+                                             r"\(1, 0\) at point \(-1\.0, 0\.0\)"):
+            Surrogate.fit(holed, self.SQUARE, MultiIndexSet.total_degree(2, 2))
+
+    def test_model_failure_is_wrapped(self):
+        def broken(y):
+            raise ZeroDivisionError("synthetic")
+
+        with pytest.raises(SolveError, match=r"model evaluation failed at index "
+                                             r"\(0, 0\): synthetic at point"):
+            Surrogate.fit(broken, self.SQUARE, MultiIndexSet.total_degree(2, 1))
 
 
 class TestInterpolation:
