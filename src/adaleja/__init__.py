@@ -14,15 +14,13 @@ from .distributions import (BETA33, UNIFORM, Distribution, beta33,
                             make_distribution, sample_joint, uniform)
 from .errors import (ConfigError, ContractError, DomainError,
                      SerializationError, SolveError, UnsupportedVersionError)
-from .gpc import (SMOLYAK, TENSOR, GpcExpansion, decay_report,
-                  evaluate_expansion, gauss_rule, project)
+from .gpc import SMOLYAK, TENSOR, GpcExpansion, gauss_rule, project
 from .grid import MultiIndexSet, backward_neighbors, forward_neighbors
-from .leja import LejaSequence, generate_sequence, leja_nodes
+from .leja import LejaSequence, leja_nodes
 from .linmodel import (LadderModel, ParametricLinearModel, error_indicator,
                        material_interp, permittivity, read_material_samples,
                        solve_dual, solve_primal)
-from .maps import (ConformalMap, IdentityMap, KTEMap, SausageMap,
-                   default_map, make_map)
+from .maps import ConformalMap, IdentityMap, KTEMap, SausageMap, make_map
 from .stats import (McSummary, SobolResult, cv_errors, extract_resonance,
                     failure_probability, kde_pdf, mc_moments, sobol_indices)
 from .surrogate import (Surrogate, deserialize, load_surrogate,
@@ -38,15 +36,13 @@ __all__ = [
     "sample_joint", "uniform",
     "ConfigError", "ContractError", "DomainError", "SerializationError",
     "SolveError", "UnsupportedVersionError",
-    "SMOLYAK", "TENSOR", "GpcExpansion", "decay_report",
-    "evaluate_expansion", "gauss_rule", "project",
+    "SMOLYAK", "TENSOR", "GpcExpansion", "gauss_rule", "project",
     "MultiIndexSet", "backward_neighbors", "forward_neighbors",
-    "LejaSequence", "generate_sequence", "leja_nodes",
+    "LejaSequence", "leja_nodes",
     "LadderModel", "ParametricLinearModel", "error_indicator",
     "material_interp", "permittivity", "read_material_samples",
     "solve_dual", "solve_primal",
-    "ConformalMap", "IdentityMap", "KTEMap", "SausageMap", "default_map",
-    "make_map",
+    "ConformalMap", "IdentityMap", "KTEMap", "SausageMap", "make_map",
     "McSummary", "SobolResult", "cv_errors", "extract_resonance",
     "failure_probability", "kde_pdf", "mc_moments", "sobol_indices",
     "Surrogate", "deserialize", "load_surrogate", "save_surrogate",

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ContractError, SolveError
 from .linmodel import (ParametricLinearModel, _residual_indicator,
                        _solve_assembled, solve_dual)
-from .surrogate import Surrogate, _model_value
+from .surrogate import Surrogate, _model_value, _point_batch
 
 SURPLUS = "surplus"
 ADJOINT = "adjoint"
@@ -103,28 +103,35 @@ class AdaptiveReport:
 
     def to_csv(self, target=None):
         """Write records as CSV; returns the text when target is None."""
-        buffer = target is None
-        if buffer:
-            target = io.StringIO()
-        close = False
-        if isinstance(target, (str, bytes)):
-            target = open(target, "w", newline="")
-            close = True
-        try:
-            writer = csv.writer(target, lineterminator="\n")
-            writer.writerow(["iteration", "chosen_index", "indicator",
-                             "lu_count", "fb_count", "res_count", "cv_error"])
-            for r in self.records:
-                writer.writerow([
-                    r.iteration,
-                    " ".join(str(c) for c in r.index),
-                    f"{r.indicator:.17g}",
-                    r.lu_count, r.fb_count, r.res_count,
-                    "" if r.cv_error is None else f"{r.cv_error:.17g}"])
-        finally:
-            if close:
-                target.close()
-        return target.getvalue() if buffer else None
+        buffer = io.StringIO() if target is None else None
+        _write_csv(target if buffer is None else buffer,
+                   ["iteration", "chosen_index", "indicator", "lu_count",
+                    "fb_count", "res_count", "cv_error"],
+                   [(r.iteration, " ".join(str(c) for c in r.index), r.indicator,
+                     r.lu_count, r.fb_count, r.res_count, r.cv_error)
+                    for r in self.records])
+        return None if buffer is None else buffer.getvalue()
+
+
+def _cell(value):
+    """One CSV cell: blank for None, integers as such, floats to 17 digits."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"
+
+
+def _write_csv(target, header, rows):
+    """Write a header and rows of ``_cell`` values to a path or a text handle."""
+    if isinstance(target, (str, bytes)):
+        with open(target, "w", newline="") as handle:
+            return _write_csv(handle, header, rows)
+    writer = csv.writer(target, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(c) for c in row] for row in rows)
 
 
 def _largest(pending):
@@ -272,10 +279,8 @@ def corrected_evaluate(qoi_sur: Surrogate, primal_sur: Surrogate,
         core = qoi_sur
     else:
         core = qoi_sur.restrict(core_set)
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    base = np.atleast_1d(core.evaluate(pts))
+    pts, single = _point_batch(points, core.n_dim)
+    base = core.evaluate(pts)
     c_tilde = primal_sur.evaluate(pts)
     z_tilde = dual_sur.evaluate(pts)
     out = np.empty(pts.shape[0], dtype=complex)

@@ -14,7 +14,6 @@ unknown subcommand.
 
 import argparse
 import copy
-import csv
 import hashlib
 import json
 import os
@@ -25,16 +24,16 @@ import numpy as np
 import scipy
 
 from .adaptive import (ADJOINT, SURPLUS, AdaptiveConfig, AdaptiveReport,
-                       run_adaptive, run_adaptive_adjoint)
+                       _write_csv, run_adaptive, run_adaptive_adjoint)
 from .distributions import make_distribution, sample_joint
 from .errors import ConfigError, ContractError, DomainError, SerializationError, SolveError
-from .gpc import SMOLYAK, TENSOR, GpcExpansion, decay_report, project
+from .gpc import SMOLYAK, TENSOR, GpcExpansion, project
 from .grid import MultiIndexSet
 from .linmodel import LadderModel, ParametricLinearModel
 from .maps import make_map
 from .stats import (extract_resonance, failure_probability, kde_pdf,
                     mc_moments, sobol_indices)
-from .surrogate import Surrogate, deserialize, serialize
+from .surrogate import Surrogate, _read_evaluable, serialize
 
 SUBCOMMANDS = ("build", "converge", "stats", "sobol", "kde", "resonance", "gain")
 
@@ -50,6 +49,11 @@ subcommands:
   kde        kernel density of the surrogate output modulus, write kde.csv
   resonance  per-sample resonance extraction, write resonance.csv
   gain       map gain sweep over epsilon, write gain.csv
+
+--threads N sets OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS
+for child processes only: the BLAS this process already loaded keeps its
+thread count, and manifest.json says so with "threads_applied": false.
+To cap this process, set those variables before starting adaleja.
 """
 
 
@@ -110,7 +114,14 @@ def _load_json(path):
     return data
 
 
-def _distributions(config, model=None):
+def _study(config):
+    """Model, input laws and conformal maps of a study config."""
+    model = make_model(config.get("model", {}))
+    distributions = _distributions(config, model)
+    return model, distributions, _maps(config, len(distributions))
+
+
+def _distributions(config, model):
     specs = config.get("distributions")
     if specs is None:
         raise ConfigError("missing", field="distributions")
@@ -120,7 +131,7 @@ def _distributions(config, model=None):
         dists = [make_distribution(s) for s in specs]
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc), field="distributions") from exc
-    if model is not None and len(dists) != model.n_params:
+    if len(dists) != model.n_params:
         raise ConfigError(
             f"model expects {model.n_params} parameters, got {len(dists)}",
             field="distributions")
@@ -168,24 +179,6 @@ def _seed(config, override):
     if seed < 0:
         raise ConfigError("must be non-negative", field="seed")
     return seed
-
-
-def _format(value):
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format(cell) for cell in row])
 
 
 def _counted(model):
@@ -295,45 +288,41 @@ def _load_artifact(path):
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}",
                           field="surrogate")
     try:
-        peek = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"{path} is not valid JSON", location=str(exc))
-    if isinstance(peek, dict) and peek.get("kind") == "gpc":
-        return GpcExpansion.from_json(data)
-    return deserialize(data)
+        kind, doc, values = _read_evaluable(data)
+        cls = GpcExpansion if kind == "gpc" else Surrogate
+        return cls._from_document(doc, values)
+    except SerializationError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _target(config, seed_pool, out_dir):
+def _target(config, out_dir):
     """Surrogate for the stats family: loaded from disk or built fresh."""
     path = config.get("surrogate")
     if path is not None:
         target = _load_artifact(path)
         return target, list(target.distributions)
-    model = make_model(config.get("model", {}))
-    distributions = _distributions(config, model)
-    maps = _maps(config, len(distributions))
+    model, distributions, maps = _study(config)
     target, _, _ = _build_surrogate(config, model, distributions, maps, out_dir)
     return target, distributions
 
 
-def _resolve_grid(spec, samples, bandwidth):
-    if spec is not None:
-        lo = float(spec.get("lo", samples.min() - bandwidth))
-        hi = float(spec.get("hi", samples.max() + bandwidth))
-        count = int(spec.get("count", 512))
-    else:
-        lo = float(samples.min() - bandwidth)
-        hi = float(samples.max() + bandwidth)
-        count = 512
+def _linspace(spec, field, lo, hi, count):
+    """Evenly spaced values from a {lo, hi, count} object over the defaults."""
+    if not isinstance(spec, dict):
+        raise ConfigError("must be a lo/hi/count object", field=field)
+    try:
+        lo = float(spec.get("lo", lo))
+        hi = float(spec.get("hi", hi))
+        count = int(spec.get("count", count))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"lo, hi and count must be numbers: {exc}", field=field) from exc
     if count < 2 or not hi > lo:
-        raise ConfigError("grid needs count >= 2 and hi > lo", field="kde_grid")
+        raise ConfigError("range needs count >= 2 and hi > lo", field=field)
     return np.linspace(lo, hi, count)
 
 
 def _cmd_build(config, out_dir, seed):
-    model = make_model(config.get("model", {}))
-    distributions = _distributions(config, model)
-    maps = _maps(config, len(distributions))
+    model, distributions, maps = _study(config)
     tracker = _cv_tracker(config, model, distributions)
     target, report, extra = _build_surrogate(
         config, model, distributions, maps, out_dir, tracker)
@@ -345,7 +334,7 @@ def _cmd_build(config, out_dir, seed):
     files["surrogate.json"] = sur_path
     if isinstance(target, GpcExpansion):
         decay_path = os.path.join(out_dir, "decay.csv")
-        _write_csv(decay_path, ["total_degree", "max_abs_coeff"], decay_report(target))
+        _write_csv(decay_path, ["total_degree", "max_abs_coeff"], target.decay())
         files["decay.csv"] = decay_path
     else:
         report_path = os.path.join(out_dir, "report.csv")
@@ -377,9 +366,7 @@ def _sweep_values(config):
 
 
 def _cmd_converge(config, out_dir, seed):
-    model = make_model(config.get("model", {}))
-    distributions = _distributions(config, model)
-    maps = _maps(config, len(distributions))
+    model, distributions, maps = _study(config)
     tracker = _cv_tracker(config, model, distributions, require=True)
     algorithm = config.get("algorithm")
     knob = {"adaptive": "budget", "adaptive-adjoint": "budget",
@@ -406,7 +393,7 @@ def _cmd_converge(config, out_dir, seed):
 
 
 def _cmd_stats(config, out_dir, seed):
-    target, distributions = _target(config, seed, out_dir)
+    target, distributions = _target(config, out_dir)
     n_samples = _positive_int(config, "n_samples", 100_000)
     alpha = config.get("alpha")
     children = np.random.SeedSequence(seed).spawn(2)
@@ -424,7 +411,7 @@ def _cmd_stats(config, out_dir, seed):
 
 
 def _cmd_sobol(config, out_dir, seed):
-    target, distributions = _target(config, seed, out_dir)
+    target, distributions = _target(config, out_dir)
     n_base = _positive_int(config, "n_base", 10_000)
     result = sobol_indices(target, distributions, n_base, seed)
     rows = [(k, result.main[k], result.total[k])
@@ -435,7 +422,7 @@ def _cmd_sobol(config, out_dir, seed):
 
 
 def _cmd_kde(config, out_dir, seed):
-    target, distributions = _target(config, seed, out_dir)
+    target, distributions = _target(config, out_dir)
     n_samples = _positive_int(config, "n_samples", 100_000)
     points = sample_joint(distributions, n_samples, seed)
     samples = np.abs(np.asarray(target.evaluate(points)))
@@ -446,7 +433,8 @@ def _cmd_kde(config, out_dir, seed):
     bandwidth = float(bandwidth)
     if bandwidth <= 0:
         raise ConfigError("must be positive", field="bandwidth")
-    grid = _resolve_grid(config.get("kde_grid"), samples, bandwidth)
+    grid = _linspace(config.get("kde_grid") or {}, "kde_grid",
+                     samples.min() - bandwidth, samples.max() + bandwidth, 512)
     density = kde_pdf(samples, bandwidth, grid)
     path = os.path.join(out_dir, "kde.csv")
     _write_csv(path, ["T", "density"], zip(grid, density))
@@ -454,7 +442,7 @@ def _cmd_kde(config, out_dir, seed):
 
 
 def _cmd_resonance(config, out_dir, seed):
-    target, distributions = _target(config, seed, out_dir)
+    target, distributions = _target(config, out_dir)
     spec = config.get("resonance")
     if not isinstance(spec, dict):
         raise ConfigError("missing object with f_range", field="resonance")
@@ -496,13 +484,7 @@ def _cmd_gain(config, out_dir, seed):
     if isinstance(eps_spec, list) and eps_spec:
         epsilons = [float(e) for e in eps_spec]
     elif isinstance(eps_spec, dict):
-        lo = float(eps_spec.get("lo", 0.1))
-        hi = float(eps_spec.get("hi", 1.0))
-        count = int(eps_spec.get("count", 20))
-        if count < 2 or not hi > lo:
-            raise ConfigError("epsilon range needs count >= 2 and hi > lo",
-                              field="gain")
-        epsilons = list(np.linspace(lo, hi, count))
+        epsilons = list(_linspace(eps_spec, "gain", 0.1, 1.0, 20))
     else:
         raise ConfigError("epsilons must be a list or a lo/hi/count object",
                           field="gain")
@@ -537,7 +519,7 @@ def _versions():
     }
 
 
-def _write_manifest(out_dir, command, config, seed):
+def _write_manifest(out_dir, command, config, seed, threads):
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     manifest = {
         "command": command,
@@ -546,6 +528,9 @@ def _write_manifest(out_dir, command, config, seed):
         "seed": seed,
         "versions": _versions(),
     }
+    if threads is not None:
+        # the variables were set after numpy loaded its BLAS
+        manifest["threads_applied"] = False
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -568,7 +553,8 @@ def run_command(argv):
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS worker threads (best effort)")
+                        help="set the BLAS thread variables for child processes; "
+                             "this process keeps its BLAS threads")
     try:
         ns = parser.parse_args(argv[1:])
     except SystemExit as exc:
@@ -589,7 +575,8 @@ def run_command(argv):
         files = _HANDLERS[command](resolved, out_dir, seed)
         if ns.threads is not None:
             resolved["threads"] = ns.threads
-        files["manifest.json"] = _write_manifest(out_dir, command, resolved, seed)
+        files["manifest.json"] = _write_manifest(out_dir, command, resolved, seed,
+                                                 ns.threads)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

@@ -168,14 +168,6 @@ def _beta33_invert_cdf01(u):
     return t
 
 
-def dimension(distributions) -> int:
-    """Length check helper: all entries must be Distribution instances."""
-    for d in distributions:
-        if not isinstance(d, Distribution):
-            raise TypeError(f"expected Distribution, got {type(d)!r}")
-    return len(distributions)
-
-
 def sample_joint(distributions, n, seed):
     """Draw ``n`` joint samples of independent coordinates, shape (n, N).
 

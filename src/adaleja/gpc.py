@@ -9,20 +9,18 @@ of max |s_p| over total degree doubles as a regularity diagnostic.
 """
 from __future__ import annotations
 
-import json
-
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
-from .distributions import BETA33, UNIFORM, Distribution, make_distribution
-from .errors import ContractError, SerializationError, UnsupportedVersionError
+from .distributions import BETA33, UNIFORM, make_distribution
+from .errors import ContractError, SerializationError
 from .grid import MultiIndexSet
+from .surrogate import (_point_batch, _products, _read_evaluable, _tensor_sum,
+                        _write_evaluable)
 
 TENSOR = "tensor"
 SMOLYAK = "smolyak"
-
-SCHEMA_VERSION = 1
 
 
 def recurrence_betas(kind, count):
@@ -99,21 +97,11 @@ class GpcExpansion:
 
     def evaluate(self, points):
         """Expansion value at one point (N,) or a batch (P, N)."""
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        if pts.shape[1] != self.n_dim:
-            raise ContractError(
-                f"points must have {self.n_dim} columns, got shape {pts.shape}")
-        tables = []
-        for d, dist in enumerate(self.distributions):
-            y = np.atleast_1d(dist.to_canonical(pts[:, d]))
-            tables.append(ortho_table(dist.kind, y, self.p_max))
-        levels = np.array(self.indices, dtype=int)
-        weights = tables[0][:, levels[:, 0]]
-        for d in range(1, self.n_dim):
-            weights = weights * tables[d][:, levels[:, d]]
-        out = weights @ self.coefficients
+        pts, single = _point_batch(points, self.n_dim)
+        tables = [ortho_table(dist.kind, dist.to_canonical(pts[:, d]), self.p_max)
+                  for d, dist in enumerate(self.distributions)]
+        out = _tensor_sum(tables, np.array(self.indices, dtype=int),
+                          self.coefficients[:, None])[:, 0]
         return complex(out[0]) if single else out
 
     def decay(self):
@@ -123,39 +111,23 @@ class GpcExpansion:
         return [(w, float(np.max(mags[sums == w]))) for w in range(self.p_max + 1)]
 
     def to_json(self) -> bytes:
-        payload = {
-            "version": SCHEMA_VERSION,
-            "kind": "gpc",
+        return _write_evaluable("gpc", {
             "N": self.n_dim,
             "distributions": [d.spec() for d in self.distributions],
             "p_max": self.p_max,
             "indices": [list(ix) for ix in self.indices],
-            "coefficients_re": np.real(self.coefficients).tolist(),
-            "coefficients_im": np.imag(self.coefficients).tolist(),
-        }
-        return json.dumps(payload, sort_keys=True).encode("utf-8")
+        }, self.coefficients)
 
     @classmethod
     def from_json(cls, data) -> "GpcExpansion":
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        try:
-            doc = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise SerializationError(
-                f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
-        if not isinstance(doc, dict) or doc.get("kind") != "gpc":
+        kind, doc, coeff = _read_evaluable(data)
+        if kind != "gpc":
             raise SerializationError("not a chaos-expansion document")
-        if doc.get("version") != SCHEMA_VERSION:
-            raise UnsupportedVersionError(
-                f"unsupported expansion version {doc.get('version')!r}")
-        for key in ("N", "distributions", "p_max", "indices",
-                    "coefficients_re", "coefficients_im"):
-            if key not in doc:
-                raise SerializationError(f"missing key '{key}'")
-        coeff = (np.asarray(doc["coefficients_re"], dtype=float)
-                 + 1j * np.asarray(doc["coefficients_im"], dtype=float))
+        return cls._from_document(doc, coeff)
+
+    @classmethod
+    def _from_document(cls, doc, coeff):
+        """Expansion of a document ``_read_evaluable`` accepted."""
         try:
             return cls(doc["distributions"], doc["p_max"], doc["indices"], coeff)
         except (ContractError, ValueError, TypeError) as exc:
@@ -181,6 +153,7 @@ def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
         raise ContractError(f"unknown quadrature {quadrature!r}")
     n_dim = len(dists)
     index_set = sorted(MultiIndexSet.total_degree(n_dim, p_max))
+    levels = np.array(index_set, dtype=int)
     coeff = np.zeros(len(index_set), dtype=complex)
     cache: dict[tuple, complex] = {}
 
@@ -202,11 +175,11 @@ def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
             values[q] = cache[key]
         tables = [ortho_table(d.kind, ys[:, k], p_max)
                   for k, d in enumerate(dists)]
-        for m, ix in enumerate(index_set):
-            basis = tables[0][:, ix[0]]
-            for d in range(1, n_dim):
-                basis = basis * tables[d][:, ix[d]]
-            coeff[m] += scale * np.sum(weight * values * basis)
+        weighted = weight * values
+        # one basis column at a time: the full matrix can outgrow memory
+        for m in range(len(index_set)):
+            basis = _products(tables, levels[m:m + 1])[:, 0]
+            coeff[m] += scale * np.sum(weighted * basis)
 
     if quadrature == TENSOR:
         tensor_contribution((p_max + 1,) * n_dim, 1.0)
@@ -220,12 +193,3 @@ def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
             if scale:
                 tensor_contribution(tuple(l + 1 for l in ell), float(scale))
     return GpcExpansion(dists, p_max, index_set, coeff)
-
-
-def decay_report(expansion: GpcExpansion):
-    """Table of (total degree, max coefficient modulus) rows."""
-    return expansion.decay()
-
-
-def evaluate_expansion(expansion: GpcExpansion, points):
-    return expansion.evaluate(points)

@@ -114,7 +114,3 @@ def leja_nodes(law: Distribution, count: int):
     seq.extend_to(count)
     return seq.nodes[:count]
 
-
-def generate_sequence(law: Distribution, count: int, cmap):
-    """Transplanted Leja sequence: the conformal map applied nodewise."""
-    return np.asarray(cmap.forward(leja_nodes(law, count)))

@@ -269,7 +269,3 @@ def make_map(spec) -> ConformalMap:
         return KTEMap(spec["alpha"])
     raise ValueError(f"unknown map kind {kind!r}")
 
-
-def default_map() -> ConformalMap:
-    """The map used when a study does not name one."""
-    return SausageMap(9)

@@ -52,8 +52,6 @@ class McSummary:
     sample_count: int
     mean: float
     std: float
-    failure_probability: float | None = None
-    alpha: float | None = None
 
 
 @dataclass

@@ -16,6 +16,10 @@ Every way of growing a surrogate (``add_point``, ``add_restricted``,
 levels array and a flat surplus array whose capacity doubles when full,
 so absorbing an index costs one evaluation at its node plus amortized
 O(1) bookkeeping, and evaluation reads the arrays without rebuilding them.
+
+Evaluation goes through ``_tensor_sum``, the blocked sum of coefficients
+times products of per-dimension tables that ``gpc`` shares, and both
+evaluables are read back through ``_read_evaluable``.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ import json
 
 import numpy as np
 
-from .distributions import Distribution, make_distribution
+from .distributions import make_distribution
 from .errors import (ContractError, SerializationError, SolveError,
                      UnsupportedVersionError)
 from .grid import MultiIndexSet, _as_index
@@ -37,6 +41,47 @@ _MAX_BLOCK = 4_194_304
 
 # Rows allocated by the first append; the arrays double from there.
 _INITIAL_CAPACITY = 16
+
+
+def _products(tables, levels, rows=slice(None)):
+    """Point-by-index matrix W[p, i] = Π_d tables[d][p, levels[i, d]].
+
+    ``tables[d]`` holds one row per point and one column per level of
+    dimension d; ``rows`` selects the points.
+    """
+    weights = tables[0][rows, levels[:, 0]]
+    for d in range(1, len(tables)):
+        weights = weights * tables[d][rows, levels[:, d]]
+    return weights
+
+
+def _tensor_sum(tables, levels, coeffs):
+    """Σ_i coeffs[i] Π_d tables[d][:, levels[i, d]] at every point, (P, k).
+
+    ``coeffs`` is complex with one row per index.  Points are processed
+    in blocks of at most about ``_MAX_BLOCK`` weights, each one real
+    matmul for the real and one for the imaginary part.
+    """
+    n_pts = len(tables[0])
+    out = np.empty((n_pts, coeffs.shape[1]), dtype=complex)
+    step = max(1, _MAX_BLOCK // len(levels))
+    for start in range(0, n_pts, step):
+        weights = _products(tables, levels, slice(start, start + step))
+        out[start:start + step] = weights @ coeffs.real + 1j * (weights @ coeffs.imag)
+        # freed here, or it would sit beside the three blocks _products
+        # holds while building the next one
+        del weights
+    return out
+
+
+def _point_batch(points, n_dim):
+    """Points as a (P, n_dim) float array, and whether one (N,) point was given."""
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    if pts.ndim != 2 or pts.shape[1] != n_dim:
+        raise ContractError(f"points must have {n_dim} columns, got shape {pts.shape}")
+    return pts, single
 
 
 def _as_map_list(maps, n_dim):
@@ -118,6 +163,17 @@ class Surrogate:
 
     # -- node bookkeeping ------------------------------------------------
 
+    def _set_nodes(self, dim, nodes):
+        """Install canonical nodes of one dimension and their Newton denominators.
+
+        Denominators already stored are kept: callers only extend the
+        node prefix they were computed from, or start from none.
+        """
+        dens = self._dens[dim]
+        for l in range(len(dens), len(nodes)):
+            dens.append(float(np.prod(nodes[l] - nodes[:l])) if l else 1.0)
+        self._nodes1d[dim] = nodes
+
     def _ensure_levels(self, index):
         for d, lev in enumerate(index):
             have = len(self._nodes1d[d])
@@ -128,10 +184,7 @@ class Surrogate:
                         f"stored nodes of dimension {d} are not the Leja "
                         f"prefix of {self.distributions[d].kind}; refusing to "
                         f"extend them to level {lev}")
-                self._nodes1d[d] = nodes
-                dens = self._dens[d]
-                for l in range(have, lev + 1):
-                    dens.append(float(np.prod(nodes[l] - nodes[:l])) if l else 1.0)
+                self._set_nodes(d, nodes)
 
     def node_point(self, index):
         """Physical-coordinate grid point owned by a multi-index."""
@@ -166,32 +219,26 @@ class Surrogate:
         n = len(self)
         return self._surpluses[:n].reshape((n,) + (self._value_shape or ()))
 
+    def _newton_tables(self, S, top):
+        """Newton factor tables at preimages ``S``, levels 0..top[d] per dimension."""
+        tables = []
+        for d in range(self.n_dim):
+            nodes, dens = self._nodes1d[d], self._dens[d]
+            fac = np.empty((S.shape[0], top[d] + 1))
+            fac[:, 0] = 1.0
+            run = np.ones(S.shape[0])
+            for l in range(1, top[d] + 1):
+                run = run * (S[:, d] - nodes[l - 1])
+                fac[:, l] = run / dens[l]
+            tables.append(fac)
+        return tables
+
     def _evaluate_pre(self, S):
         n = len(self)
         levels = self._levels[:n]
-        max_lev = levels.max(axis=0)
-        n_pts = S.shape[0]
-        factors = []
-        for d in range(self.n_dim):
-            nodes = self._nodes1d[d]
-            dens = self._dens[d]
-            fac = np.empty((n_pts, max_lev[d] + 1))
-            fac[:, 0] = 1.0
-            run = np.ones(n_pts)
-            for l in range(1, max_lev[d] + 1):
-                run = run * (S[:, d] - nodes[l - 1])
-                fac[:, l] = run / dens[l]
-            factors.append(fac)
-        mat = self._surpluses[:n]
-        out = np.empty((n_pts, mat.shape[1]), dtype=complex)
-        step = max(1, _MAX_BLOCK // n)
-        for start in range(0, n_pts, step):
-            stop = min(start + step, n_pts)
-            weights = factors[0][start:stop, levels[:, 0]]
-            for d in range(1, self.n_dim):
-                weights = weights * factors[d][start:stop, levels[:, d]]
-            out[start:stop] = weights @ mat.real + 1j * (weights @ mat.imag)
-        return out.reshape((n_pts,) + self._value_shape)
+        out = _tensor_sum(self._newton_tables(S, levels.max(axis=0)), levels,
+                          self._surpluses[:n])
+        return out.reshape((S.shape[0],) + self._value_shape)
 
     def evaluate(self, points):
         """Interpolant value at one point (N,) or a batch (P, N).
@@ -201,12 +248,7 @@ class Surrogate:
         """
         if not self._indices:
             raise ContractError("cannot evaluate an empty surrogate")
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        if pts.ndim != 2 or pts.shape[1] != self.n_dim:
-            raise ContractError(
-                f"points must have {self.n_dim} columns, got shape {pts.shape}")
+        pts, single = _point_batch(points, self.n_dim)
         out = self._evaluate_pre(self._preimages(pts))
         if single:
             return out[0] if self._value_shape else complex(out[0])
@@ -224,17 +266,9 @@ class Surrogate:
             raise ContractError(
                 f"index {index} is neither stored nor admissible")
         self._ensure_levels(index)
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        S = self._preimages(pts)
-        out = np.ones(S.shape[0])
-        for d, lev in enumerate(index):
-            nodes = self._nodes1d[d]
-            for k in range(lev):
-                out = out * (S[:, d] - nodes[k])
-            if lev:
-                out = out / self._dens[d][lev]
+        pts, single = _point_batch(points, self.n_dim)
+        tables = self._newton_tables(self._preimages(pts), index)
+        out = _products(tables, np.array([index]))[:, 0]
         return float(out[0]) if single else out
 
     # -- construction ----------------------------------------------------
@@ -332,8 +366,8 @@ class Surrogate:
         if missing:
             raise ContractError(f"indices not in the surrogate: {sorted(missing)}")
         out = Surrogate(self.distributions, self.maps)
-        out._nodes1d = [col.copy() for col in self._nodes1d]
-        out._dens = [list(dens) for dens in self._dens]
+        for d, col in enumerate(self._nodes1d):
+            out._set_nodes(d, col.copy())
         for ix, s in zip(self._indices, self._surplus_values()):
             if ix in keep:
                 out.add_restricted(ix, s)
@@ -347,33 +381,71 @@ class Surrogate:
         self._append(index, surplus)
         return self
 
+    @classmethod
+    def _from_document(cls, doc, surpluses) -> "Surrogate":
+        """Surrogate of a document ``_read_evaluable`` accepted."""
+        n_dim = doc["N"]
+        if not isinstance(n_dim, int) or n_dim < 1:
+            raise SerializationError(f"invalid dimension N={n_dim!r}")
+        for key in ("distributions", "maps", "nodes1d"):
+            if not isinstance(doc[key], list) or len(doc[key]) != n_dim:
+                raise SerializationError(f"'{key}' must list {n_dim} entries")
+        indices = doc["indices"]
+        if not indices:
+            raise SerializationError("surrogate has no surpluses")
+        if surpluses.shape[:1] != (len(indices),):
+            raise SerializationError(
+                "'indices', 'surpluses_re' and 'surpluses_im' lengths differ")
+        try:
+            dists = [make_distribution(d) for d in doc["distributions"]]
+            maps = [make_map(m) for m in doc["maps"]]
+        except (ValueError, TypeError) as exc:
+            raise SerializationError(f"bad component spec: {exc}") from exc
 
-def serialize(sur: Surrogate) -> bytes:
-    """UTF-8 JSON encoding of a surrogate; floats round trip exactly."""
-    if not len(sur):
-        raise SerializationError("refusing to serialize an empty surrogate")
-    max_lev = sur._levels[:len(sur)].max(axis=0)
-    surpluses = sur._surplus_values()
-    payload = {
-        "version": SCHEMA_VERSION,
-        "N": sur.n_dim,
-        "distributions": [d.spec() for d in sur.distributions],
-        "maps": [m.spec() for m in sur.maps],
-        "nodes1d": [sur._nodes1d[d][:max_lev[d] + 1].tolist()
-                    for d in range(sur.n_dim)],
-        "indices": [list(ix) for ix in sur.indices],
-        "surpluses_re": np.real(surpluses).tolist(),
-        "surpluses_im": np.imag(surpluses).tolist(),
-    }
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
+        sur = cls(dists, maps)
+        nodes1d = [np.asarray(col, dtype=float) for col in doc["nodes1d"]]
+        try:
+            for d in range(n_dim):
+                need = max(ix[d] for ix in indices) + 1
+                if len(nodes1d[d]) < need:
+                    raise SerializationError(f"'nodes1d' dimension {d} has "
+                                             f"{len(nodes1d[d])} nodes, needs {need}")
+                sur._set_nodes(d, nodes1d[d])
+            for ix, s in zip(indices, surpluses):
+                # nodes are already in place; bypass the Leja regeneration
+                sur._append(sur._admissible(ix), sur._as_value(s))
+        except ContractError as exc:
+            raise SerializationError(f"inconsistent surrogate data: {exc}") from exc
+        return sur
 
 
-_REQUIRED_KEYS = ("version", "N", "distributions", "maps", "nodes1d",
-                  "indices", "surpluses_re", "surpluses_im")
+# kind marker -> (name in messages, value key prefix, required keys);
+# a surrogate document carries no marker
+_FORMATS = {
+    None: ("surrogate", "surpluses",
+           ("N", "distributions", "maps", "nodes1d", "indices")),
+    "gpc": ("expansion", "coefficients", ("N", "distributions", "p_max", "indices")),
+}
 
 
-def deserialize(data) -> Surrogate:
-    """Rebuild a surrogate from its JSON encoding (bytes or str)."""
+def _write_evaluable(kind, fields, values):
+    """UTF-8 JSON of a document of ``kind``; floats round trip exactly."""
+    _, part, _ = _FORMATS[kind]
+    doc = dict(fields, version=SCHEMA_VERSION)
+    if kind is not None:
+        doc["kind"] = kind
+    doc[part + "_re"] = np.real(values).tolist()
+    doc[part + "_im"] = np.imag(values).tolist()
+    return json.dumps(doc, sort_keys=True).encode("utf-8")
+
+
+def _read_evaluable(data):
+    """Parse a serialized surrogate or chaos expansion: (kind, document, values).
+
+    Checks the JSON syntax, the top-level object, the version and the
+    keys of the document's kind, and assembles the complex values from
+    their real and imaginary parts.
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -384,60 +456,52 @@ def deserialize(data) -> Surrogate:
         ) from exc
     if not isinstance(doc, dict):
         raise SerializationError("top-level JSON value must be an object")
-    for key in _REQUIRED_KEYS:
+    kind = doc.get("kind")
+    if kind not in _FORMATS:
+        raise SerializationError(f"unknown document kind {kind!r}")
+    name, part, keys = _FORMATS[kind]
+    if doc.get("version") != SCHEMA_VERSION:
+        raise UnsupportedVersionError(
+            f"unsupported {name} version {doc.get('version')!r}, "
+            f"expected {SCHEMA_VERSION}")
+    for key in keys + (part + "_re", part + "_im"):
         if key not in doc:
             raise SerializationError(f"missing key '{key}'")
-    version = doc["version"]
-    if version != SCHEMA_VERSION:
-        raise UnsupportedVersionError(
-            f"unsupported surrogate version {version!r}, expected {SCHEMA_VERSION}")
-    n_dim = doc["N"]
-    if not isinstance(n_dim, int) or n_dim < 1:
-        raise SerializationError(f"invalid dimension N={n_dim!r}")
-    for key in ("distributions", "maps", "nodes1d"):
-        if not isinstance(doc[key], list) or len(doc[key]) != n_dim:
-            raise SerializationError(f"'{key}' must list {n_dim} entries")
-    indices = doc["indices"]
-    re, im = doc["surpluses_re"], doc["surpluses_im"]
-    if not indices:
-        raise SerializationError("surrogate has no surpluses")
-    if not (len(indices) == len(re) == len(im)):
-        raise SerializationError(
-            "'indices', 'surpluses_re' and 'surpluses_im' lengths differ")
     try:
-        dists = [make_distribution(d) for d in doc["distributions"]]
-        maps = [make_map(m) for m in doc["maps"]]
-    except (ValueError, TypeError) as exc:
-        raise SerializationError(f"bad component spec: {exc}") from exc
-
-    sur = Surrogate(dists, maps)
-    nodes1d = [np.asarray(col, dtype=float) for col in doc["nodes1d"]]
-    try:
-        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
-    except ValueError as exc:
-        raise SerializationError(f"ragged surplus arrays: {exc}") from exc
+        re = np.asarray(doc[part + "_re"], dtype=float)
+        im = np.asarray(doc[part + "_im"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"ragged {part} arrays: {exc}") from exc
     if re.shape != im.shape:
         raise SerializationError(
-            f"'surpluses_re' has shape {re.shape}, 'surpluses_im' {im.shape}")
+            f"'{part}_re' has shape {re.shape}, '{part}_im' {im.shape}")
     # assigned by part: re + 1j * im would turn an imaginary -0.0 into 0.0
-    surpluses = np.empty(re.shape, dtype=complex)
-    surpluses.real, surpluses.imag = re, im
-    try:
-        for d in range(n_dim):
-            need = max(ix[d] for ix in indices) + 1
-            if len(nodes1d[d]) < need:
-                raise SerializationError(
-                    f"'nodes1d' dimension {d} has {len(nodes1d[d])} nodes, needs {need}")
-        sur._nodes1d = nodes1d
-        sur._dens = [
-            [float(np.prod(col[l] - col[:l])) if l else 1.0 for l in range(len(col))]
-            for col in nodes1d]
-        for ix, s in zip(indices, surpluses):
-            # nodes are already in place; bypass the Leja regeneration
-            sur._append(sur._admissible(ix), sur._as_value(s))
-    except ContractError as exc:
-        raise SerializationError(f"inconsistent surrogate data: {exc}") from exc
-    return sur
+    values = np.empty(re.shape, dtype=complex)
+    values.real, values.imag = re, im
+    return kind, doc, values
+
+
+def serialize(sur: Surrogate) -> bytes:
+    """UTF-8 JSON encoding of a surrogate; floats round trip exactly."""
+    if not len(sur):
+        raise SerializationError("refusing to serialize an empty surrogate")
+    max_lev = sur._levels[:len(sur)].max(axis=0)
+    return _write_evaluable(None, {
+        "N": sur.n_dim,
+        "distributions": [d.spec() for d in sur.distributions],
+        "maps": [m.spec() for m in sur.maps],
+        "nodes1d": [sur._nodes1d[d][:max_lev[d] + 1].tolist()
+                    for d in range(sur.n_dim)],
+        "indices": [list(ix) for ix in sur.indices],
+    }, sur._surplus_values())
+
+
+def deserialize(data) -> Surrogate:
+    """Rebuild a surrogate from its JSON encoding (bytes or str)."""
+    kind, doc, surpluses = _read_evaluable(data)
+    if kind is not None:
+        raise SerializationError(f"a {kind!r} document is not a surrogate")
+    return Surrogate._from_document(doc, surpluses)
 
 
 def save_surrogate(sur: Surrogate, path):

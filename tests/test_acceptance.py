@@ -13,7 +13,7 @@ import pytest
 
 from adaleja import (ADJOINT, AdaptiveConfig, KTEMap, LadderModel,
                      MultiIndexSet, SausageMap, Surrogate, beta33,
-                     corrected_evaluate, cv_errors, decay_report, kde_pdf,
+                     corrected_evaluate, cv_errors, kde_pdf,
                      leja_nodes, material_interp, project, run_adaptive,
                      run_adaptive_adjoint, sobol_indices, solve_dual,
                      solve_primal, uniform)
@@ -159,7 +159,7 @@ def test_criterion_6_adjoint_cost_accounting():
 def test_criterion_7_coefficient_decay():
     f = lambda y: float(np.exp(0.5 * (y[0] + 0.7 * y[1])))
     expansion = project(f, [uniform(-1, 1)] * 2, 6)
-    by_degree = dict(decay_report(expansion))
+    by_degree = dict(expansion.decay())
     drop = by_degree[1] / by_degree[6]
     ok = drop >= 10.0
     assert _verdict(7, ok, f"max coefficient {by_degree[1]:.2e} at degree 1 "

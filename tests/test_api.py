@@ -1,0 +1,52 @@
+"""The public surface of the package, pinned name by name.
+
+Adding or removing a public name is an API change; it shows up here as
+an edit to ``PUBLIC``.
+"""
+import adaleja
+
+PUBLIC = [
+    # adaptive drivers
+    "ADJOINT", "SURPLUS", "AdaptiveConfig", "AdaptiveReport",
+    "IterationRecord", "corrected_evaluate", "run_adaptive",
+    "run_adaptive_adjoint",
+    # input laws
+    "BETA33", "UNIFORM", "Distribution", "beta33", "make_distribution",
+    "sample_joint", "uniform",
+    # errors
+    "ConfigError", "ContractError", "DomainError", "SerializationError",
+    "SolveError", "UnsupportedVersionError",
+    # polynomial chaos
+    "SMOLYAK", "TENSOR", "GpcExpansion", "gauss_rule", "project",
+    # index sets and Leja nodes
+    "MultiIndexSet", "backward_neighbors", "forward_neighbors",
+    "LejaSequence", "leja_nodes",
+    # parametric linear systems
+    "LadderModel", "ParametricLinearModel", "error_indicator",
+    "material_interp", "permittivity", "read_material_samples",
+    "solve_dual", "solve_primal",
+    # conformal maps
+    "ConformalMap", "IdentityMap", "KTEMap", "SausageMap", "make_map",
+    # post-processing
+    "McSummary", "SobolResult", "cv_errors", "extract_resonance",
+    "failure_probability", "kde_pdf", "mc_moments", "sobol_indices",
+    # surrogates
+    "Surrogate", "deserialize", "load_surrogate", "save_surrogate",
+    "serialize",
+    "__version__",
+]
+
+
+def test_all_is_pinned():
+    assert adaleja.__all__ == PUBLIC
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in adaleja.__all__ if not hasattr(adaleja, name)]
+    assert missing == []
+
+
+def test_star_import_matches_all():
+    namespace = {}
+    exec("from adaleja import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC)

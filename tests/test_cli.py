@@ -4,13 +4,16 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adaleja.cli import make_model, run_command
 from adaleja.distributions import make_distribution
 from adaleja.errors import SolveError
+from adaleja.gpc import GpcExpansion
 from adaleja.grid import MultiIndexSet
 from adaleja.maps import make_map
+from adaleja.stats import mc_moments
 from adaleja.surrogate import Surrogate
 
 
@@ -104,6 +107,7 @@ class TestBuild:
         assert set(manifest["versions"]) == {"adaleja", "python",
                                              "numpy", "scipy"}
         assert len(manifest["config_sha256"]) == 64
+        assert "threads_applied" not in manifest
 
     def test_report_has_cv_column(self, built):
         _, out = built
@@ -187,6 +191,9 @@ class TestBuild:
         manifest = read_json(os.path.join(out, "manifest.json"))
         assert manifest["config"]["threads"] == 2
         assert os.environ["OMP_NUM_THREADS"] == "2"
+        # set after numpy loaded its BLAS, so this process is not capped
+        assert manifest["threads_applied"] is False
+        assert "threads_applied" not in manifest["config"]
 
     def test_solver_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         class Boom:
@@ -286,6 +293,48 @@ class TestPostProcessing:
         assert float(record[1]) > 0.0
         assert float(record[3]) == 0.1
         assert 0.0 <= float(record[4]) <= 1.0
+
+    def test_stats_on_gpc_artifact(self, tmp_path):
+        build = write_config(tmp_path, {
+            "model": {"model": "runge", "n_params": 2, "c": 10.0},
+            "distributions": BUILD_CONFIG["distributions"],
+            "algorithm": "gpc", "p_max": 3, "seed": 0,
+        }, "build.json")
+        built_dir = str(tmp_path / "built")
+        assert run_command(["build", "--config", build, "--out", built_dir]) == 0
+        artifact = os.path.join(built_dir, "surrogate.json")
+        config = write_config(tmp_path, {"surrogate": artifact,
+                                         "n_samples": 500, "seed": 7})
+        run = str(tmp_path / "run")
+        assert run_command(["stats", "--config", config, "--out", run]) == 0
+        record = read_rows(os.path.join(run, "moments.csv"))[1]
+        expansion = GpcExpansion.from_json(Path(artifact).read_bytes())
+        stream = np.random.SeedSequence(7).spawn(2)[0]
+        summary = mc_moments(expansion, expansion.distributions, 500, stream)
+        assert record[1:3] == [f"{summary.mean:.17g}", f"{summary.std:.17g}"]
+
+    @pytest.mark.parametrize("command, field, spec", [
+        ("kde", "kde_grid", {"kde_grid": [0.0, 1.0]}),
+        ("kde", "kde_grid", {"kde_grid": {"count": "many"}}),
+        ("gain", "gain", {"gain": {"epsilons": {"lo": "small"}}}),
+    ])
+    def test_bad_range_exits_two(self, built, tmp_path, capsys, command, field, spec):
+        _, out = built
+        config = write_config(tmp_path, dict(
+            spec, surrogate=os.path.join(out, "surrogate.json"), n_samples=100))
+        code = run_command([command, "--config", config,
+                            "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"invalid field '{field}'" in capsys.readouterr().err
+
+    def test_corrupt_artifact_names_its_path(self, tmp_path, capsys):
+        artifact = tmp_path / "broken.json"
+        artifact.write_bytes(b"{not json")
+        config = write_config(tmp_path, {"surrogate": str(artifact)})
+        code = run_command(["stats", "--config", config,
+                            "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"{artifact}: invalid JSON" in capsys.readouterr().err
 
     def test_sobol_rows(self, built, tmp_path):
         _, out = built

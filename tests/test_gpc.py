@@ -1,11 +1,15 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from adaleja import (GpcExpansion, SMOLYAK, TENSOR, beta33, decay_report,
-                     evaluate_expansion, gauss_rule, project, uniform)
+from adaleja import (GpcExpansion, MultiIndexSet, SMOLYAK, TENSOR, beta33,
+                     gauss_rule, project, sample_joint, uniform)
+from adaleja import surrogate
 from adaleja.errors import SerializationError, UnsupportedVersionError
 from adaleja.gpc import ortho_table, recurrence_betas
 
@@ -101,11 +105,27 @@ class TestEvaluation:
         err = np.abs(exp.evaluate(grid) - np.exp(grid[:, 0])).max()
         assert err < 1e-8
 
-    def test_evaluate_expansion_helper(self):
-        f = lambda y: float(y[0] ** 2)
-        exp = project(f, [uniform(-1, 1)], 2)
-        pts = np.array([[0.5], [-0.25]])
-        assert_allclose(evaluate_expansion(exp, pts), exp.evaluate(pts), rtol=0)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_blocked_evaluate_matches_direct_sum(self, data):
+        dists = data.draw(st.lists(
+            st.sampled_from([uniform(-1, 1), beta33(0, 2)]), min_size=1, max_size=3))
+        p_max = data.draw(st.integers(0, 4))
+        indices = sorted(MultiIndexSet.total_degree(len(dists), p_max))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        coeffs = rng.normal(size=len(indices)) + 1j * rng.normal(size=len(indices))
+        exp = GpcExpansion(dists, p_max, indices, coeffs)
+        pts = sample_joint(dists, 50, 3)
+        # a few points per block, so the 50 points span many blocks
+        block = data.draw(st.integers(1, 4)) * len(indices)
+        with mock.patch.object(surrogate, "_MAX_BLOCK", block):
+            got = exp.evaluate(pts)
+        tables = [ortho_table(d.kind, d.to_canonical(pts[:, k]), p_max)
+                  for k, d in enumerate(dists)]
+        want = np.zeros(len(pts), dtype=complex)
+        for c, ix in zip(coeffs, indices):
+            want += c * np.prod([t[:, l] for t, l in zip(tables, ix)], axis=0)
+        assert_allclose(got, want, rtol=1e-12)
 
     def test_single_point(self):
         exp = project(lambda y: float(y[0]), [uniform(-1, 1)], 1)
@@ -115,13 +135,13 @@ class TestEvaluation:
 class TestDecay:
     def test_rows_cover_all_total_degrees(self):
         exp = project(lambda y: float(np.exp(y[0] + y[1])), [uniform(-1, 1)] * 2, 5)
-        rows = decay_report(exp)
+        rows = exp.decay()
         assert [w for w, _ in rows] == list(range(6))
 
     def test_analytic_model_decays(self):
         f = lambda y: float(np.exp(0.5 * (y[0] + 0.7 * y[1])))
         exp = project(f, [uniform(-1, 1)] * 2, 6)
-        vals = dict(decay_report(exp))
+        vals = dict(exp.decay())
         assert all(vals[w + 1] < vals[w] for w in range(1, 6))
         assert vals[1] / vals[6] > 10.0
 
@@ -135,6 +155,14 @@ class TestSerialization:
         assert list(again.indices) == list(exp.indices)
         pts = np.linspace(-0.9, 0.9, 17)[:, None]
         assert_allclose(again.evaluate(pts), exp.evaluate(pts), rtol=0)
+
+    def test_signed_zero_round_trip(self):
+        # re + 1j * im would turn both imaginary -0.0 into 0.0
+        exp = GpcExpansion([uniform(-1, 1)], 2, [(0,), (1,), (2,)],
+                           [complex(1.0, -0.0), 0.5j, complex(-2.0, -0.0)])
+        again = GpcExpansion.from_json(exp.to_json())
+        assert again.to_json() == exp.to_json()
+        assert np.signbit(again.coefficients.imag).tolist() == [True, False, True]
 
     def test_gpc_marker(self):
         exp = project(lambda y: 1.0, [uniform(-1, 1)], 1)

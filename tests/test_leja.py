@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from adaleja import (IdentityMap, LejaSequence, SausageMap, beta33,
-                     generate_sequence, leja_nodes, uniform)
+                     leja_nodes, uniform)
 
 
 class TestGreedySteps:
@@ -58,8 +58,8 @@ class TestNestedness:
             assert_allclose(long[:10], short, atol=1e-12)
 
     def test_determinism(self):
-        a = generate_sequence(uniform(-1, 1), 7, IdentityMap())
-        b = generate_sequence(uniform(-1, 1), 7, IdentityMap())
+        a = IdentityMap().forward(leja_nodes(uniform(-1, 1), 7))
+        b = IdentityMap().forward(leja_nodes(uniform(-1, 1), 7))
         assert_allclose(a, b, rtol=0)
 
     def test_cache_returns_copies(self):
@@ -71,21 +71,21 @@ class TestNestedness:
 
 class TestTransplanted:
     def test_identity_first_three(self):
-        assert_allclose(generate_sequence(uniform(-1, 1), 3, IdentityMap()),
+        assert_allclose(IdentityMap().forward(leja_nodes(uniform(-1, 1), 3)),
                         [0.0, -1.0, 1.0], rtol=0)
 
     def test_fixed_points_survive_any_map(self):
-        seq = generate_sequence(uniform(-1, 1), 3, SausageMap(3))
+        seq = SausageMap(3).forward(leja_nodes(uniform(-1, 1), 3))
         assert_allclose(seq, [0.0, -1.0, 1.0], atol=1e-15)
 
     def test_sausage9_fourth_node(self):
-        seq = generate_sequence(uniform(-1, 1), 4, SausageMap(9))
+        seq = SausageMap(9).forward(leja_nodes(uniform(-1, 1), 4))
         assert_allclose(seq[3], -0.46738946, atol=1e-6)
 
     def test_transplant_is_forward_of_canonical(self):
         m = SausageMap(9)
         raw = leja_nodes(uniform(-1, 1), 6)
-        seq = generate_sequence(uniform(-1, 1), 6, m)
+        seq = m.forward(leja_nodes(uniform(-1, 1), 6))
         assert_allclose(seq, [m.forward(y) for y in raw], rtol=0, atol=1e-15)
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from adaleja import IdentityMap, KTEMap, SausageMap, default_map, make_map
+from adaleja import (IdentityMap, KTEMap, SausageMap, Surrogate, make_map,
+                     uniform)
 from adaleja.errors import DomainError
 
 ALL_MAPS = [
@@ -152,9 +153,10 @@ class TestFactory:
     def test_sausage_default_order(self):
         assert make_map({"map": "sausage"}).order == 9
 
-    def test_default_map(self):
-        m = default_map()
-        assert isinstance(m, SausageMap) and m.order == 9
+    def test_no_map_means_identity(self):
+        # a study that names no map interpolates on the untransformed nodes
+        sur = Surrogate([uniform(-1, 1)] * 2)
+        assert all(isinstance(m, IdentityMap) for m in sur.maps)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

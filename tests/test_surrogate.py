@@ -339,6 +339,16 @@ class TestGrowthProperties:
 
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
+    def test_surplus_basis_sum_is_evaluate(self, size, f, data):
+        dists, maps, order = data.draw(growth(size))
+        sur = grown(dists, maps, order, f)
+        pts = sample_joint(dists, 40, 11)
+        direct = sum(np.multiply.outer(sur.hierarchical_basis(ix, pts), sur.surplus(ix))
+                     for ix in order)
+        assert_allclose(direct, sur.evaluate(pts), rtol=1e-12)
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
     def test_round_trips_are_bit_exact(self, size, f, data):
         dists, maps, order = data.draw(growth(size))
         k = data.draw(st.integers(1, size))
