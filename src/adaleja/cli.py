@@ -16,6 +16,8 @@ import argparse
 import copy
 import hashlib
 import json
+import math
+import operator
 import os
 import platform
 import sys
@@ -37,7 +39,9 @@ from .surrogate import Surrogate, _read_evaluable, serialize
 
 SUBCOMMANDS = ("build", "converge", "stats", "sobol", "kde", "resonance", "gain")
 
-ALGORITHMS = ("adaptive", "adaptive-adjoint", "gpc", "isotropic-smolyak")
+# each algorithm and the field a converge sweep varies
+ALGORITHMS = {"adaptive": "budget", "adaptive-adjoint": "budget",
+              "gpc": "p_max", "isotropic-smolyak": "level"}
 
 _USAGE = """usage: adaleja <subcommand> --config PATH [--out DIR] [--seed U64] [--threads N]
 
@@ -56,6 +60,54 @@ thread count, and manifest.json says so with "threads_applied": false.
 To cap this process, set those variables before starting adaleja.
 """
 
+_REQUIRED = object()
+
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
+          str: "a string"}
+
+
+def _field(spec, key, kind, default=_REQUIRED, *, field=None,
+           ge=None, gt=None, lt=None, choices=None):
+    """``spec[key]``, or ``default`` when absent, as a JSON value of one kind.
+
+    ``kind`` is int, float, bool or str.  Integers must be integral (2.0
+    reads as 2), booleans are never numbers, floats must be finite, and
+    numbers must satisfy the bounds ``ge``/``gt``/``lt``; strings must be
+    among ``choices`` when given.  A null value stands for absence only
+    where the default is None.  Anything else raises ConfigError naming
+    ``field`` (the enclosing config object) and ``key``, or ``key`` alone.
+    """
+    value = spec.get(key, default)
+    if value is None and default is None:
+        return None
+
+    def invalid(problem):
+        return ConfigError(f"{key} {problem}" if field else problem,
+                           field=field or key)
+
+    if value is _REQUIRED:
+        raise invalid("missing")
+    if kind in (bool, str):
+        if not isinstance(value, kind):
+            raise invalid(f"must be {_KINDS[kind]}")
+        if choices is not None and value not in choices:
+            raise invalid(f"must be one of {', '.join(choices)}")
+        return value
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:    # an integer beyond the float range
+            number = math.inf
+    if not math.isfinite(number) or (kind is int and not number.is_integer()):
+        raise invalid(f"must be {_KINDS[kind]}")
+    value = int(value) if kind is int else number
+    for holds, op, bound in ((operator.ge, ">=", ge), (operator.gt, ">", gt),
+                             (operator.lt, "<", lt)):
+        if bound is not None and not holds(value, bound):
+            raise invalid(f"must be {op} {bound}")
+    return value
+
 
 class RungeProduct:
     """Product Runge function, the standard smooth-but-stiff benchmark."""
@@ -63,12 +115,8 @@ class RungeProduct:
     name = "runge"
 
     def __init__(self, n_params, c=10.0):
-        if n_params < 1:
-            raise ConfigError("runge model needs at least one parameter", field="n_params")
-        if c <= 0:
-            raise ConfigError("runge steepness must be positive", field="c")
-        self.n_params = int(n_params)
-        self.c = float(c)
+        self.n_params = n_params
+        self.c = c
 
     def support(self):
         return [(-1.0, 1.0)] * self.n_params
@@ -82,21 +130,21 @@ def make_model(spec):
     """Build a model instance from its config dictionary."""
     if not isinstance(spec, dict):
         raise ConfigError("model description must be an object", field="model")
-    kind = spec.get("model")
+    kind = _field(spec, "model", str, field="model", choices=("ladder", "runge"))
     if kind == "ladder":
-        try:
-            return LadderModel(
-                n_params=int(spec.get("n_params", 1)),
-                sections=int(spec.get("sections", 40)),
-                damping=float(spec.get("damping", 0.02)),
-                with_frequency=bool(spec.get("with_frequency", False)),
-                omega=float(spec.get("omega", 1.0)),
-            )
-        except (ContractError, TypeError, ValueError) as exc:
-            raise ConfigError(str(exc), field="model") from exc
-    if kind == "runge":
-        return RungeProduct(int(spec.get("n_params", 1)), float(spec.get("c", 10.0)))
-    raise ConfigError(f"unknown model {kind!r}", field="model")
+        with_frequency = _field(spec, "with_frequency", bool, False, field="model")
+        # the frequency can be the only parameter; stiffness ones need a section each
+        n_params = _field(spec, "n_params", int, 1, field="model",
+                          ge=0 if with_frequency else 1)
+        return LadderModel(
+            n_params=n_params,
+            sections=_field(spec, "sections", int, 40, field="model", ge=max(n_params, 1)),
+            damping=_field(spec, "damping", float, 0.02, field="model"),
+            with_frequency=with_frequency,
+            omega=_field(spec, "omega", float, 1.0, field="model"),
+        )
+    return RungeProduct(_field(spec, "n_params", int, 1, field="model", ge=1),
+                        _field(spec, "c", float, 10.0, field="model", gt=0))
 
 
 def _load_json(path):
@@ -115,7 +163,11 @@ def _load_json(path):
 
 
 def _study(config):
-    """Model, input laws and conformal maps of a study config."""
+    """Model, input laws and conformal maps of a study config.
+
+    Every study builds a surrogate, so its ``algorithm`` is checked here.
+    """
+    _field(config, "algorithm", str, choices=ALGORITHMS)
     model = make_model(config.get("model", {}))
     distributions = _distributions(config, model)
     return model, distributions, _maps(config, len(distributions))
@@ -155,32 +207,6 @@ def _maps(config, n_dim):
         raise ConfigError(str(exc), field="maps") from exc
 
 
-def _positive_int(config, field, default=None):
-    value = config.get(field, default)
-    if value is None:
-        raise ConfigError("missing", field=field)
-    try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError("must be an integer", field=field)
-    if value < 1:
-        raise ConfigError("must be positive", field=field)
-    return value
-
-
-def _seed(config, override):
-    if override is not None:
-        return int(override)
-    seed = config.get("seed", 0)
-    try:
-        seed = int(seed)
-    except (TypeError, ValueError):
-        raise ConfigError("must be an integer", field="seed")
-    if seed < 0:
-        raise ConfigError("must be non-negative", field="seed")
-    return seed
-
-
 def _counted(model):
     """Wrap a model so converge can report the number of evaluations."""
     counter = {"calls": 0}
@@ -218,28 +244,23 @@ def _cv_tracker(config, model, distributions, require=False):
         spec = {}
     if not isinstance(spec, dict):
         raise ConfigError("must be an object", field="cv")
-    n_cv = _positive_int(spec, "n", 1000)
-    seed = spec.get("seed", 10007)
-    per_iteration = bool(spec.get("per_iteration", False))
-    return _CvTracker(model, distributions, n_cv, int(seed), per_iteration)
+    return _CvTracker(model, distributions,
+                      _field(spec, "n", int, 1000, field="cv", ge=1),
+                      _field(spec, "seed", int, 10007, field="cv", ge=0),
+                      _field(spec, "per_iteration", bool, False, field="cv"))
 
 
 def _build_surrogate(config, model, distributions, maps, out_dir=None, tracker=None):
     """Run the configured algorithm; returns (target, report_or_None, extra_files)."""
-    algorithm = config.get("algorithm")
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(
-            f"must be one of {', '.join(ALGORITHMS)}", field="algorithm")
+    algorithm = config["algorithm"]
     extra = {}
     if algorithm == "gpc":
-        p_max = _positive_int(config, "p_max")
-        quadrature = config.get("quadrature", TENSOR)
-        if quadrature not in (TENSOR, SMOLYAK):
-            raise ConfigError("must be 'tensor' or 'smolyak'", field="quadrature")
+        p_max = _field(config, "p_max", int, ge=1)
+        quadrature = _field(config, "quadrature", str, TENSOR, choices=(TENSOR, SMOLYAK))
         expansion = project(model, distributions, p_max, quadrature=quadrature)
         return expansion, None, extra
     if algorithm == "isotropic-smolyak":
-        level = _positive_int(config, "level")
+        level = _field(config, "level", int, ge=1)
         indices = MultiIndexSet.total_degree(len(distributions), level)
         sur = Surrogate.fit(model, distributions, indices, maps)
         # one row per node in absorption order, one model call each
@@ -251,10 +272,8 @@ def _build_surrogate(config, model, distributions, maps, out_dir=None, tracker=N
         if tracker is not None:
             report.records[-1].cv_error = tracker.measure(sur)[0]
         return sur, report, extra
-    budget = _positive_int(config, "budget")
-    tol = config.get("tol")
-    if tol is not None:
-        tol = float(tol)
+    budget = _field(config, "budget", int, ge=1)
+    tol = _field(config, "tol", float, None, ge=0)
     on_accept = tracker.on_accept if tracker is not None else None
     if algorithm == "adaptive-adjoint":
         if not isinstance(model, ParametricLinearModel):
@@ -297,7 +316,7 @@ def _load_artifact(path):
 
 def _target(config, out_dir):
     """Surrogate for the stats family: loaded from disk or built fresh."""
-    path = config.get("surrogate")
+    path = _field(config, "surrogate", str, None)
     if path is not None:
         target = _load_artifact(path)
         return target, list(target.distributions)
@@ -306,19 +325,16 @@ def _target(config, out_dir):
     return target, distributions
 
 
-def _linspace(spec, field, lo, hi, count):
-    """Evenly spaced values from a {lo, hi, count} object over the defaults."""
+def _linspace(spec, field, lo, hi, count, gt=None):
+    """Evenly spaced values from a {lo, hi, count} object over the defaults.
+
+    ``gt``, when given, is an exclusive lower bound on ``lo``.
+    """
     if not isinstance(spec, dict):
         raise ConfigError("must be a lo/hi/count object", field=field)
-    try:
-        lo = float(spec.get("lo", lo))
-        hi = float(spec.get("hi", hi))
-        count = int(spec.get("count", count))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"lo, hi and count must be numbers: {exc}", field=field) from exc
-    if count < 2 or not hi > lo:
-        raise ConfigError("range needs count >= 2 and hi > lo", field=field)
-    return np.linspace(lo, hi, count)
+    lo = _field(spec, "lo", float, lo, field=field, gt=gt)
+    hi = _field(spec, "hi", float, hi, field=field, gt=lo)
+    return np.linspace(lo, hi, _field(spec, "count", int, count, field=field, ge=2))
 
 
 def _cmd_build(config, out_dir, seed):
@@ -345,39 +361,26 @@ def _cmd_build(config, out_dir, seed):
 
 def _sweep_values(config):
     spec = config.get("sweep")
-    if spec is None:
-        raise ConfigError("missing", field="sweep")
-    if isinstance(spec, list):
-        values = [int(v) for v in spec]
-    elif isinstance(spec, dict):
-        try:
-            lo, hi = int(spec["from"]), int(spec["to"])
-        except KeyError as exc:
-            raise ConfigError(f"missing key {exc}", field="sweep")
-        step = int(spec.get("step", 1))
-        if step < 1:
-            raise ConfigError("step must be positive", field="sweep")
-        values = list(range(lo, hi + 1, step))
-    else:
-        raise ConfigError("must be a list or a from/to/step object", field="sweep")
-    if not values or any(v < 1 for v in values):
-        raise ConfigError("values must be positive", field="sweep")
-    return values
+    if isinstance(spec, list) and spec:
+        entries = {f"sweep[{i}]": v for i, v in enumerate(spec)}
+        return [_field(entries, k, int, field="sweep", ge=1) for k in entries]
+    if not isinstance(spec, dict):
+        raise ConfigError("must be a non-empty list or a from/to/step object",
+                          field="sweep")
+    lo = _field(spec, "from", int, field="sweep", ge=1)
+    hi = _field(spec, "to", int, field="sweep", ge=lo)
+    return list(range(lo, hi + 1, _field(spec, "step", int, 1, field="sweep", ge=1)))
 
 
 def _cmd_converge(config, out_dir, seed):
     model, distributions, maps = _study(config)
+    values = _sweep_values(config)
     tracker = _cv_tracker(config, model, distributions, require=True)
-    algorithm = config.get("algorithm")
-    knob = {"adaptive": "budget", "adaptive-adjoint": "budget",
-            "gpc": "p_max", "isotropic-smolyak": "level"}.get(algorithm)
-    if knob is None:
-        raise ConfigError(
-            f"must be one of {', '.join(ALGORITHMS)}", field="algorithm")
+    algorithm = config["algorithm"]
     rows = []
-    for value in _sweep_values(config):
+    for value in values:
         run_config = dict(config)
-        run_config[knob] = value
+        run_config[ALGORITHMS[algorithm]] = value
         if algorithm == "adaptive-adjoint":
             build_model, counter = model, {"calls": 0}
         else:
@@ -393,14 +396,13 @@ def _cmd_converge(config, out_dir, seed):
 
 
 def _cmd_stats(config, out_dir, seed):
+    n_samples = _field(config, "n_samples", int, 100_000, ge=2)
+    alpha = _field(config, "alpha", float, None, gt=0, lt=1)
     target, distributions = _target(config, out_dir)
-    n_samples = _positive_int(config, "n_samples", 100_000)
-    alpha = config.get("alpha")
     children = np.random.SeedSequence(seed).spawn(2)
     summary = mc_moments(target, distributions, n_samples, children[0])
     row = [summary.sample_count, summary.mean, summary.std, None, None]
     if alpha is not None:
-        alpha = float(alpha)
         row[3] = alpha
         row[4] = failure_probability(target, distributions, alpha,
                                      n_samples, children[1])
@@ -411,8 +413,8 @@ def _cmd_stats(config, out_dir, seed):
 
 
 def _cmd_sobol(config, out_dir, seed):
+    n_base = _field(config, "n_base", int, 10_000, ge=1)
     target, distributions = _target(config, out_dir)
-    n_base = _positive_int(config, "n_base", 10_000)
     result = sobol_indices(target, distributions, n_base, seed)
     rows = [(k, result.main[k], result.total[k])
             for k in range(len(distributions))]
@@ -422,17 +424,14 @@ def _cmd_sobol(config, out_dir, seed):
 
 
 def _cmd_kde(config, out_dir, seed):
+    n_samples = _field(config, "n_samples", int, 100_000, ge=1)
+    bandwidth = _field(config, "bandwidth", float, None, gt=0)
     target, distributions = _target(config, out_dir)
-    n_samples = _positive_int(config, "n_samples", 100_000)
     points = sample_joint(distributions, n_samples, seed)
     samples = np.abs(np.asarray(target.evaluate(points)))
-    bandwidth = config.get("bandwidth")
     if bandwidth is None:
         sigma = float(samples.std(ddof=1)) if n_samples > 1 else 1.0
         bandwidth = 1.06 * max(sigma, 1e-12) * n_samples ** (-0.2)
-    bandwidth = float(bandwidth)
-    if bandwidth <= 0:
-        raise ConfigError("must be positive", field="bandwidth")
     grid = _linspace(config.get("kde_grid") or {}, "kde_grid",
                      samples.min() - bandwidth, samples.max() + bandwidth, 512)
     density = kde_pdf(samples, bandwidth, grid)
@@ -447,17 +446,18 @@ def _cmd_resonance(config, out_dir, seed):
     if not isinstance(spec, dict):
         raise ConfigError("missing object with f_range", field="resonance")
     f_range = spec.get("f_range")
-    if (not isinstance(f_range, (list, tuple)) or len(f_range) != 2
-            or not float(f_range[0]) < float(f_range[1])):
-        raise ConfigError("f_range must be [lo, hi] with lo < hi", field="resonance")
-    f_range = (float(f_range[0]), float(f_range[1]))
+    if not isinstance(f_range, list) or len(f_range) != 2:
+        raise ConfigError("f_range must be a [lo, hi] pair", field="resonance")
+    ends = dict(zip(("f_range[0]", "f_range[1]"), f_range))
+    f_lo = _field(ends, "f_range[0]", float, field="resonance")
+    f_range = (f_lo, _field(ends, "f_range[1]", float, field="resonance", gt=f_lo))
     lo, hi = distributions[0].lower, distributions[0].upper
     if f_range[0] < lo or f_range[1] > hi:
         raise ConfigError(
             f"f_range must lie inside the frequency support [{lo}, {hi}]",
             field="resonance")
-    n_starts = _positive_int(spec, "n_starts", 15)
-    n_slices = _positive_int(spec, "n_slices", 50)
+    n_starts = _field(spec, "n_starts", int, 15, field="resonance", ge=1)
+    n_slices = _field(spec, "n_slices", int, 50, field="resonance", ge=1)
     if len(distributions) < 2:
         raise ConfigError(
             "resonance extraction needs a frequency dimension plus at least "
@@ -482,15 +482,14 @@ def _cmd_gain(config, out_dir, seed):
         raise ConfigError(str(exc), field="gain") from exc
     eps_spec = spec.get("epsilons")
     if isinstance(eps_spec, list) and eps_spec:
-        epsilons = [float(e) for e in eps_spec]
+        entries = {f"epsilons[{i}]": e for i, e in enumerate(eps_spec)}
+        epsilons = [_field(entries, k, float, field="gain", gt=0) for k in entries]
     elif isinstance(eps_spec, dict):
-        epsilons = list(_linspace(eps_spec, "gain", 0.1, 1.0, 20))
+        epsilons = list(_linspace(eps_spec, "gain", 0.1, 1.0, 20, gt=0))
     else:
         raise ConfigError("epsilons must be a list or a lo/hi/count object",
                           field="gain")
-    if any(e <= 0 for e in epsilons):
-        raise ConfigError("epsilons must be positive", field="gain")
-    n_samples = _positive_int(spec, "n_samples", 4096)
+    n_samples = _field(spec, "n_samples", int, 4096, field="gain", ge=1)
     rows = [(eps, cmap.estimate_gain(eps, n_samples=n_samples))
             for eps in epsilons]
     path = os.path.join(out_dir, "gain.csv")
@@ -559,28 +558,24 @@ def run_command(argv):
         ns = parser.parse_args(argv[1:])
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if ns.threads is not None:
-        if ns.threads < 1:
-            sys.stderr.write("config error: invalid field 'threads': must be positive\n")
-            return 2
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(ns.threads)
     try:
+        threads = _field(vars(ns), "threads", int, None, ge=1)
+        if threads is not None:
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                os.environ[var] = str(threads)
         config = _load_json(ns.config)
-        seed = _seed(config, ns.seed)
-        out_dir = ns.out or config.get("out_dir") or "."
+        seed = _field(config if ns.seed is None else vars(ns), "seed", int, 0, ge=0)
+        config_out = _field(config, "out_dir", str, None)
+        out_dir = ns.out or config_out or "."
         resolved = copy.deepcopy(config)
         resolved["seed"] = seed
         os.makedirs(out_dir, exist_ok=True)
         files = _HANDLERS[command](resolved, out_dir, seed)
-        if ns.threads is not None:
-            resolved["threads"] = ns.threads
+        if threads is not None:
+            resolved["threads"] = threads
         files["manifest.json"] = _write_manifest(out_dir, command, resolved, seed,
-                                                 ns.threads)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    except SerializationError as exc:
+                                                 threads)
+    except (ConfigError, SerializationError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except (SolveError, DomainError, ContractError,

@@ -183,7 +183,10 @@ class TestBuild:
         assert manifest["seed"] == 99
         assert manifest["config"]["seed"] == 99
 
-    def test_thread_cap_is_recorded(self, tmp_path):
+    def test_thread_cap_is_recorded(self, tmp_path, monkeypatch):
+        # run_command sets these; monkeypatch restores them after the test
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
         path = write_config(tmp_path, BUILD_CONFIG)
         out = str(tmp_path / "run")
         assert run_command(["build", "--config", path, "--out", out,
@@ -317,13 +320,43 @@ class TestPostProcessing:
         ("kde", "kde_grid", {"kde_grid": [0.0, 1.0]}),
         ("kde", "kde_grid", {"kde_grid": {"count": "many"}}),
         ("gain", "gain", {"gain": {"epsilons": {"lo": "small"}}}),
+        # values that escaped as a traceback
+        ("build", "model", {"model": {"model": "runge", "n_params": "one"}}),
+        ("build", "cv", {"cv": {"n": 100, "seed": "x"}}),
+        ("build", "cv", {"cv": {"n": 100, "seed": -1}}),
+        ("converge", "sweep", {"sweep": {"from": "a", "to": 30}}),
+        ("converge", "sweep", {"sweep": ["a"]}),
+        ("build", "tol", {"tol": "abc"}),
+        ("stats", "alpha", {"alpha": "x"}),
+        ("kde", "bandwidth", {"bandwidth": "x"}),
+        ("gain", "gain", {"gain": {"epsilons": ["a"]}}),
+        ("resonance", "resonance", {"resonance": {"f_range": ["a", 1]}}),
+        ("stats --seed -1", "seed", {}),
+        ("stats", "surrogate", {"surrogate": ["surrogate.json"]}),
+        # values that were silently truncated or read as true
+        ("build", "budget", {"budget": 2.7}),
+        ("build", "budget", {"budget": True}),
+        ("build", "seed", {"seed": 1.5}),
+        ("build", "cv", {"cv": {"n": 100, "seed": 11, "per_iteration": "false"}}),
+        ("build", "model", {"model": {"model": "ladder", "sections": 10,
+                                      "n_params": 1, "with_frequency": "false"}}),
+        ("build --seed -1", "seed", {}),
+        ("build", "out_dir", {"out_dir": 5}),
+        # config faults that were reported as numerical failures
+        ("build", "tol", {"tol": -1}),
+        ("stats", "alpha", {"alpha": 1.5}),
+        ("stats", "n_samples", {"n_samples": 1}),
     ])
     def test_bad_range_exits_two(self, built, tmp_path, capsys, command, field, spec):
         _, out = built
-        config = write_config(tmp_path, dict(
-            spec, surrogate=os.path.join(out, "surrogate.json"), n_samples=100))
+        command, *flags = command.split()
+        if command in ("build", "converge"):
+            base = BUILD_CONFIG
+        else:
+            base = {"surrogate": os.path.join(out, "surrogate.json"), "n_samples": 100}
+        config = write_config(tmp_path, dict(base, **spec))
         code = run_command([command, "--config", config,
-                            "--out", str(tmp_path / "run")])
+                            "--out", str(tmp_path / "run"), *flags])
         assert code == 2
         assert f"invalid field '{field}'" in capsys.readouterr().err
 

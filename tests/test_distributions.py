@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats as spstats
 
@@ -109,6 +111,23 @@ class TestCanonical:
             d.to_canonical(1.5)
         with pytest.raises(DomainError):
             d.from_canonical(-1.01)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["beta33", "uniform"]),
+           lower=st.floats(-1e6, 1e6), width=st.floats(1e-6, 1e6),
+           t=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20))
+    def test_transforms_are_inverses(self, kind, lower, width, t):
+        d = Distribution(kind, lower, lower + width)
+        # both maps are affine, so round-off scales with the support's magnitude
+        ulp = np.finfo(float).eps * max(1.0, abs(d.lower), abs(d.upper))
+        t = np.array(t)
+        y = d.from_canonical(t)
+        assert np.all((y >= d.lower) & (y <= d.upper))
+        assert_allclose(d.to_canonical(y), t, rtol=0, atol=8 * ulp / d.width)
+        assert_allclose(d.from_canonical(d.to_canonical(y)), y, rtol=0, atol=4 * ulp)
+        # the scalar path agrees with the array path
+        assert d.to_canonical(float(y[0])) == d.to_canonical(y)[0]
+        assert d.from_canonical(float(t[0])) == y[0]
 
 
 class TestConstruction:

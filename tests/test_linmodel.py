@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from adaleja import (LadderModel, ParametricLinearModel, error_indicator,
@@ -78,6 +80,22 @@ class TestSolves:
         c, factors = solve_primal(self.model, self.y)
         z = solve_dual(self.model, self.y, factors)
         assert abs(np.vdot(j, c) - np.vdot(z, f)) < 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_params=st.integers(1, 4), extra_sections=st.integers(0, 40),
+           damping=st.floats(0.005, 0.2), with_frequency=st.booleans(),
+           unit=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))
+    def test_primal_dual_identity(self, n_params, extra_sections, damping,
+                                  with_frequency, unit):
+        """<j, c> = <z, f> at random points of random ladders."""
+        model = LadderModel(n_params, n_params + extra_sections, damping,
+                            with_frequency)
+        lo, hi = np.array(model.support()).T
+        y = lo + (hi - lo) * np.array(unit[:model.n_params])
+        c, factors = solve_primal(model, y)
+        z = solve_dual(model, y, factors)
+        primal, dual = np.vdot(factors.j, c), np.vdot(z, factors.f)
+        assert abs(primal - dual) <= 1e-12 * abs(primal)
 
     def test_indicator_zero_at_exact_solution(self):
         c, factors = solve_primal(self.model, self.y)
