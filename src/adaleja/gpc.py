@@ -16,8 +16,8 @@ from scipy.special import roots_jacobi
 from .distributions import BETA33, UNIFORM, make_distribution
 from .errors import ContractError, SerializationError
 from .grid import MultiIndexSet
-from .surrogate import (_point_batch, _products, _read_evaluable, _tensor_sum,
-                        _write_evaluable)
+from .surrogate import (_basis, _point_batch, _prefix_sum, _PrefixPlan,
+                        _read_evaluable, _write_evaluable)
 
 TENSOR = "tensor"
 SMOLYAK = "smolyak"
@@ -78,11 +78,14 @@ class GpcExpansion:
             raise ContractError("p_max must be non-negative")
         if len(self.indices) != self.coefficients.size:
             raise ContractError("one coefficient per index is required")
-        want = MultiIndexSet.total_degree_size(self.n_dim, self.p_max)
-        if len(self.indices) != want:
+        if sorted(self.indices) != sorted(MultiIndexSet.total_degree(self.n_dim,
+                                                                     self.p_max)):
             raise ContractError(
-                f"expected the full total-degree set of size {want}, "
-                f"got {len(self.indices)}")
+                f"expected the full total-degree set of degree {self.p_max} "
+                f"in {self.n_dim} dimensions, each index once")
+        self._plan = _PrefixPlan(self.n_dim)
+        for ix in self.indices:
+            self._plan.add(ix)
 
     @property
     def n_dim(self):
@@ -90,17 +93,21 @@ class GpcExpansion:
 
     def coefficient(self, index):
         index = tuple(int(c) for c in index)
-        for ix, s in zip(self.indices, self.coefficients):
-            if ix == index:
-                return complex(s)
-        raise ContractError(f"index {index} is outside the expansion")
+        row = self._plan.rows.get(index) if len(index) == self.n_dim else None
+        if row is None:
+            raise ContractError(f"index {index} is outside the expansion")
+        return complex(self.coefficients[row])
 
     def evaluate(self, points):
         """Expansion value at one point (N,) or a batch (P, N)."""
         pts, single = _point_batch(points, self.n_dim)
-        tables = [ortho_table(dist.kind, dist.to_canonical(pts[:, d]), self.p_max)
-                  for d, dist in enumerate(self.distributions)]
-        out = _tensor_sum(tables, np.array(self.indices, dtype=int),
+        ys = [dist.to_canonical(pts[:, d]) for d, dist in enumerate(self.distributions)]
+
+        def tables(rows):
+            return [ortho_table(dist.kind, y[rows], self.p_max).T
+                    for dist, y in zip(self.distributions, ys)]
+
+        out = _prefix_sum(tables, len(pts), self._plan.depths(),
                           self.coefficients[:, None])[:, 0]
         return complex(out[0]) if single else out
 
@@ -153,7 +160,6 @@ def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
         raise ContractError(f"unknown quadrature {quadrature!r}")
     n_dim = len(dists)
     index_set = sorted(MultiIndexSet.total_degree(n_dim, p_max))
-    levels = np.array(index_set, dtype=int)
     coeff = np.zeros(len(index_set), dtype=complex)
     cache: dict[tuple, complex] = {}
 
@@ -173,13 +179,12 @@ def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
                               for dist, t in zip(dists, ys[q])])
                 cache[key] = complex(model(x))
             values[q] = cache[key]
-        tables = [ortho_table(d.kind, ys[:, k], p_max)
+        tables = [ortho_table(d.kind, ys[:, k], p_max).T
                   for k, d in enumerate(dists)]
         weighted = weight * values
-        # one basis column at a time: the full matrix can outgrow memory
-        for m in range(len(index_set)):
-            basis = _products(tables, levels[m:m + 1])[:, 0]
-            coeff[m] += scale * np.sum(weighted * basis)
+        # one basis function at a time: the full matrix can outgrow memory
+        for m, ix in enumerate(index_set):
+            coeff[m] += scale * np.sum(weighted * _basis(tables, ix))
 
     if quadrature == TENSOR:
         tensor_contribution((p_max + 1,) * n_dim, 1.0)

@@ -36,42 +36,106 @@ from .maps import ConformalMap, IdentityMap, make_map
 
 SCHEMA_VERSION = 1
 
-# Soft cap on the point-by-index weight block, in matrix entries.
-_MAX_BLOCK = 4_194_304
+# Points per block of the batch kernel, so that a block's weight rows
+# stay in cache.
+_BLOCK = 256
 
 # Rows allocated by the first append; the arrays double from there.
 _INITIAL_CAPACITY = 16
 
 
-def _products(tables, levels, rows=slice(None)):
-    """Point-by-index matrix W[p, i] = Π_d tables[d][p, levels[i, d]].
+class _PrefixPlan:
+    """Append-only prefix tree of a sequence of distinct multi-indices.
 
-    ``tables[d]`` holds one row per point and one column per level of
-    dimension d; ``rows`` selects the points.
+    Depth k = 1..N has one row per distinct k-prefix, in order of first
+    appearance, holding the row of its (k-1)-prefix (0 at depth 1) and
+    its last level.  The depth-N rows are the indices themselves in the
+    order added, so ``rows[index]`` is an index's position.
     """
-    weights = tables[0][rows, levels[:, 0]]
-    for d in range(1, len(tables)):
-        weights = weights * tables[d][rows, levels[:, d]]
-    return weights
+
+    def __init__(self, n_dim):
+        self.rows = {}              # prefix -> its row at its depth
+        self._count = [0] * n_dim
+        # [k, 0] parent rows and [k, 1] levels of depth k + 1
+        self._table = np.empty((n_dim, 2, _INITIAL_CAPACITY), dtype=np.intp)
+        self._depths = None
+
+    def add(self, index):
+        """Append a multi-index that was not added before."""
+        self._depths = None
+        parent = 0
+        for k in range(len(index)):
+            prefix = index[:k + 1]
+            row = self.rows.get(prefix)
+            if row is None:
+                row = self.rows[prefix] = self._count[k]
+                if row == self._table.shape[2]:
+                    self._table = np.concatenate(
+                        [self._table, np.empty_like(self._table)], axis=2)
+                self._table[k, :, row] = parent, index[k]
+                self._count[k] += 1
+            parent = row
+
+    def depths(self):
+        """(parent rows, levels) of each depth, as arrays."""
+        if self._depths is None:
+            self._depths = [(t[0, :c], t[1, :c])
+                            for t, c in zip(self._table, self._count)]
+        return self._depths
 
 
-def _tensor_sum(tables, levels, coeffs):
-    """Σ_i coeffs[i] Π_d tables[d][:, levels[i, d]] at every point, (P, k).
+def _prefix_sum(tables, n_pts, plan, coeffs):
+    """Σ_i coeffs[i] Π_d T_d[levels[i, d]] at ``n_pts`` points, shape (n_pts, k).
 
-    ``coeffs`` is complex with one row per index.  Points are processed
-    in blocks of at most about ``_MAX_BLOCK`` weights, each one real
-    matmul for the real and one for the imaginary part.
+    ``tables(rows)`` gives the tables T_d of the points in the slice
+    ``rows``, one row per level and one column per point (or, for one
+    point, one value per level).  ``plan`` is
+    ``_PrefixPlan.depths()`` of the indices, whose order is the order of
+    the rows of the complex ``coeffs``.  Points go in blocks of
+    ``_BLOCK``; per depth, a block's weight rows are one gather of their
+    parents' rows times one gather of table rows (sum factorization over
+    the prefix tree of the index set).
     """
-    n_pts = len(tables[0])
     out = np.empty((n_pts, coeffs.shape[1]), dtype=complex)
-    step = max(1, _MAX_BLOCK // len(levels))
-    for start in range(0, n_pts, step):
-        weights = _products(tables, levels, slice(start, start + step))
-        out[start:start + step] = weights @ coeffs.real + 1j * (weights @ coeffs.imag)
-        # freed here, or it would sit beside the three blocks _products
-        # holds while building the next one
-        del weights
+    re, im = coeffs.real, coeffs.imag
+    # three weight buffers reused by every block and depth, since fresh
+    # arrays of this size are often fresh pages; mode "clip" lets take
+    # write straight into them (every row number is in range)
+    size = len(plan[-1][1])     # the deepest level has the most rows
+    buffers = None
+    for start in range(0, n_pts, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        first, *rest = tables(rows)
+        if buffers is None or buffers[0].shape[1:] != first.shape[1:]:
+            buffers = [np.empty((size,) + first.shape[1:]) for _ in range(3)]
+        spare, weights, gathered = buffers
+        levels = plan[0][1]
+        w = first.take(levels, 0, weights[:len(levels)], "clip")
+        for table, (parents, levels) in zip(rest, plan[1:]):
+            spare, weights = weights, spare
+            w = w.take(parents, 0, weights[:len(parents)], "clip")
+            w *= table.take(levels, 0, gathered[:len(levels)], "clip")
+        # frozen: node predictions round through these two products, and
+        # their last bits break the ties between equal surpluses
+        out[rows] = w.T @ re + 1j * (w.T @ im)
     return out
+
+
+def _basis(tables, index):
+    """Π_d tables[d][index[d]]: one basis function at the tables' points."""
+    out = tables[0][index[0]]
+    for table, level in zip(tables[1:], index[1:]):
+        out = out * table[level]
+    return out
+
+
+def _newton_table(x, nodes, dens, top):
+    """Newton factors Π_{j<l} (x - nodes[j]) / dens[l] for l = 0..top, shape (top + 1, len(x))."""
+    fac = np.empty((top + 1, len(x)))
+    fac[0] = 1.0
+    np.cumprod(x - nodes[:top, None], axis=0, out=fac[1:])
+    fac[1:] /= dens[1:top + 1, None]
+    return fac
 
 
 def _point_batch(points, n_dim):
@@ -132,11 +196,14 @@ class Surrogate:
         self._indices = MultiIndexSet(len(dists), [])
         # rows [:len(self)] are live: one level tuple and one flattened
         # surplus per absorbed index, in absorption order
-        self._levels = np.empty((0, len(dists)), dtype=int)
-        self._surpluses = np.empty((0, 0), dtype=complex)
+        self._levels = np.empty((_INITIAL_CAPACITY, len(dists)), dtype=int)
+        self._surpluses = np.empty((_INITIAL_CAPACITY, 0), dtype=complex)
+        self._plan = _PrefixPlan(len(dists))
         self._value_shape: tuple | None = None
         self._nodes1d = [np.empty(0) for _ in dists]
-        self._dens = [[] for _ in dists]
+        self._dens = [np.empty(0) for _ in dists]
+        # per dimension, Newton factor of level l at node j in [l, j]
+        self._node_tables = [np.empty((0, 0)) for _ in dists]
 
     @property
     def n_dim(self) -> int:
@@ -164,15 +231,19 @@ class Surrogate:
     # -- node bookkeeping ------------------------------------------------
 
     def _set_nodes(self, dim, nodes):
-        """Install canonical nodes of one dimension and their Newton denominators.
+        """Install canonical nodes of one dimension, their Newton denominators
+        and their table of Newton factors at the nodes.
 
         Denominators already stored are kept: callers only extend the
         node prefix they were computed from, or start from none.
         """
-        dens = self._dens[dim]
+        dens = list(self._dens[dim])
         for l in range(len(dens), len(nodes)):
             dens.append(float(np.prod(nodes[l] - nodes[:l])) if l else 1.0)
         self._nodes1d[dim] = nodes
+        self._dens[dim] = np.array(dens)
+        self._node_tables[dim] = _newton_table(nodes, nodes, self._dens[dim],
+                                               len(nodes) - 1)
 
     def _ensure_levels(self, index):
         for d, lev in enumerate(index):
@@ -210,10 +281,6 @@ class Surrogate:
             cols.append(np.asarray(self.maps[d].inverse(y)))
         return np.column_stack(cols)
 
-    def _raw_preimage(self, index):
-        """Exact preimage of a grid node: the raw Leja coordinates."""
-        return np.array([[self._nodes1d[d][lev] for d, lev in enumerate(index)]])
-
     def _surplus_values(self):
         """Live surpluses in absorption order, shape (len(self),) + value shape."""
         n = len(self)
@@ -221,24 +288,26 @@ class Surrogate:
 
     def _newton_tables(self, S, top):
         """Newton factor tables at preimages ``S``, levels 0..top[d] per dimension."""
-        tables = []
-        for d in range(self.n_dim):
-            nodes, dens = self._nodes1d[d], self._dens[d]
-            fac = np.empty((S.shape[0], top[d] + 1))
-            fac[:, 0] = 1.0
-            run = np.ones(S.shape[0])
-            for l in range(1, top[d] + 1):
-                run = run * (S[:, d] - nodes[l - 1])
-                fac[:, l] = run / dens[l]
-            tables.append(fac)
-        return tables
+        return [_newton_table(S[:, d], self._nodes1d[d], self._dens[d], top[d])
+                for d in range(self.n_dim)]
+
+    def _sum(self, tables, n_pts):
+        n = len(self)
+        out = _prefix_sum(tables, n_pts, self._plan.depths(), self._surpluses[:n])
+        return out.reshape((n_pts,) + self._value_shape)
 
     def _evaluate_pre(self, S):
-        n = len(self)
-        levels = self._levels[:n]
-        out = _tensor_sum(self._newton_tables(S, levels.max(axis=0)), levels,
-                          self._surpluses[:n])
-        return out.reshape((S.shape[0],) + self._value_shape)
+        top = self._levels[:len(self)].max(axis=0)
+        return self._sum(lambda rows: self._newton_tables(S[rows], top), len(S))
+
+    def _node_value(self, index):
+        """Interpolant at the node of ``index``, from the node tables.
+
+        Equals ``_evaluate_pre`` at the raw Leja coordinates, skipping the
+        map round trip, so surplus computations are exact at the nodes.
+        """
+        cols = [t[:, lev] for t, lev in zip(self._node_tables, index)]
+        return self._sum(lambda rows: cols, 1)[0]
 
     def evaluate(self, points):
         """Interpolant value at one point (N,) or a batch (P, N).
@@ -267,8 +336,7 @@ class Surrogate:
                 f"index {index} is neither stored nor admissible")
         self._ensure_levels(index)
         pts, single = _point_batch(points, self.n_dim)
-        tables = self._newton_tables(self._preimages(pts), index)
-        out = _products(tables, np.array([index]))[:, 0]
+        out = _basis(self._newton_tables(self._preimages(pts), index), index)
         return float(out[0]) if single else out
 
     # -- construction ----------------------------------------------------
@@ -285,7 +353,7 @@ class Surrogate:
         value = np.asarray(value, dtype=complex)
         if self._value_shape is None:
             self._value_shape = value.shape
-            self._surpluses = np.empty((0, value.size), dtype=complex)
+            self._surpluses = np.empty((len(self._levels), value.size), dtype=complex)
         elif value.shape != self._value_shape:
             raise ContractError(
                 f"value shape {value.shape} does not match {self._value_shape}")
@@ -295,14 +363,12 @@ class Surrogate:
         """Store a checked admissible index and its surplus: the one write path."""
         n = len(self)
         if n == len(self._levels):
-            cap = max(2 * n, _INITIAL_CAPACITY)
-            levels = np.empty((cap, self.n_dim), dtype=int)
-            levels[:n] = self._levels
-            surpluses = np.empty((cap, self._surpluses.shape[1]), dtype=complex)
-            surpluses[:n] = self._surpluses
-            self._levels, self._surpluses = levels, surpluses
+            self._levels = np.concatenate([self._levels, np.empty_like(self._levels)])
+            self._surpluses = np.concatenate(
+                [self._surpluses, np.empty_like(self._surpluses)])
         self._levels[n] = index
         self._surpluses[n] = surplus.reshape(-1)
+        self._plan.add(index)
         self._indices._absorb(index)
 
     def add_point(self, index, model_value):
@@ -316,29 +382,30 @@ class Surrogate:
         value = self._as_value(model_value)
         self._ensure_levels(index)
         if len(self._indices):
-            value = value - self._evaluate_pre(self._raw_preimage(index))[0]
+            value = value - self._node_value(index)
         self._append(index, value)
         return self
 
     def predict_node(self, index):
         """Current interpolant value at the grid node of ``index``.
 
-        Uses the raw Leja coordinates directly, skipping the map
-        round trip, so surplus computations are exact at the nodes.
+        Reads the per-dimension node tables, so surplus computations
+        are exact at the nodes.
         """
         index = _as_index(index, self.n_dim)
         if not self._indices:
             raise ContractError("cannot evaluate an empty surrogate")
         self._ensure_levels(index)
-        out = self._evaluate_pre(self._raw_preimage(index))[0]
+        out = self._node_value(index)
         return out if self._value_shape else complex(out)
 
     def surplus(self, index):
         index = _as_index(index, self.n_dim)
-        for ix, s in zip(self._indices, self._surplus_values()):
-            if ix == index:
-                return s if self._value_shape else complex(s)
-        raise ContractError(f"index {index} is not in the set")
+        row = self._plan.rows.get(index)
+        if row is None:
+            raise ContractError(f"index {index} is not in the set")
+        s = self._surplus_values()[row]
+        return s if self._value_shape else complex(s)
 
     @classmethod
     def fit(cls, model, distributions, index_set, maps=None):

@@ -117,8 +117,8 @@ class TestEvaluation:
         exp = GpcExpansion(dists, p_max, indices, coeffs)
         pts = sample_joint(dists, 50, 3)
         # a few points per block, so the 50 points span many blocks
-        block = data.draw(st.integers(1, 4)) * len(indices)
-        with mock.patch.object(surrogate, "_MAX_BLOCK", block):
+        block = data.draw(st.integers(1, 4))
+        with mock.patch.object(surrogate, "_BLOCK", block):
             got = exp.evaluate(pts)
         tables = [ortho_table(d.kind, d.to_canonical(pts[:, k]), p_max)
                   for k, d in enumerate(dists)]
