@@ -8,6 +8,7 @@ and polynomial bases live; the affine transform pair ``to_canonical`` /
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,21 @@ class Distribution:
         return {"kind": self.kind, "lower": self.lower, "upper": self.upper}
 
 
+def spec_number(value, name, integral=False):
+    """A number of a component spec: float, or int when ``integral``.
+
+    Strings and booleans are refused, and an integral number must have
+    no fractional part (9.0 reads as 9, 9.7 is refused).
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not integral:
+        return float(value)
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def make_distribution(spec) -> Distribution:
     """Build a distribution from its JSON description."""
     if isinstance(spec, Distribution):
@@ -129,7 +145,8 @@ def make_distribution(spec) -> Distribution:
     missing = {"kind", "lower", "upper"}.difference(spec)
     if missing:
         raise ValueError(f"distribution spec is missing {sorted(missing)}")
-    return Distribution(str(spec["kind"]), float(spec["lower"]), float(spec["upper"]))
+    return Distribution(str(spec["kind"]), spec_number(spec["lower"], "lower"),
+                        spec_number(spec["upper"], "upper"))
 
 
 def beta33(lower, upper) -> Distribution:

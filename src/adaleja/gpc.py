@@ -6,6 +6,9 @@ weight and Gauss-Jacobi(3,3) for the symmetric cubic beta weight, with
 weights normalized to probability weights.  The basis is orthonormal
 under the joint law, so the projection denominator is one and the decay
 of max |s_p| over total degree doubles as a regularity diagnostic.
+Expansions evaluate through the surrogates' prefix-product kernel, on
+tables of the orthonormal polynomials, and find a coefficient in O(1)
+through the same prefix plan.
 """
 from __future__ import annotations
 

@@ -7,14 +7,17 @@ polynomial methods.  The expected payoff of a map for functions analytic in
 an epsilon-neighbourhood of the interval is quantified by
 :meth:`ConformalMap.estimate_gain`: it compares the largest Bernstein
 ellipse inscribed in the neighbourhood against the largest ellipse whose
-image under g still fits inside, on a log scale.
+image under g still fits inside, on a log scale.  The mapped ellipse may
+not reach past the map's own singularities, so each map states the
+Bernstein radius of the nearest one.
 """
 from __future__ import annotations
 
-from math import asin, factorial
+from math import asin, factorial, inf, sqrt
 
 import numpy as np
 
+from .distributions import spec_number
 from .errors import DomainError
 
 _EDGE_SLACK = 1e-12
@@ -41,6 +44,10 @@ class ConformalMap:
     """Base class: a strictly increasing odd self-map of [-1, 1]."""
 
     kind = "abstract"
+
+    # Bernstein radius of the map's nearest singularity; infinite for
+    # entire maps.
+    singularity_radius = inf
 
     def _raw(self, y):
         """Map evaluation without domain checks; accepts complex input."""
@@ -107,8 +114,9 @@ class ConformalMap:
             log(r_hat_max) / log(r_max) - 1, where r_max is the radius of
             the largest Bernstein ellipse inside the neighbourhood and
             r_hat_max the radius of the largest ellipse whose image under
-            the map stays inside it.  Positive values mean the mapped
-            basis converges geometrically faster.
+            the map stays inside it, capped at ``singularity_radius``.
+            Positive values mean the mapped basis converges
+            geometrically faster.
         """
         epsilon = float(epsilon)
         if epsilon <= 0.0:
@@ -125,13 +133,15 @@ class ConformalMap:
             dist = np.hypot(dx, gz.imag)
             return float(np.max(dist)) <= epsilon
 
+        cap = self.singularity_radius
         lo = 1.0
-        hi = r_max
-        while contained(hi):
+        hi = min(r_max, cap)
+        while hi < cap and contained(hi):
             lo = hi
             hi *= 2.0
             if hi > _GAIN_RADIUS_CAP:
                 return np.log(_GAIN_RADIUS_CAP) / np.log(r_max) - 1.0
+        hi = min(hi, cap)
         while hi - lo > _GAIN_RTOL * hi:
             mid = 0.5 * (lo + hi)
             if contained(mid):
@@ -190,7 +200,7 @@ class SausageMap(ConformalMap):
     kind = "sausage"
 
     def __init__(self, order=9):
-        order = int(order)
+        order = spec_number(order, "sausage order", integral=True)
         if order < 1 or order % 2 == 0:
             raise ValueError("sausage order must be an odd positive integer")
         self.order = order
@@ -227,16 +237,21 @@ class SausageMap(ConformalMap):
 
 
 class KTEMap(ConformalMap):
-    """Arcsine-based stretch map with strength ``alpha`` in (0, 1)."""
+    """Arcsine-based stretch map with strength ``alpha`` in (0, 1).
+
+    Its branch points at ±1/alpha lie on the Bernstein ellipse of radius
+    1/alpha + sqrt(1/alpha² - 1).
+    """
 
     kind = "kte"
 
     def __init__(self, alpha):
-        alpha = float(alpha)
+        alpha = spec_number(alpha, "kte alpha")
         if not 0.0 < alpha < 1.0:
             raise ValueError("kte alpha must lie strictly inside (0, 1)")
         self.alpha = alpha
         self._norm = asin(alpha)
+        self.singularity_radius = 1.0 / alpha + sqrt(1.0 / alpha ** 2 - 1.0)
 
     def _raw(self, y):
         y = np.asarray(y)

@@ -14,12 +14,20 @@ path.  Finished surrogates serialize to a self-contained JSON document.
 Every way of growing a surrogate (``add_point``, ``add_restricted``,
 ``restrict`` and ``deserialize``) writes through one append path into a
 levels array and a flat surplus array whose capacity doubles when full,
-so absorbing an index costs one evaluation at its node plus amortized
-O(1) bookkeeping, and evaluation reads the arrays without rebuilding them.
+and into a prefix plan: the tree of the indices' leading parts, which
+also finds an index's surplus in O(1).  Absorbing an index costs one
+prediction at its node plus amortized O(1) bookkeeping, and evaluation
+reads these without rebuilding them.
 
-Evaluation goes through ``_tensor_sum``, the blocked sum of coefficients
-times products of per-dimension tables that ``gpc`` shares, and both
-evaluables are read back through ``_read_evaluable``.
+Batch evaluation is ``_prefix_sum``, the one kernel ``gpc`` shares: sum
+factorization over the prefix tree (Orszag 1980) of the hierarchical
+interpolant of Chkifa, Cohen & Schwab (2014).  Points go in cache-sized
+blocks; at each depth, the weight rows of the distinct prefixes are
+their parents' rows times one row of a per-dimension table laid out as
+levels by points.  Node predictions run the same kernel on one column of
+per-dimension node tables, which are built once per node level, so a
+prediction builds no tables.  Both evaluables are read back through
+``_read_evaluable``.
 """
 from __future__ import annotations
 
@@ -89,9 +97,8 @@ def _prefix_sum(tables, n_pts, plan, coeffs):
 
     ``tables(rows)`` gives the tables T_d of the points in the slice
     ``rows``, one row per level and one column per point (or, for one
-    point, one value per level).  ``plan`` is
-    ``_PrefixPlan.depths()`` of the indices, whose order is the order of
-    the rows of the complex ``coeffs``.  Points go in blocks of
+    point, one value per level).  ``plan`` is ``_PrefixPlan.depths()`` of
+    the indices, in the order of the rows of the complex ``coeffs``.  Points go in blocks of
     ``_BLOCK``; per depth, a block's weight rows are one gather of their
     parents' rows times one gather of table rows (sum factorization over
     the prefix tree of the index set).
@@ -101,7 +108,7 @@ def _prefix_sum(tables, n_pts, plan, coeffs):
     # three weight buffers reused by every block and depth, since fresh
     # arrays of this size are often fresh pages; mode "clip" lets take
     # write straight into them (every row number is in range)
-    size = len(plan[-1][1])     # the deepest level has the most rows
+    size = len(plan[-1][1])     # depth N, one row per index, is the widest
     buffers = None
     for start in range(0, n_pts, _BLOCK):
         rows = slice(start, start + _BLOCK)
@@ -115,8 +122,8 @@ def _prefix_sum(tables, n_pts, plan, coeffs):
             spare, weights = weights, spare
             w = w.take(parents, 0, weights[:len(parents)], "clip")
             w *= table.take(levels, 0, gathered[:len(levels)], "clip")
-        # frozen: node predictions round through these two products, and
-        # their last bits break the ties between equal surpluses
+        # frozen: node predictions round through these two products, whose
+        # last bits break exact surplus ties and so decide the accepted order
         out[rows] = w.T @ re + 1j * (w.T @ im)
     return out
 
@@ -130,7 +137,10 @@ def _basis(tables, index):
 
 
 def _newton_table(x, nodes, dens, top):
-    """Newton factors Π_{j<l} (x - nodes[j]) / dens[l] for l = 0..top, shape (top + 1, len(x))."""
+    """Newton factors Π_{j<l} (x - nodes[j]) / dens[l], l = 0..top.
+
+    One row per level and one column per point of ``x``.
+    """
     fac = np.empty((top + 1, len(x)))
     fac[0] = 1.0
     np.cumprod(x - nodes[:top, None], axis=0, out=fac[1:])
@@ -292,6 +302,7 @@ class Surrogate:
                 for d in range(self.n_dim)]
 
     def _sum(self, tables, n_pts):
+        """The live surpluses summed by the kernel over ``tables``."""
         n = len(self)
         out = _prefix_sum(tables, n_pts, self._plan.depths(), self._surpluses[:n])
         return out.reshape((n_pts,) + self._value_shape)

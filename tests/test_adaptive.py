@@ -1,6 +1,8 @@
 """Tests for the adaptive refinement drivers and their cost accounting."""
 import csv
+import importlib.util
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,18 @@ def runge2(y):
 
 
 UNIT_SQUARE = [uniform(-1, 1), uniform(-1, 1)]
+
+BENCHMARK_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """The benchmark's workload module, which defines its black-box inputs."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  BENCHMARK_WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestConfig:
@@ -55,6 +69,15 @@ class TestSurplusDriver:
                                  UNIT_SQUARE)
         head = [r.index for r in report.records[:6]]
         assert head == [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (1, 1)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_benchmark_orders_match_shipped_digests(self, workloads, seed):
+        # each Runge factor is an even function, so some surpluses tie
+        # exactly and only the rounding of node predictions orders them
+        box = workloads.Blackbox("full", seed)
+        _, report = run_adaptive(box.model, box.config, box.dists, box.maps)
+        shipped = workloads.load_refs()["blackbox"][str(seed)]
+        assert workloads.sequence_digest(report.accepted) == shipped
 
     def test_runs_are_deterministic(self):
         sur_a, rep_a = run_adaptive(runge2, AdaptiveConfig(budget=60),

@@ -342,6 +342,16 @@ class TestPostProcessing:
                                       "n_params": 1, "with_frequency": "false"}}),
         ("build --seed -1", "seed", {}),
         ("build", "out_dir", {"out_dir": 5}),
+        # component numbers that were coerced: a string or boolean bound,
+        # a fractional or string sausage order
+        ("build", "distributions", {"distributions": [
+            {"kind": "uniform", "lower": "-1", "upper": 1.0},
+            {"kind": "uniform", "lower": -1.0, "upper": 1.0}]}),
+        ("build", "distributions", {"distributions": [
+            {"kind": "uniform", "lower": -1.0, "upper": True},
+            {"kind": "uniform", "lower": -1.0, "upper": 1.0}]}),
+        ("build", "maps", {"maps": {"map": "sausage", "order": 9.7}}),
+        ("build", "maps", {"maps": {"map": "sausage", "order": "9"}}),
         # config faults that were reported as numerical failures
         ("build", "tol", {"tol": -1}),
         ("stats", "alpha", {"alpha": 1.5}),

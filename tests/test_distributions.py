@@ -155,6 +155,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_distribution("uniform")
 
+    @pytest.mark.parametrize("bounds", [("-1", 1.0), (-1.0, True), (None, 1.0)])
+    def test_make_distribution_refuses_non_numbers(self, bounds):
+        lower, upper = bounds
+        with pytest.raises(ValueError, match="must be a number"):
+            make_distribution({"kind": "uniform", "lower": lower, "upper": upper})
+
     def test_spec_round_trip(self):
         d = beta33(3.0, 4.0)
         assert make_distribution(d.spec()) == d

@@ -136,6 +136,19 @@ class TestGain:
         m = KTEMap(0.9)
         assert m.estimate_gain(0.4) == m.estimate_gain(0.4)
 
+    def test_kte_gain_stops_at_its_branch_points(self):
+        # arcsin(0.9 z) branches at z = ±1/0.9, on the Bernstein ellipse of
+        # radius 1.595; no larger ellipse may count as mapped inside
+        m = KTEMap(0.9)
+        assert_allclose(m.singularity_radius, 1.595, atol=5e-4)
+        r_max = 1.0 + np.sqrt(2.0)
+        bound = np.log(m.singularity_radius) / np.log(r_max) - 1.0
+        assert m.estimate_gain(1.0) <= bound
+
+    def test_entire_maps_have_no_singularity(self):
+        assert IdentityMap().singularity_radius == np.inf
+        assert SausageMap(9).singularity_radius == np.inf
+
     @pytest.mark.parametrize("m", [IdentityMap(), SausageMap(9)])
     def test_gain_rejects_nonpositive_epsilon(self, m):
         with pytest.raises(DomainError):
@@ -161,6 +174,20 @@ class TestFactory:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_map({"map": "moebius"})
+
+    @pytest.mark.parametrize("spec", [
+        {"map": "sausage", "order": 9.7},
+        {"map": "sausage", "order": "9"},
+        {"map": "sausage", "order": True},
+        {"map": "kte", "alpha": "0.5"},
+        {"map": "kte", "alpha": False},
+    ])
+    def test_spec_numbers_are_not_coerced(self, spec):
+        with pytest.raises(ValueError, match="must be a"):
+            make_map(spec)
+
+    def test_integral_float_order_is_an_order(self):
+        assert make_map({"map": "sausage", "order": 9.0}).order == 9
 
     def test_spec_round_trip(self):
         for m in ALL_MAPS:

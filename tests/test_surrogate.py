@@ -365,3 +365,86 @@ class TestGrowthProperties:
             assert serialize(cut) == serialize(prefix)
             assert same_bits(cut, prefix, pts)
             assert same_bits(deserialize(serialize(cut)), prefix, pts)
+
+
+def newton_basis(nodes, level, s):
+    """Newton basis polynomial of ``level`` at preimages ``s``, by definition."""
+    out = np.ones_like(s)
+    for j in range(level):
+        out = out * (s - nodes[j]) / (nodes[level] - nodes[j])
+    return out
+
+
+def oracle_sum(sur, indices, coeffs, pts):
+    """Σ_i c_i Π_d basis at ``pts``, and the same sum of magnitudes."""
+    pre = np.column_stack([m.inverse(d.to_canonical(pts[:, k]))
+                           for k, (d, m) in enumerate(zip(sur.distributions, sur.maps))])
+    total, size = 0.0, 0.0
+    for ix, c in zip(indices, coeffs):
+        basis = np.prod([newton_basis(sur.nodes1d(d), lev, pre[:, d])
+                         for d, lev in enumerate(ix)], axis=0)
+        total = total + np.multiply.outer(basis, c)
+        size = size + np.multiply.outer(np.abs(basis), np.abs(c))
+    return total, size
+
+
+@st.composite
+def coefficient_sets(draw):
+    """Laws and maps, a downward-closed absorption order in 1-6
+    dimensions, and random complex surpluses (scalar or vector)."""
+    dim = draw(st.integers(1, 6))
+    dists = draw(st.lists(st.sampled_from([uniform(-1, 1), beta33(0, 2)]),
+                          min_size=dim, max_size=dim))
+    maps = draw(st.lists(st.sampled_from([IdentityMap(), SausageMap(9)]),
+                         min_size=dim, max_size=dim))
+    grid = MultiIndexSet(dim)
+    size = draw(st.integers(1, 40))
+    while len(grid) < size:
+        grid.add(draw(st.sampled_from(grid.admissible_neighbors())))
+    shape = draw(st.sampled_from([(), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    coeffs = (rng.normal(size=(size,) + shape)
+              + 1j * rng.normal(size=(size,) + shape))
+    return dists, maps, list(grid), coeffs
+
+
+class TestPrefixKernel:
+    """The prefix-product kernel against the brute-force sum over indices."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=coefficient_sets(),
+           n_pts=st.sampled_from([1, 255, 256, 257]) | st.integers(1, 600),
+           data=st.data())
+    def test_evaluate_matches_oracle(self, case, n_pts, data):
+        dists, maps, order, coeffs = case
+        sur = Surrogate(dists, maps)
+        for ix, c in zip(order, coeffs):
+            sur.add_restricted(ix, c)
+        pts = sample_joint(dists, n_pts, 5)
+        want, size = oracle_sum(sur, order, coeffs, pts)
+        got = sur.evaluate(pts)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * size + 1e-300)
+
+        # a box cuts any downward-closed set to a downward-closed one, so
+        # the restricted plan keeps only some prefixes of each depth
+        cap = data.draw(st.lists(st.integers(0, 4), min_size=len(order[0]),
+                                 max_size=len(order[0])))
+        kept = [k for k, ix in enumerate(order) if all(np.less_equal(ix, cap))]
+        cut = deserialize(serialize(sur.restrict([order[k] for k in kept])))
+        want, size = oracle_sum(cut, [order[k] for k in kept], coeffs[kept], pts)
+        assert np.all(np.abs(cut.evaluate(pts) - want) <= 1e-12 * size + 1e-300)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=coefficient_sets())
+    def test_node_tables_match_raw_leja_coordinates(self, case):
+        dists, maps, order, coeffs = case
+        sur = Surrogate(dists, maps)
+        for ix, c in zip(order, coeffs):
+            sur.add_restricted(ix, c)
+        for target in (sur, deserialize(serialize(sur))):
+            for ix in order + target.index_set.admissible_neighbors():
+                got = target.predict_node(ix)
+                raw = [[target.nodes1d(d)[lev] for d, lev in enumerate(ix)]]
+                want = target._evaluate_pre(np.array(raw))[0]
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
