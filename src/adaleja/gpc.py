@@ -96,7 +96,7 @@ class GpcExpansion:
 
     def coefficient(self, index):
         index = tuple(int(c) for c in index)
-        row = self._plan.rows.get(index) if len(index) == self.n_dim else None
+        row = self._plan.position(index)
         if row is None:
             raise ContractError(f"index {index} is outside the expansion")
         return complex(self.coefficients[row])

@@ -13,9 +13,9 @@ path.  Finished surrogates serialize to a self-contained JSON document.
 
 Every way of growing a surrogate (``add_point``, ``add_restricted``,
 ``restrict`` and ``deserialize``) writes through one append path into a
-levels array and a flat surplus array whose capacity doubles when full,
-and into a prefix plan: the tree of the indices' leading parts, which
-also finds an index's surplus in O(1).  Absorbing an index costs one
+flat surplus array whose capacity doubles when full, and into a prefix
+plan: the tree of the indices' leading parts, which also finds an
+index's surplus in O(1).  Absorbing an index costs one
 prediction at its node plus amortized O(1) bookkeeping, and evaluation
 reads these without rebuilding them.
 
@@ -58,11 +58,11 @@ class _PrefixPlan:
     Depth k = 1..N has one row per distinct k-prefix, in order of first
     appearance, holding the row of its (k-1)-prefix (0 at depth 1) and
     its last level.  The depth-N rows are the indices themselves in the
-    order added, so ``rows[index]`` is an index's position.
+    order added.
     """
 
     def __init__(self, n_dim):
-        self.rows = {}              # prefix -> its row at its depth
+        self._rows = {}             # prefix -> its row at its depth
         self._count = [0] * n_dim
         # [k, 0] parent rows and [k, 1] levels of depth k + 1
         self._table = np.empty((n_dim, 2, _INITIAL_CAPACITY), dtype=np.intp)
@@ -74,15 +74,19 @@ class _PrefixPlan:
         parent = 0
         for k in range(len(index)):
             prefix = index[:k + 1]
-            row = self.rows.get(prefix)
+            row = self._rows.get(prefix)
             if row is None:
-                row = self.rows[prefix] = self._count[k]
+                row = self._rows[prefix] = self._count[k]
                 if row == self._table.shape[2]:
                     self._table = np.concatenate(
                         [self._table, np.empty_like(self._table)], axis=2)
                 self._table[k, :, row] = parent, index[k]
                 self._count[k] += 1
             parent = row
+
+    def position(self, index):
+        """Where ``index`` was added, or None if it was not."""
+        return self._rows.get(index) if len(index) == len(self._count) else None
 
     def depths(self):
         """(parent rows, levels) of each depth, as arrays."""
@@ -91,6 +95,10 @@ class _PrefixPlan:
                             for t, c in zip(self._table, self._count)]
         return self._depths
 
+    def top(self):
+        """Highest level of each dimension."""
+        return [int(levels.max()) for _, levels in self.depths()]
+
 
 def _prefix_sum(tables, n_pts, plan, coeffs):
     """Σ_i coeffs[i] Π_d T_d[levels[i, d]] at ``n_pts`` points, shape (n_pts, k).
@@ -98,10 +106,10 @@ def _prefix_sum(tables, n_pts, plan, coeffs):
     ``tables(rows)`` gives the tables T_d of the points in the slice
     ``rows``, one row per level and one column per point (or, for one
     point, one value per level).  ``plan`` is ``_PrefixPlan.depths()`` of
-    the indices, in the order of the rows of the complex ``coeffs``.  Points go in blocks of
-    ``_BLOCK``; per depth, a block's weight rows are one gather of their
-    parents' rows times one gather of table rows (sum factorization over
-    the prefix tree of the index set).
+    the indices, in the order of the rows of the complex ``coeffs``.
+    Points go in blocks of ``_BLOCK``; per depth, a block's weight rows
+    are one gather of their parents' rows times one gather of table rows
+    (sum factorization over the prefix tree of the index set).
     """
     out = np.empty((n_pts, coeffs.shape[1]), dtype=complex)
     re, im = coeffs.real, coeffs.imag
@@ -204,9 +212,8 @@ class Surrogate:
         self.distributions = dists
         self.maps = _as_map_list(maps, len(dists))
         self._indices = MultiIndexSet(len(dists), [])
-        # rows [:len(self)] are live: one level tuple and one flattened
-        # surplus per absorbed index, in absorption order
-        self._levels = np.empty((_INITIAL_CAPACITY, len(dists)), dtype=int)
+        # rows [:len(self)] are live: one flattened surplus per absorbed
+        # index, in absorption order
         self._surpluses = np.empty((_INITIAL_CAPACITY, 0), dtype=complex)
         self._plan = _PrefixPlan(len(dists))
         self._value_shape: tuple | None = None
@@ -241,19 +248,11 @@ class Surrogate:
     # -- node bookkeeping ------------------------------------------------
 
     def _set_nodes(self, dim, nodes):
-        """Install canonical nodes of one dimension, their Newton denominators
-        and their table of Newton factors at the nodes.
-
-        Denominators already stored are kept: callers only extend the
-        node prefix they were computed from, or start from none.
-        """
-        dens = list(self._dens[dim])
-        for l in range(len(dens), len(nodes)):
-            dens.append(float(np.prod(nodes[l] - nodes[:l])) if l else 1.0)
-        self._nodes1d[dim] = nodes
-        self._dens[dim] = np.array(dens)
-        self._node_tables[dim] = _newton_table(nodes, nodes, self._dens[dim],
-                                               len(nodes) - 1)
+        """Install canonical nodes of one dimension, their Newton
+        denominators and the table of Newton factors at the nodes."""
+        dens = np.array([np.prod(nodes[l] - nodes[:l]) for l in range(len(nodes))])
+        self._nodes1d[dim], self._dens[dim] = nodes, dens
+        self._node_tables[dim] = _newton_table(nodes, nodes, dens, len(nodes) - 1)
 
     def _ensure_levels(self, index):
         for d, lev in enumerate(index):
@@ -308,7 +307,7 @@ class Surrogate:
         return out.reshape((n_pts,) + self._value_shape)
 
     def _evaluate_pre(self, S):
-        top = self._levels[:len(self)].max(axis=0)
+        top = self._plan.top()
         return self._sum(lambda rows: self._newton_tables(S[rows], top), len(S))
 
     def _node_value(self, index):
@@ -364,7 +363,7 @@ class Surrogate:
         value = np.asarray(value, dtype=complex)
         if self._value_shape is None:
             self._value_shape = value.shape
-            self._surpluses = np.empty((len(self._levels), value.size), dtype=complex)
+            self._surpluses = np.empty((_INITIAL_CAPACITY, value.size), dtype=complex)
         elif value.shape != self._value_shape:
             raise ContractError(
                 f"value shape {value.shape} does not match {self._value_shape}")
@@ -373,11 +372,9 @@ class Surrogate:
     def _append(self, index, surplus):
         """Store a checked admissible index and its surplus: the one write path."""
         n = len(self)
-        if n == len(self._levels):
-            self._levels = np.concatenate([self._levels, np.empty_like(self._levels)])
+        if n == len(self._surpluses):
             self._surpluses = np.concatenate(
                 [self._surpluses, np.empty_like(self._surpluses)])
-        self._levels[n] = index
         self._surpluses[n] = surplus.reshape(-1)
         self._plan.add(index)
         self._indices._absorb(index)
@@ -412,7 +409,7 @@ class Surrogate:
 
     def surplus(self, index):
         index = _as_index(index, self.n_dim)
-        row = self._plan.rows.get(index)
+        row = self._plan.position(index)
         if row is None:
             raise ContractError(f"index {index} is not in the set")
         s = self._surplus_values()[row]
@@ -563,7 +560,7 @@ def serialize(sur: Surrogate) -> bytes:
     """UTF-8 JSON encoding of a surrogate; floats round trip exactly."""
     if not len(sur):
         raise SerializationError("refusing to serialize an empty surrogate")
-    max_lev = sur._levels[:len(sur)].max(axis=0)
+    max_lev = sur._plan.top()
     return _write_evaluable(None, {
         "N": sur.n_dim,
         "distributions": [d.spec() for d in sur.distributions],

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from adaleja import (GpcExpansion, MultiIndexSet, SMOLYAK, TENSOR, beta33,
                      gauss_rule, project, sample_joint, uniform)
 from adaleja import surrogate
-from adaleja.errors import SerializationError, UnsupportedVersionError
+from adaleja.errors import ContractError, SerializationError, UnsupportedVersionError
 from adaleja.gpc import ortho_table, recurrence_betas
 
 
@@ -68,6 +68,10 @@ class TestProjection:
         f = lambda y: float(y[0] * y[1])
         exp = project(f, [uniform(-1, 1)] * 2, 2)
         assert_allclose(exp.coefficient((1, 1)), 1.0 / 3.0, rtol=1e-12)
+        # (1,) is a prefix of stored indices, not an index of the expansion
+        for outside in ((1,), (1, 2), (0, 1, 0)):
+            with pytest.raises(ContractError):
+                exp.coefficient(outside)
 
     def test_physical_support_scaling(self):
         # the canonical coefficient structure is unchanged by the support
@@ -179,3 +183,10 @@ class TestSerialization:
     def test_malformed_rejected(self):
         with pytest.raises(SerializationError):
             GpcExpansion.from_json(b"[1, 2, 3]")
+
+    def test_duplicate_indices_rejected(self):
+        # as many indices as the total-degree set, but one twice
+        doc = json.loads(project(lambda y: float(y[0]), [uniform(-1, 1)] * 2, 1).to_json())
+        doc["indices"][2] = doc["indices"][1]
+        with pytest.raises(SerializationError, match="each index once"):
+            GpcExpansion.from_json(json.dumps(doc).encode())
