@@ -43,6 +43,8 @@ class Distribution:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        for bound in ("lower", "upper"):
+            object.__setattr__(self, bound, spec_number(getattr(self, bound), bound))
         if not np.isfinite(self.lower) or not np.isfinite(self.upper):
             raise ValueError("support bounds must be finite")
         if not self.upper > self.lower:
@@ -145,16 +147,15 @@ def make_distribution(spec) -> Distribution:
     missing = {"kind", "lower", "upper"}.difference(spec)
     if missing:
         raise ValueError(f"distribution spec is missing {sorted(missing)}")
-    return Distribution(str(spec["kind"]), spec_number(spec["lower"], "lower"),
-                        spec_number(spec["upper"], "upper"))
+    return Distribution(str(spec["kind"]), spec["lower"], spec["upper"])
 
 
 def beta33(lower, upper) -> Distribution:
-    return Distribution(BETA33, float(lower), float(upper))
+    return Distribution(BETA33, lower, upper)
 
 
 def uniform(lower, upper) -> Distribution:
-    return Distribution(UNIFORM, float(lower), float(upper))
+    return Distribution(UNIFORM, lower, upper)
 
 
 def _beta33_cdf01(t):

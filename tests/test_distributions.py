@@ -156,10 +156,19 @@ class TestConstruction:
             make_distribution("uniform")
 
     @pytest.mark.parametrize("bounds", [("-1", 1.0), (-1.0, True), (None, 1.0)])
-    def test_make_distribution_refuses_non_numbers(self, bounds):
+    def test_bounds_must_be_numbers(self, bounds):
         lower, upper = bounds
         with pytest.raises(ValueError, match="must be a number"):
             make_distribution({"kind": "uniform", "lower": lower, "upper": upper})
+        with pytest.raises(ValueError, match="must be a number"):
+            Distribution("uniform", lower, upper)
+        with pytest.raises(ValueError, match="must be a number"):
+            uniform(lower, upper)
+
+    def test_bounds_are_stored_as_floats(self):
+        d = Distribution("beta33", np.int64(-1), 2)
+        assert d.spec() == {"kind": "beta33", "lower": -1.0, "upper": 2.0}
+        assert all(type(v) is float for v in (d.lower, d.upper))
 
     def test_spec_round_trip(self):
         d = beta33(3.0, 4.0)
