@@ -44,7 +44,7 @@ class Distribution:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         for bound in ("lower", "upper"):
-            object.__setattr__(self, bound, spec_number(getattr(self, bound), bound))
+            object.__setattr__(self, bound, _spec_number(getattr(self, bound), bound))
         if not np.isfinite(self.lower) or not np.isfinite(self.upper):
             raise ValueError("support bounds must be finite")
         if not self.upper > self.lower:
@@ -123,7 +123,7 @@ class Distribution:
         return {"kind": self.kind, "lower": self.lower, "upper": self.upper}
 
 
-def spec_number(value, name, integral=False):
+def _spec_number(value, name, integral=False):
     """A number of a component spec: float, or int when ``integral``.
 
     Strings and booleans are refused, and an integral number must have

@@ -17,7 +17,7 @@ from math import asin, factorial, inf, sqrt
 
 import numpy as np
 
-from .distributions import spec_number
+from .distributions import _spec_number
 from .errors import DomainError
 
 _EDGE_SLACK = 1e-12
@@ -138,10 +138,9 @@ class ConformalMap:
         hi = min(r_max, cap)
         while hi < cap and contained(hi):
             lo = hi
-            hi *= 2.0
+            hi = min(2.0 * hi, cap)
             if hi > _GAIN_RADIUS_CAP:
                 return np.log(_GAIN_RADIUS_CAP) / np.log(r_max) - 1.0
-        hi = min(hi, cap)
         while hi - lo > _GAIN_RTOL * hi:
             mid = 0.5 * (lo + hi)
             if contained(mid):
@@ -200,7 +199,7 @@ class SausageMap(ConformalMap):
     kind = "sausage"
 
     def __init__(self, order=9):
-        order = spec_number(order, "sausage order", integral=True)
+        order = _spec_number(order, "sausage order", integral=True)
         if order < 1 or order % 2 == 0:
             raise ValueError("sausage order must be an odd positive integer")
         self.order = order
@@ -246,7 +245,7 @@ class KTEMap(ConformalMap):
     kind = "kte"
 
     def __init__(self, alpha):
-        alpha = spec_number(alpha, "kte alpha")
+        alpha = _spec_number(alpha, "kte alpha")
         if not 0.0 < alpha < 1.0:
             raise ValueError("kte alpha must lie strictly inside (0, 1)")
         self.alpha = alpha

@@ -186,7 +186,8 @@ class TestSerialization:
 
     def test_duplicate_indices_rejected(self):
         # as many indices as the total-degree set, but one twice
-        doc = json.loads(project(lambda y: float(y[0]), [uniform(-1, 1)] * 2, 1).to_json())
+        exp = project(lambda y: float(y[0]), [uniform(-1, 1)] * 2, 1)
+        doc = json.loads(exp.to_json())
         doc["indices"][2] = doc["indices"][1]
         with pytest.raises(SerializationError, match="each index once"):
             GpcExpansion.from_json(json.dumps(doc).encode())
