@@ -342,6 +342,10 @@ class TestPostProcessing:
                                       "n_params": 1, "with_frequency": "false"}}),
         ("build --seed -1", "seed", {}),
         ("build", "out_dir", {"out_dir": 5}),
+        # config faults that were reported as numerical failures
+        ("build", "tol", {"tol": -1}),
+        ("stats", "alpha", {"alpha": 1.5}),
+        ("stats", "n_samples", {"n_samples": 1}),
         # component numbers that were coerced: a string or boolean bound,
         # a fractional or string sausage order
         ("build", "distributions", {"distributions": [
@@ -352,10 +356,6 @@ class TestPostProcessing:
             {"kind": "uniform", "lower": -1.0, "upper": 1.0}]}),
         ("build", "maps", {"maps": {"map": "sausage", "order": 9.7}}),
         ("build", "maps", {"maps": {"map": "sausage", "order": "9"}}),
-        # config faults that were reported as numerical failures
-        ("build", "tol", {"tol": -1}),
-        ("stats", "alpha", {"alpha": 1.5}),
-        ("stats", "n_samples", {"n_samples": 1}),
     ])
     def test_bad_range_exits_two(self, built, tmp_path, capsys, command, field, spec):
         _, out = built
