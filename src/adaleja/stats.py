@@ -18,8 +18,14 @@ from scipy.optimize import minimize_scalar
 from .distributions import make_distribution, sample_joint
 from .errors import ContractError
 
-# Epanechnikov pair-block size, in matrix entries.
+# Epanechnikov block size, in sample-grid pairs: a block holds
+# _KDE_BLOCK // G samples.  It fixes the summation grouping, not just the
+# memory: each block is summed on its own and then added to the total,
+# so changing it changes the last bits of a density.
 _KDE_BLOCK = 4_194_304
+# Pairs evaluated per arithmetic pass inside a block.  The kernel terms
+# are elementwise, so this bounds temporaries without touching any bit.
+_KDE_CHUNK = 65_536
 
 
 def _evaluate(target, points):
@@ -28,12 +34,19 @@ def _evaluate(target, points):
     return np.asarray(values)
 
 
+def _finite(values, what):
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise ContractError(f"{bad} of {values.size} {what} are not finite")
+    return values
+
+
 def _checked(target, points):
     values = _evaluate(target, points)
     if values.shape != (points.shape[0],):
         raise ContractError(
             f"evaluable returned shape {values.shape} for {points.shape[0]} points")
-    return values
+    return _finite(values, "evaluated values")
 
 
 def _modulus(target, points):
@@ -86,23 +99,61 @@ def kde_pdf(samples, bandwidth, grid):
     """Epanechnikov kernel density estimate on a query grid.
 
     Returns (1/(h n)) Σ K((T - x_i)/h) with K(T) = 0.75 (1 - T²) on
-    [-1, 1], evaluated for every grid point T.
+    [-1, 1], evaluated for every grid point T.  Samples, grid points and
+    the bandwidth must be finite.
+
+    Only the sample-grid pairs inside the kernel support are evaluated:
+    the grid is sorted once and each sample finds its window by binary
+    search, so the cost is O(n log G + pairs within h) for G grid points.
+    Samples go in blocks of ``_KDE_BLOCK // G``; a block holds at most
+    ``_KDE_BLOCK`` pairs (G when the grid is larger), stored as one rank
+    and one term each.  The summation order is fixed: every grid point
+    adds its terms in sample order within a block, and the block sums in
+    block order.  That is the order of the dense samples × grid sum, and
+    the pairs left out add exact zeros there, so the result does not
+    depend on the window.
     """
     samples = np.asarray(samples, dtype=float).reshape(-1)
     if samples.size == 0:
         raise ContractError("at least one sample is required")
+    _finite(samples, "samples")
     bandwidth = float(bandwidth)
-    if bandwidth <= 0.0:
-        raise ContractError("bandwidth must be positive")
+    if not 0.0 < bandwidth < np.inf:
+        raise ContractError(f"bandwidth must be positive and finite, got {bandwidth}")
     grid = np.asarray(grid, dtype=float)
-    flat = grid.reshape(-1)
+    flat = _finite(grid.reshape(-1), "grid points")
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
     out = np.zeros(flat.size)
     step = max(1, _KDE_BLOCK // max(flat.size, 1))
     for start in range(0, samples.size, step):
-        block = samples[start:start + step]
-        t = (flat[None, :] - block[:, None]) / bandwidth
-        out += np.sum(np.maximum(0.75 * (1.0 - t * t), 0.0), axis=0)
+        out[order] += _kde_block(samples[start:start + step], bandwidth, ordered)
     return (out / (bandwidth * samples.size)).reshape(grid.shape)
+
+
+def _kde_block(block, bandwidth, ordered):
+    """Kernel sums of one sample block at each point of the sorted grid."""
+    # pairs just outside the support add exact zeros, so the reach may be generous
+    reach = bandwidth * (1.0 + 1e-9)
+    lo = np.searchsorted(ordered, block - reach, side="left")
+    counts = np.searchsorted(ordered, block + reach, side="right") - lo
+    ends = np.cumsum(counts)
+    # grid ranks lo_i, ..., lo_i + counts_i - 1 for each sample i in turn
+    rank = np.repeat(lo - ends + counts, counts)
+    rank += np.arange(rank.size)
+    # each pair's sample, turned into its kernel term in place
+    terms = np.repeat(block, counts)
+    for a in range(0, terms.size, _KDE_CHUNK):
+        t = terms[a:a + _KDE_CHUNK]
+        np.subtract(ordered[rank[a:a + _KDE_CHUNK]], t, out=t)
+        t /= bandwidth
+        np.maximum(0.75 * (1.0 - t * t), 0.0, out=t)
+    if ordered.size == 1:
+        # numpy sums a lone grid column pairwise, not sample by sample
+        column = np.zeros(block.size)
+        column[counts > 0] = terms
+        return column.sum(keepdims=True)
+    return np.bincount(rank, weights=terms, minlength=ordered.size)
 
 
 def sobol_indices(target, distributions, n_base, seed) -> SobolResult:

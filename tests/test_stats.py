@@ -1,13 +1,24 @@
 """Tests for the Monte-Carlo post-processing estimators."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from adaleja import (cv_errors, extract_resonance, failure_probability,
-                     kde_pdf, mc_moments, sobol_indices, uniform)
+                     kde_pdf, mc_moments, sobol_indices, stats, uniform)
 from adaleja.errors import ContractError
 
 UNIT = [uniform(0.0, 1.0)]
+
+
+def one_nan(pts):
+    """The first coordinate, with the fourth output replaced by NaN."""
+    values = pts[:, 0].copy()
+    values[3] = np.nan
+    return values
 
 
 class Evaluable:
@@ -54,6 +65,10 @@ class TestMoments:
         with pytest.raises(ContractError):
             mc_moments(lambda pts: pts, [uniform(0, 1)] * 2, 100, 0)
 
+    def test_non_finite_output_rejected(self):
+        with pytest.raises(ContractError, match="1 of 100 evaluated values"):
+            mc_moments(one_nan, UNIT, 100, 0)
+
 
 class TestFailureProbability:
     def test_uniform_tail_mass(self):
@@ -69,6 +84,53 @@ class TestFailureProbability:
     def test_alpha_bounds(self, alpha):
         with pytest.raises(ContractError):
             failure_probability(lambda pts: pts[:, 0], UNIT, alpha, 100, 0)
+
+    def test_non_finite_output_rejected(self):
+        # NaN >= 1 - alpha is false, so a NaN would read as a safe sample
+        with pytest.raises(ContractError, match="1 of 100 evaluated values"):
+            failure_probability(one_nan, UNIT, 0.1, 100, 0)
+
+
+def dense_kde(samples, bandwidth, grid):
+    """kde_pdf as the dense samples × grid sum: the bit-level oracle."""
+    samples = np.asarray(samples, dtype=float).reshape(-1)
+    bandwidth = float(bandwidth)
+    grid = np.asarray(grid, dtype=float)
+    flat = grid.reshape(-1)
+    out = np.zeros(flat.size)
+    step = max(1, stats._KDE_BLOCK // max(flat.size, 1))
+    for start in range(0, samples.size, step):
+        block = samples[start:start + step]
+        t = (flat[None, :] - block[:, None]) / bandwidth
+        out += np.sum(np.maximum(0.75 * (1.0 - t * t), 0.0), axis=0)
+    return (out / (bandwidth * samples.size)).reshape(grid.shape)
+
+
+# Quarter-integers put grid points exactly at x ± h for h in {0.25, 0.5, 1}
+# and make duplicates common; free floats make the summation order show
+# in the last bits.
+KDE_VALUES = st.integers(-12, 12).map(lambda k: k / 4) | st.floats(-3.0, 3.0)
+
+
+@st.composite
+def kde_cases(draw):
+    samples = draw(st.lists(KDE_VALUES, min_size=1, max_size=40))
+    bandwidth = draw(st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.01, 4.0))
+    if draw(st.booleans()):
+        grid = np.array(draw(st.lists(KDE_VALUES, max_size=30)))
+    else:
+        lo = draw(st.floats(-4.0, 0.0))
+        grid = np.linspace(lo, lo + draw(st.floats(0.1, 8.0)),
+                           draw(st.integers(1, 60)))
+    shape = draw(st.sampled_from(["flat", "column", "rows"]))
+    if shape == "column":
+        grid = grid.reshape(-1, 1)
+    elif shape == "rows" and grid.size % 2 == 0:
+        grid = grid.reshape(2, -1)
+    # one-sample blocks, uneven blocks and the shipped block size
+    block = draw(st.sampled_from(["1", "G-1", "G", "G+1", "default"])
+                 | st.integers(1, 4 * grid.size + 4))
+    return samples, bandwidth, grid, block
 
 
 class TestKde:
@@ -100,10 +162,38 @@ class TestKde:
         with pytest.raises(ContractError):
             kde_pdf([], 0.5, [0.0])
 
-    @pytest.mark.parametrize("h", [0.0, -1.0])
+    @pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_bandwidth(self, h):
         with pytest.raises(ContractError):
             kde_pdf([0.0], h, [0.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ContractError, match="1 of 3 samples"):
+            kde_pdf([0.0, bad, 0.1], 0.5, [0.0])
+
+    def test_rejects_non_finite_grid(self):
+        with pytest.raises(ContractError, match="1 of 2 grid points"):
+            kde_pdf([0.0], 0.5, [0.0, float("nan")])
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=kde_cases())
+    # grid points exactly at x - h, x and x + h, and just inside the support
+    @example(case=([0.5], 0.25, np.array([0.25, 0.5, 0.75]), "default"))
+    @example(case=([0.0], 1.0, np.array([2.0**-30 - 1.0, 1.0 - 2.0**-30]), "default"))
+    # one grid point: numpy sums the dense column pairwise
+    @example(case=(list(np.linspace(-1.0, 1.0, 40) ** 3), 0.7, np.array([0.1]),
+                   "default"))
+    def test_matches_dense_sum_bit_for_bit(self, case):
+        samples, bandwidth, grid, block = case
+        size = grid.size
+        block = {"1": 1, "G-1": size - 1, "G": size, "G+1": size + 1,
+                 "default": stats._KDE_BLOCK}.get(block, block)
+        with mock.patch.object(stats, "_KDE_BLOCK", block):
+            got = kde_pdf(samples, bandwidth, grid)
+            want = dense_kde(samples, bandwidth, grid)
+        assert got.shape == want.shape == grid.shape
+        assert np.array_equal(got, want)
 
 
 class TestSobol:
@@ -147,6 +237,10 @@ class TestSobol:
     def test_rejects_bad_n_base(self):
         with pytest.raises(ContractError):
             sobol_indices(lambda pts: pts[:, 0], UNIT, 0, 0)
+
+    def test_non_finite_output_rejected(self):
+        with pytest.raises(ContractError, match="1 of 50 evaluated values"):
+            sobol_indices(one_nan, [uniform(0, 1)] * 2, 50, 0)
 
 
 class TestResonance:
