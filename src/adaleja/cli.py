@@ -33,8 +33,8 @@ from .gpc import SMOLYAK, TENSOR, GpcExpansion, project
 from .grid import MultiIndexSet
 from .linmodel import LadderModel, ParametricLinearModel
 from .maps import make_map
-from .stats import (extract_resonance, failure_probability, kde_pdf,
-                    mc_moments, sobol_indices)
+from .stats import (_deviation, extract_resonance, failure_probability,
+                    kde_pdf, mc_moments, sobol_indices)
 from .surrogate import Surrogate, _read_evaluable, serialize
 
 SUBCOMMANDS = ("build", "converge", "stats", "sobol", "kde", "resonance", "gain")
@@ -227,9 +227,7 @@ class _CvTracker:
         self.reference = np.array([complex(model(p)) for p in self.points])
 
     def measure(self, surrogate):
-        approx = np.asarray(surrogate.evaluate(self.points))
-        err = np.abs(approx - self.reference)
-        return float(err.mean()), float(err.max())
+        return _deviation(surrogate, self.points, self.reference)
 
     def on_accept(self, surrogate, record):
         if self.per_iteration:

@@ -174,13 +174,12 @@ def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
         weight = np.ones(ys.shape[0])
         for g in np.meshgrid(*[r[1] for r in rules], indexing="ij"):
             weight = weight * g.reshape(-1)
+        xs = np.column_stack([d.from_canonical(ys[:, k]) for k, d in enumerate(dists)])
         values = np.empty(ys.shape[0], dtype=complex)
         for q in range(ys.shape[0]):
             key = tuple(ys[q])
             if key not in cache:
-                x = np.array([dist.from_canonical(t)
-                              for dist, t in zip(dists, ys[q])])
-                cache[key] = complex(model(x))
+                cache[key] = complex(model(xs[q]))
             values[q] = cache[key]
         tables = [ortho_table(d.kind, ys[:, k], p_max).T
                   for k, d in enumerate(dists)]

@@ -28,12 +28,6 @@ _KDE_BLOCK = 4_194_304
 _KDE_CHUNK = 65_536
 
 
-def _evaluate(target, points):
-    fn = getattr(target, "evaluate", None)
-    values = fn(points) if fn is not None else target(points)
-    return np.asarray(values)
-
-
 def _finite(values, what):
     bad = values.size - np.count_nonzero(np.isfinite(values))
     if bad:
@@ -42,7 +36,10 @@ def _finite(values, what):
 
 
 def _checked(target, points):
-    values = _evaluate(target, points)
+    """Values of a surrogate, expansion or callable at ``points``, one
+    finite value per point."""
+    fn = getattr(target, "evaluate", None)
+    values = np.asarray(fn(points) if fn is not None else target(points))
     if values.shape != (points.shape[0],):
         raise ContractError(
             f"evaluable returned shape {values.shape} for {points.shape[0]} points")
@@ -218,7 +215,7 @@ def extract_resonance(target, parameters, f_range, n_starts=3):
 
     def objective(f):
         point = np.concatenate([[f], rest])
-        return abs(complex(_evaluate(target, point[None, :])[0]))
+        return abs(complex(_checked(target, point[None, :])[0]))
 
     edges = np.linspace(lo, hi, n_starts + 1)
     best_f, best_v = lo, objective(lo)
@@ -245,7 +242,11 @@ def cv_errors(target, reference, distributions, n_cv, seed):
         raise ContractError("at least one sample is required")
     dists = [make_distribution(d) for d in distributions]
     points = sample_joint(dists, n_cv, seed)
-    approx = _evaluate(target, points)
     exact = np.array([complex(reference(p)) for p in points])
-    err = np.abs(approx - exact)
+    return _deviation(target, points, exact)
+
+
+def _deviation(target, points, exact):
+    """(mean, max) of |target - exact| at ``points``, all values finite."""
+    err = np.abs(_checked(target, points) - _finite(exact, "reference values"))
     return float(np.mean(err)), float(np.max(err))

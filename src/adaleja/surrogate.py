@@ -28,6 +28,13 @@ levels by points.  Node predictions run the same kernel on one column of
 per-dimension node tables, which are built once per node level, so a
 prediction builds no tables.  Both evaluables are read back through
 ``_read_evaluable``.
+
+The physical coordinate of every node is tabulated per dimension and
+level, so ``node_point`` is one table lookup per dimension.  The table is
+filled lazily, by ``node_point``, over the missing levels in one
+vectorized map and distribution call: stored nodes are checked against
+[-1, 1] only there, so a corrupt node raises when its point is asked
+for, never while a surrogate is loaded or restricted.
 """
 from __future__ import annotations
 
@@ -221,6 +228,9 @@ class Surrogate:
         self._dens = [np.empty(0) for _ in dists]
         # per dimension, Newton factor of level l at node j in [l, j]
         self._node_tables = [np.empty((0, 0)) for _ in dists]
+        # per dimension, physical coordinate of the node of level l at [l];
+        # filled by node_point, emptied by _set_nodes
+        self._coords = [np.empty(0) for _ in dists]
 
     @property
     def n_dim(self) -> int:
@@ -249,10 +259,12 @@ class Surrogate:
 
     def _set_nodes(self, dim, nodes):
         """Install canonical nodes of one dimension, their Newton
-        denominators and the table of Newton factors at the nodes."""
+        denominators and the table of Newton factors at the nodes, and
+        mark its coordinate table stale."""
         dens = np.array([np.prod(nodes[l] - nodes[:l]) for l in range(len(nodes))])
         self._nodes1d[dim], self._dens[dim] = nodes, dens
         self._node_tables[dim] = _newton_table(nodes, nodes, dens, len(nodes) - 1)
+        self._coords[dim] = np.empty(0)
 
     def _ensure_levels(self, index):
         for d, lev in enumerate(index):
@@ -266,19 +278,40 @@ class Surrogate:
                         f"extend them to level {lev}")
                 self._set_nodes(d, nodes)
 
+    def _coordinates(self, dim, lev):
+        """Coordinate table of one dimension, filled up to level ``lev``.
+
+        The missing levels are mapped in one call; a node outside
+        [-1, 1] raises a domain error and leaves the table as it was.
+        """
+        table = self._coords[dim]
+        if lev >= len(table):
+            mapped = self.maps[dim].forward(self._nodes1d[dim][len(table):lev + 1])
+            table = self._coords[dim] = np.concatenate(
+                [table, self.distributions[dim].from_canonical(mapped)])
+        return table
+
     def node_point(self, index):
-        """Physical-coordinate grid point owned by a multi-index."""
+        """Physical-coordinate grid point owned by a multi-index.
+
+        Reads the per-dimension coordinate tables, extending a table over
+        the levels up to ``index`` that it lacks.  Filling them here rather
+        than when nodes are installed keeps a corrupt stored node from
+        failing ``deserialize`` or ``restrict``: it raises a domain error
+        here, once its level or a higher one is asked for.
+        """
         index = _as_index(index, self.n_dim)
         self._ensure_levels(index)
-        out = np.empty(self.n_dim)
-        for d, lev in enumerate(index):
-            mapped = self.maps[d].forward(self._nodes1d[d][lev])
-            out[d] = self.distributions[d].from_canonical(mapped)
-        return out
+        return np.array([self._coordinates(d, lev)[lev]
+                         for d, lev in enumerate(index)])
 
     def node_points(self):
         """All grid points in absorption order, shape (len(self), N)."""
-        return np.array([self.node_point(ix) for ix in self._indices])
+        if not len(self):
+            return np.empty((0, self.n_dim))
+        levels = np.array(self.indices)
+        return np.column_stack([self._coordinates(d, top)[levels[:, d]]
+                                for d, top in enumerate(self._plan.top())])
 
     # -- evaluation ------------------------------------------------------
 

@@ -222,6 +222,28 @@ class TestBuild:
         assert "numerical failure: non-finite model value" in err
         assert not (out / "surrogate.json").exists()
 
+    def test_non_finite_cv_reference_exits_one(self, tmp_path, capsys, monkeypatch):
+        class FirstCallNan:
+            """Finite everywhere except on its first call, the first CV point."""
+
+            n_params = 2
+
+            def __init__(self):
+                self.calls = 0
+
+            def __call__(self, y):
+                self.calls += 1
+                return complex("nan") if self.calls == 1 else 1.0 + y[0] * y[1]
+
+        monkeypatch.setattr("adaleja.cli.make_model", lambda spec: FirstCallNan())
+        path = write_config(tmp_path, BUILD_CONFIG)
+        out = tmp_path / "o"
+        code = run_command(["build", "--config", path, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "numerical failure: 1 of 100 reference values are not finite" in err
+        assert not (out / "report.csv").exists()
+
     def test_isotropic_report_matches_fit(self, tmp_path):
         config = {
             "model": {"model": "runge", "n_params": 2, "c": 10.0},

@@ -283,6 +283,11 @@ class TestResonance:
             extract_resonance(Evaluable(lambda pts: pts[:, 0]), [],
                               (0.0, 1.0), n_starts=0)
 
+    def test_non_finite_target_rejected(self):
+        target = Evaluable(lambda pts: np.full(len(pts), np.nan))
+        with pytest.raises(ContractError, match="1 of 1 evaluated values"):
+            extract_resonance(target, [], (0.0, 1.0))
+
 
 class TestCvErrors:
     def test_constant_offset(self):
@@ -302,3 +307,16 @@ class TestCvErrors:
     def test_rejects_empty_sample(self):
         with pytest.raises(ContractError):
             cv_errors(lambda pts: pts[:, 0], lambda p: 0.0, UNIT, 0, 0)
+
+    def test_non_finite_target_rejected(self):
+        def half_nan(pts):
+            values = pts[:, 0].copy()
+            values[::2] = np.nan
+            return values
+
+        with pytest.raises(ContractError, match="50 of 100 evaluated values"):
+            cv_errors(half_nan, lambda p: complex(p[0]), UNIT, 100, 3)
+
+    def test_non_finite_reference_rejected(self):
+        with pytest.raises(ContractError, match="100 of 100 reference values"):
+            cv_errors(lambda pts: pts[:, 0], lambda p: complex("nan"), UNIT, 100, 3)

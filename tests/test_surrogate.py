@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from adaleja import (IdentityMap, MultiIndexSet, SausageMap, Surrogate, beta33,
-                     deserialize, load_surrogate, save_surrogate, sample_joint,
-                     serialize, uniform)
-from adaleja.errors import (ContractError, SerializationError, SolveError,
-                            UnsupportedVersionError)
+from adaleja import (Distribution, IdentityMap, KTEMap, MultiIndexSet,
+                     SausageMap, Surrogate, beta33, deserialize, load_surrogate,
+                     save_surrogate, sample_joint, serialize, uniform)
+from adaleja.errors import (ContractError, DomainError, SerializationError,
+                            SolveError, UnsupportedVersionError)
 
 UNIT = [uniform(-1.0, 1.0)]
 
@@ -448,3 +448,104 @@ class TestPrefixKernel:
                 raw = [[target.nodes1d(d)[lev] for d, lev in enumerate(ix)]]
                 want = target._evaluate_pre(np.array(raw))[0]
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def scalar_point(sur, index):
+    """The node point of ``index``, one scalar map and law call per dimension."""
+    return np.array([d.from_canonical(m.forward(sur.nodes1d(k)[lev]))
+                     for k, (lev, d, m) in enumerate(zip(index, sur.distributions,
+                                                         sur.maps))])
+
+
+@st.composite
+def coordinate_cases(draw):
+    """Per dimension a law on a random finite support and a map, the top
+    level of an axis-line index set, and node queries at levels 0-40."""
+    dim = draw(st.integers(1, 3))
+    dists, maps = [], []
+    for _ in range(dim):
+        kind = draw(st.sampled_from([uniform, beta33]))
+        lower = draw(st.floats(-1e3, 1e3))
+        dists.append(kind(lower, lower + draw(st.floats(1e-3, 1e3))))
+        maps.append(draw(st.one_of(
+            st.just(IdentityMap()),
+            st.sampled_from(range(1, 18, 2)).map(SausageMap),
+            st.floats(1e-6, 1.0, exclude_max=True).map(KTEMap))))
+    tops = draw(st.lists(st.integers(0, 40), min_size=dim, max_size=dim))
+    queries = draw(st.lists(st.lists(st.integers(0, 40), min_size=dim, max_size=dim)
+                            .map(tuple), min_size=1, max_size=8))
+    return dists, maps, tops, queries
+
+
+class TestNodeCoordinates:
+    """Tabulated node coordinates against the scalar map and law calls."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=coordinate_cases(), data=st.data())
+    def test_node_point_is_the_scalar_composition(self, case, data):
+        dists, maps, tops, queries = case
+        dim = len(dists)
+        # the root, then each axis line in turn: every prefix is downward closed
+        order = [(0,) * dim] + [(0,) * d + (lev,) + (0,) * (dim - d - 1)
+                                for d in range(dim) for lev in range(1, tops[d] + 1)]
+        sur = Surrogate(dists, maps)
+        for ix in order:
+            sur.add_restricted(ix, 1.0)
+        k = data.draw(st.integers(1, len(order)))
+        for target in (sur, sur.restrict(order[:k]), deserialize(serialize(sur))):
+            for ix in queries + order[::-1]:
+                got = target.node_point(ix)
+                assert np.array_equal(got, scalar_point(target, ix))
+            want = np.array([scalar_point(target, ix) for ix in target.indices])
+            assert np.array_equal(target.node_points(), want)
+
+    def test_node_points_of_empty_surrogate(self):
+        assert Surrogate(UNIT * 2).node_points().shape == (0, 2)
+
+    def test_tabulated_levels_make_no_further_calls(self, monkeypatch):
+        calls = {"forward": 0, "from_canonical": 0}
+
+        def counted(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(SausageMap, "forward")
+        counted(Distribution, "from_canonical")
+        sur = Surrogate([uniform(-1, 1), beta33(0, 2)], SausageMap(9))
+        first = sur.node_point((6, 3))
+        # one vectorized call per dimension fills levels 0..6 and 0..3
+        assert calls == {"forward": 2, "from_canonical": 2}
+        for ix in [(6, 3), (0, 0), (2, 1), (5, 3), (6, 0)]:
+            sur.node_point(ix)
+        assert np.array_equal(sur.node_point((6, 3)), first)
+        sur.add_point((0, 0), 1.0)
+        sur.add_point((1, 0), 1.0)
+        sur.node_points()
+        assert calls == {"forward": 2, "from_canonical": 2}
+        # only the missing levels are mapped
+        sur.node_point((8, 3))
+        assert calls == {"forward": 3, "from_canonical": 3}
+
+    def test_installing_nodes_resets_the_table(self):
+        sur = fit_1d(lambda y: float(y[0]), 4, SausageMap(9))
+        sur.node_points()
+        sur._set_nodes(0, -sur.nodes1d(0))
+        for lev in range(4):
+            assert np.array_equal(sur.node_point((lev,)), scalar_point(sur, (lev,)))
+
+    def test_out_of_range_node_raises_at_its_level(self):
+        doc = json.loads(serialize(fit_1d(lambda y: float(np.exp(y[0])), 4)))
+        doc["nodes1d"][0][2] = 1.5
+        loaded = deserialize(json.dumps(doc).encode())
+        cut = loaded.restrict([(0,), (1,), (2,)])
+        for sur in (loaded, cut):
+            assert np.array_equal(sur.node_point((1,)), scalar_point(sur, (1,)))
+            for lev in (2, 3):
+                with pytest.raises(DomainError, match=r"outside \[-1, 1\]"):
+                    sur.node_point((lev,))
+            # a failed fill leaves the levels below it in place
+            assert np.array_equal(sur.node_point((0,)), scalar_point(sur, (0,)))
