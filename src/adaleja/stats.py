@@ -235,7 +235,8 @@ def cv_errors(target, reference, distributions, n_cv, seed):
 
     The reference is called point by point; the target is evaluated in
     one batch.  Returns (mean L¹ error, max error) over PDF-distributed
-    cross-validation samples.
+    cross-validation samples; a non-finite target or reference value
+    raises a contract error.
     """
     n_cv = int(n_cv)
     if n_cv < 1:
