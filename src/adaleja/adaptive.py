@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -56,13 +58,16 @@ class AdaptiveConfig:
     tol: float | None = None
 
     def __post_init__(self):
+        if isinstance(self.budget, bool) or not isinstance(self.budget, Integral):
+            raise ContractError(f"budget must be an integer, got {self.budget!r}")
         self.budget = int(self.budget)
         if self.budget < 1:
             raise ContractError("budget must be at least 1")
         if self.indicator not in (SURPLUS, ADJOINT):
             raise ContractError(f"unknown indicator kind {self.indicator!r}")
-        if self.tol is not None and self.tol < 0:
-            raise ContractError("tolerance must be non-negative")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ContractError(
+                f"tolerance must be finite and non-negative, got {self.tol!r}")
 
 
 @dataclass

@@ -7,8 +7,8 @@ weights normalized to probability weights.  The basis is orthonormal
 under the joint law, so the projection denominator is one and the decay
 of max |s_p| over total degree doubles as a regularity diagnostic.
 Expansions evaluate through the surrogates' prefix-product kernel, on
-tables of the orthonormal polynomials, and find a coefficient in O(1)
-through the same prefix plan.
+tables of the orthonormal polynomials, over the prefix tree of their
+``MultiIndexSet``, which also finds a coefficient in O(1).
 """
 from __future__ import annotations
 
@@ -18,9 +18,9 @@ from scipy.special import roots_jacobi
 
 from .distributions import BETA33, UNIFORM, make_distribution
 from .errors import ContractError, SerializationError
-from .grid import MultiIndexSet
-from .surrogate import (_basis, _point_batch, _prefix_sum, _PrefixPlan,
-                        _read_evaluable, _write_evaluable)
+from .grid import MultiIndexSet, _as_index
+from .surrogate import (_basis, _point_batch, _prefix_sum, _read_evaluable,
+                        _write_evaluable)
 
 TENSOR = "tensor"
 SMOLYAK = "smolyak"
@@ -75,28 +75,32 @@ class GpcExpansion:
     def __init__(self, distributions, p_max, indices, coefficients):
         self.distributions = [make_distribution(d) for d in distributions]
         self.p_max = int(p_max)
-        self.indices = [tuple(int(c) for c in ix) for ix in indices]
+        indices = [_as_index(ix) for ix in indices]
         self.coefficients = np.asarray(coefficients, dtype=complex)
         if self.p_max < 0:
             raise ContractError("p_max must be non-negative")
-        if len(self.indices) != self.coefficients.size:
+        if len(indices) != self.coefficients.size:
             raise ContractError("one coefficient per index is required")
-        if sorted(self.indices) != sorted(MultiIndexSet.total_degree(self.n_dim,
-                                                                     self.p_max)):
+        if sorted(indices) != sorted(MultiIndexSet.total_degree(self.n_dim,
+                                                                self.p_max)):
             raise ContractError(
                 f"expected the full total-degree set of degree {self.p_max} "
                 f"in {self.n_dim} dimensions, each index once")
-        self._plan = _PrefixPlan(self.n_dim)
-        for ix in self.indices:
-            self._plan.add(ix)
+        # in the given order, which is the order of the coefficients
+        self._indices = MultiIndexSet(self.n_dim, indices)
 
     @property
     def n_dim(self):
         return len(self.distributions)
 
+    @property
+    def indices(self):
+        """Multi-indices in the order of the coefficients."""
+        return list(self._indices)
+
     def coefficient(self, index):
-        index = tuple(int(c) for c in index)
-        row = self._plan.position(index)
+        index = _as_index(index, self.n_dim)
+        row = self._indices.position(index)
         if row is None:
             raise ContractError(f"index {index} is outside the expansion")
         return complex(self.coefficients[row])
@@ -110,7 +114,7 @@ class GpcExpansion:
             return [ortho_table(dist.kind, y[rows], self.p_max).T
                     for dist, y in zip(self.distributions, ys)]
 
-        out = _prefix_sum(tables, len(pts), self._plan.depths(),
+        out = _prefix_sum(tables, len(pts), self._indices.depths(),
                           self.coefficients[:, None])[:, 0]
         return complex(out[0]) if single else out
 
@@ -162,7 +166,7 @@ def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
     if quadrature not in (TENSOR, SMOLYAK):
         raise ContractError(f"unknown quadrature {quadrature!r}")
     n_dim = len(dists)
-    index_set = sorted(MultiIndexSet.total_degree(n_dim, p_max))
+    index_set = MultiIndexSet.total_degree(n_dim, p_max)    # in lex order
     coeff = np.zeros(len(index_set), dtype=complex)
     cache: dict[tuple, complex] = {}
 
@@ -191,11 +195,10 @@ def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
     if quadrature == TENSOR:
         tensor_contribution((p_max + 1,) * n_dim, 1.0)
     else:
-        members = set(index_set)
         for ell in index_set:
             scale = 0
             for z in np.ndindex(*(2,) * n_dim):
-                if tuple(a + b for a, b in zip(ell, z)) in members:
+                if tuple(a + b for a, b in zip(ell, z)) in index_set:
                     scale += (-1) ** int(np.sum(z))
             if scale:
                 tensor_contribution(tuple(l + 1 for l in ell), float(scale))

@@ -15,17 +15,35 @@ sets of dimension-adaptive quadrature (Gerstner & Griebel 2003): adding an
 index can only make its own forward neighbors admissible, so ``add`` costs
 O(dim^2) tuple operations and ``admissible_neighbors`` only sorts the
 frontier, whatever the size of the set.
+
+The set also carries the prefix tree of its members, which the batch
+kernel of the surrogates and chaos expansions sums over: one row per
+distinct leading part of the members, appended as members arrive.  The
+members are the full-length prefixes, so one dictionary answers
+membership and a member's insertion rank in O(1).
 """
 from __future__ import annotations
 
+import operator
 from math import comb
+from numbers import Integral
+
+import numpy as np
 
 from .errors import ContractError
 
+# Rows allocated by the first append; the arrays double from there.
+_INITIAL_CAPACITY = 16
+
 
 def _as_index(index, dim=None):
+    """Tuple of the integer entries of ``index``; floats, booleans and
+    strings are refused, not truncated."""
     try:
-        t = tuple(int(c) for c in index)
+        t = tuple(index)
+        if bool in map(type, t):
+            raise TypeError("boolean entry")
+        t = tuple(map(operator.index, t))
     except TypeError as exc:
         raise ContractError(f"multi-index must be an integer tuple, got {index!r}") from exc
     if any(c < 0 for c in t):
@@ -57,6 +75,11 @@ class MultiIndexSet:
     Iteration follows insertion order, which for sets built by the
     adaptive loop is the absorption order; ``sorted_indices`` gives the
     lexicographic view used for reproducible output.
+
+    Depth k = 1..dim of the prefix tree has one row per distinct k-prefix
+    of the members, in order of first appearance, holding the row of its
+    (k-1)-prefix (0 at depth 1) and its last level.  The depth-dim rows
+    are the members in insertion order.
     """
 
     def __init__(self, dim, indices=None):
@@ -65,27 +88,29 @@ class MultiIndexSet:
             raise ContractError("dimension must be at least 1")
         self.dim = dim
         self._order: list[tuple] = []
-        self._members: set[tuple] = set()
+        self._rows: dict[tuple, int] = {}   # every prefix -> its row at its depth
+        self._count = [0] * dim
+        # [k, 0] parent rows and [k, 1] levels of depth k + 1
+        self._table = np.empty((dim, 2, _INITIAL_CAPACITY), dtype=np.intp)
+        self._depths = None
         self._frontier: set[tuple] = set()
         if indices is None:
             indices = [(0,) * dim]
+        # the frontier kept by _absorb is right in any order of arrival
         for ix in indices:
             ix = _as_index(ix, dim)
-            if ix not in self._members:
-                self._members.add(ix)
-                self._order.append(ix)
+            if ix not in self._rows:
+                self._absorb(ix)
         missing = self._closure_defect()
         if missing is not None:
             raise ContractError(
                 f"index set is not downward closed: {missing[0]} requires {missing[1]}")
-        for ix in self._order:
-            self._grow_frontier(ix)
 
     @classmethod
     def total_degree(cls, dim, degree):
         """All indices with level sum at most ``degree``."""
-        if degree < 0:
-            raise ContractError("degree must be non-negative")
+        if isinstance(degree, bool) or not isinstance(degree, Integral) or degree < 0:
+            raise ContractError(f"degree must be a non-negative integer, got {degree!r}")
 
         def rec(prefix, remaining, budget):
             if remaining == 1:
@@ -102,9 +127,9 @@ class MultiIndexSet:
         return comb(dim + degree, dim)
 
     def _closure_defect(self):
-        for ix in self._members:
+        for ix in self._order:
             for nb in backward_neighbors(ix):
-                if nb not in self._members:
+                if nb not in self._rows:
                     return ix, nb
         return None
 
@@ -118,16 +143,29 @@ class MultiIndexSet:
         return iter(self._order)
 
     def __contains__(self, index):
-        return tuple(index) in self._members
+        return self.position(index) is not None
 
     def sorted_indices(self):
-        return sorted(self._members)
+        return sorted(self._order)
+
+    def position(self, index):
+        """Insertion rank of a member, or None for anything else."""
+        index = tuple(index)
+        # shorter keys of _rows are prefixes, not members
+        return self._rows.get(index) if len(index) == self.dim else None
+
+    def depths(self):
+        """(parent rows, levels) of each depth of the prefix tree, as arrays."""
+        if self._depths is None:
+            self._depths = [(t[0, :c], t[1, :c])
+                            for t, c in zip(self._table, self._count)]
+        return self._depths
 
     def _has_parents(self, index):
         """All backward neighbors of a validated tuple are members."""
-        members = self._members
+        rows = self._rows
         for k, c in enumerate(index):
-            if c and index[:k] + (c - 1,) + index[k + 1:] not in members:
+            if c and index[:k] + (c - 1,) + index[k + 1:] not in rows:
                 return False
         return True
 
@@ -135,43 +173,55 @@ class MultiIndexSet:
         """Admit the forward neighbors of a member that became admissible."""
         for k in range(self.dim):
             fwd = index[:k] + (index[k] + 1,) + index[k + 1:]
-            if fwd not in self._members and self._has_parents(fwd):
+            if fwd not in self._rows and self._has_parents(fwd):
                 self._frontier.add(fwd)
 
     def is_admissible(self, index) -> bool:
         """True when ``index`` is absent and all its parents are present."""
         index = _as_index(index, self.dim)
-        return index not in self._members and self._has_parents(index)
+        return index not in self._rows and self._has_parents(index)
 
     def admissible_neighbors(self):
         """Forward neighbors that keep the set downward closed, lex order."""
         return sorted(self._frontier)
 
-    def add(self, index):
-        """Absorb an admissible index; reject anything else."""
+    def _admissible(self, index):
+        """``index`` validated, checked absent and with all parents present."""
         index = _as_index(index, self.dim)
-        if index in self._members:
+        if index in self._rows:
             raise ContractError(f"index {index} is already in the set")
         if not self._has_parents(index):
             raise ContractError(f"index {index} is not admissible")
+        return index
+
+    def add(self, index):
+        """Absorb an admissible index; reject anything else."""
+        index = self._admissible(index)
         self._absorb(index)
         return index
 
     def _absorb(self, index):
-        """Add a validated admissible tuple without re-checking it."""
-        self._members.add(index)
+        """Add a validated absent tuple without re-checking it."""
         self._order.append(index)
+        self._depths = None
+        parent = 0
+        for k in range(self.dim):
+            prefix = index[:k + 1]
+            row = self._rows.get(prefix)
+            if row is None:
+                row = self._rows[prefix] = self._count[k]
+                if row == self._table.shape[2]:
+                    self._table = np.concatenate(
+                        [self._table, np.empty_like(self._table)], axis=2)
+                self._table[k, :, row] = parent, index[k]
+                self._count[k] += 1
+            parent = row
         self._frontier.discard(index)
         self._grow_frontier(index)
 
     def max_level(self):
-        """Componentwise maximum over the set, as a tuple."""
-        out = [0] * self.dim
-        for ix in self._order:
-            for k, c in enumerate(ix):
-                if c > out[k]:
-                    out[k] = c
-        return tuple(out)
+        """Componentwise maximum over the set, as a tuple; zeros when empty."""
+        return tuple(int(levels.max(initial=0)) for _, levels in self.depths())
 
     def __repr__(self):
         return f"MultiIndexSet(dim={self.dim}, size={len(self)})"

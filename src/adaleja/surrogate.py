@@ -13,11 +13,11 @@ path.  Finished surrogates serialize to a self-contained JSON document.
 
 Every way of growing a surrogate (``add_point``, ``add_restricted``,
 ``restrict`` and ``deserialize``) writes through one append path into a
-flat surplus array whose capacity doubles when full, and into a prefix
-plan: the tree of the indices' leading parts, which also finds an
-index's surplus in O(1).  Absorbing an index costs one
-prediction at its node plus amortized O(1) bookkeeping, and evaluation
-reads these without rebuilding them.
+flat surplus array whose capacity doubles when full, and into the
+surrogate's ``MultiIndexSet``, which carries the prefix tree of the
+indices and finds an index's surplus in O(1).  Absorbing an index costs
+one prediction at its node plus amortized O(1) bookkeeping, and
+evaluation reads these without rebuilding them.
 
 Batch evaluation is ``_prefix_sum``, the one kernel ``gpc`` shares: sum
 factorization over the prefix tree (Orszag 1980) of the hierarchical
@@ -45,7 +45,7 @@ import numpy as np
 from .distributions import make_distribution
 from .errors import (ContractError, SerializationError, SolveError,
                      UnsupportedVersionError)
-from .grid import MultiIndexSet, _as_index
+from .grid import _INITIAL_CAPACITY, MultiIndexSet, _as_index
 from .leja import leja_nodes
 from .maps import ConformalMap, IdentityMap, make_map
 
@@ -55,64 +55,13 @@ SCHEMA_VERSION = 1
 # stay in cache.
 _BLOCK = 256
 
-# Rows allocated by the first append; the arrays double from there.
-_INITIAL_CAPACITY = 16
-
-
-class _PrefixPlan:
-    """Append-only prefix tree of a sequence of distinct multi-indices.
-
-    Depth k = 1..N has one row per distinct k-prefix, in order of first
-    appearance, holding the row of its (k-1)-prefix (0 at depth 1) and
-    its last level.  The depth-N rows are the indices themselves in the
-    order added.
-    """
-
-    def __init__(self, n_dim):
-        self._rows = {}             # prefix -> its row at its depth
-        self._count = [0] * n_dim
-        # [k, 0] parent rows and [k, 1] levels of depth k + 1
-        self._table = np.empty((n_dim, 2, _INITIAL_CAPACITY), dtype=np.intp)
-        self._depths = None
-
-    def add(self, index):
-        """Append a multi-index that was not added before."""
-        self._depths = None
-        parent = 0
-        for k in range(len(index)):
-            prefix = index[:k + 1]
-            row = self._rows.get(prefix)
-            if row is None:
-                row = self._rows[prefix] = self._count[k]
-                if row == self._table.shape[2]:
-                    self._table = np.concatenate(
-                        [self._table, np.empty_like(self._table)], axis=2)
-                self._table[k, :, row] = parent, index[k]
-                self._count[k] += 1
-            parent = row
-
-    def position(self, index):
-        """Where ``index`` was added, or None if it was not."""
-        return self._rows.get(index) if len(index) == len(self._count) else None
-
-    def depths(self):
-        """(parent rows, levels) of each depth, as arrays."""
-        if self._depths is None:
-            self._depths = [(t[0, :c], t[1, :c])
-                            for t, c in zip(self._table, self._count)]
-        return self._depths
-
-    def top(self):
-        """Highest level of each dimension."""
-        return [int(levels.max()) for _, levels in self.depths()]
-
 
 def _prefix_sum(tables, n_pts, plan, coeffs):
     """Σ_i coeffs[i] Π_d T_d[levels[i, d]] at ``n_pts`` points, shape (n_pts, k).
 
     ``tables(rows)`` gives the tables T_d of the points in the slice
     ``rows``, one row per level and one column per point (or, for one
-    point, one value per level).  ``plan`` is ``_PrefixPlan.depths()`` of
+    point, one value per level).  ``plan`` is ``MultiIndexSet.depths()`` of
     the indices, in the order of the rows of the complex ``coeffs``.
     Points go in blocks of ``_BLOCK``; per depth, a block's weight rows
     are one gather of their parents' rows times one gather of table rows
@@ -222,7 +171,6 @@ class Surrogate:
         # rows [:len(self)] are live: one flattened surplus per absorbed
         # index, in absorption order
         self._surpluses = np.empty((_INITIAL_CAPACITY, 0), dtype=complex)
-        self._plan = _PrefixPlan(len(dists))
         self._value_shape: tuple | None = None
         self._nodes1d = [np.empty(0) for _ in dists]
         self._dens = [np.empty(0) for _ in dists]
@@ -311,7 +259,7 @@ class Surrogate:
             return np.empty((0, self.n_dim))
         levels = np.array(self.indices)
         return np.column_stack([self._coordinates(d, top)[levels[:, d]]
-                                for d, top in enumerate(self._plan.top())])
+                                for d, top in enumerate(self._indices.max_level())])
 
     # -- evaluation ------------------------------------------------------
 
@@ -336,11 +284,11 @@ class Surrogate:
     def _sum(self, tables, n_pts):
         """The live surpluses summed by the kernel over ``tables``."""
         n = len(self)
-        out = _prefix_sum(tables, n_pts, self._plan.depths(), self._surpluses[:n])
+        out = _prefix_sum(tables, n_pts, self._indices.depths(), self._surpluses[:n])
         return out.reshape((n_pts,) + self._value_shape)
 
     def _evaluate_pre(self, S):
-        top = self._plan.top()
+        top = self._indices.max_level()
         return self._sum(lambda rows: self._newton_tables(S[rows], top), len(S))
 
     def _node_value(self, index):
@@ -384,13 +332,6 @@ class Surrogate:
 
     # -- construction ----------------------------------------------------
 
-    def _admissible(self, index):
-        """Validate an index once, then check it is absent with all parents."""
-        index = _as_index(index, self.n_dim)
-        if index in self._indices or not self._indices._has_parents(index):
-            raise ContractError(f"index {index} is not admissible")
-        return index
-
     def _as_value(self, value):
         """Complex array of the value shape, which the first value fixes."""
         value = np.asarray(value, dtype=complex)
@@ -409,7 +350,6 @@ class Surrogate:
             self._surpluses = np.concatenate(
                 [self._surpluses, np.empty_like(self._surpluses)])
         self._surpluses[n] = surplus.reshape(-1)
-        self._plan.add(index)
         self._indices._absorb(index)
 
     def add_point(self, index, model_value):
@@ -419,7 +359,7 @@ class Surrogate:
         current interpolant's prediction at the node, so interpolation at
         all previously absorbed nodes is untouched.
         """
-        index = self._admissible(index)
+        index = self._indices._admissible(index)
         value = self._as_value(model_value)
         self._ensure_levels(index)
         if len(self._indices):
@@ -442,7 +382,7 @@ class Surrogate:
 
     def surplus(self, index):
         index = _as_index(index, self.n_dim)
-        row = self._plan.position(index)
+        row = self._indices.position(index)
         if row is None:
             raise ContractError(f"index {index} is not in the set")
         s = self._surplus_values()[row]
@@ -483,7 +423,7 @@ class Surrogate:
 
     def add_restricted(self, index, surplus):
         """Append a pre-computed surplus (restriction path)."""
-        index = self._admissible(index)
+        index = self._indices._admissible(index)
         surplus = self._as_value(surplus)
         self._ensure_levels(index)
         self._append(index, surplus)
@@ -513,6 +453,7 @@ class Surrogate:
         sur = cls(dists, maps)
         nodes1d = [np.asarray(col, dtype=float) for col in doc["nodes1d"]]
         try:
+            indices = [_as_index(ix, n_dim) for ix in indices]
             for d in range(n_dim):
                 need = max(ix[d] for ix in indices) + 1
                 if len(nodes1d[d]) < need:
@@ -520,8 +461,7 @@ class Surrogate:
                                              f"{len(nodes1d[d])} nodes, needs {need}")
                 sur._set_nodes(d, nodes1d[d])
             for ix, s in zip(indices, surpluses):
-                # nodes are already in place; bypass the Leja regeneration
-                sur._append(sur._admissible(ix), sur._as_value(s))
+                sur.add_restricted(ix, s)
         except ContractError as exc:
             raise SerializationError(f"inconsistent surrogate data: {exc}") from exc
         return sur
@@ -593,7 +533,7 @@ def serialize(sur: Surrogate) -> bytes:
     """UTF-8 JSON encoding of a surrogate; floats round trip exactly."""
     if not len(sur):
         raise SerializationError("refusing to serialize an empty surrogate")
-    max_lev = sur._plan.top()
+    max_lev = sur._indices.max_level()
     return _write_evaluable(None, {
         "N": sur.n_dim,
         "distributions": [d.spec() for d in sur.distributions],

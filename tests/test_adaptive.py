@@ -40,16 +40,21 @@ class TestConfig:
         assert cfg.tol is None
 
     def test_budget_must_be_positive(self):
-        with pytest.raises(ContractError):
-            AdaptiveConfig(budget=0)
+        # and an integer: nothing is truncated or parsed
+        for budget in (0, -3, 2.7, 5.0, "5", True, None):
+            with pytest.raises(ContractError):
+                AdaptiveConfig(budget=budget)
+        assert AdaptiveConfig(budget=np.int64(7)).budget == 7
 
     def test_unknown_indicator(self):
         with pytest.raises(ContractError):
             AdaptiveConfig(budget=5, indicator="oracle")
 
     def test_negative_tolerance(self):
-        with pytest.raises(ContractError):
-            AdaptiveConfig(budget=5, tol=-1e-3)
+        # nan would never stop the loop, since best < nan is always false
+        for tol in (-1e-3, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ContractError):
+                AdaptiveConfig(budget=5, tol=tol)
 
 
 class TestSurplusDriver:

@@ -1,8 +1,13 @@
 """The public surface of the package, pinned name by name.
 
 Adding or removing a public name is an API change; it shows up here as
-an edit to ``PUBLIC``.
+an edit to ``PUBLIC``.  The traced benchmark run wraps further library
+names by name, so renaming one of those is checked here too.
 """
+import subprocess
+import sys
+from pathlib import Path
+
 import adaleja
 
 PUBLIC = [
@@ -50,3 +55,14 @@ def test_star_import_matches_all():
     namespace = {}
     exec("from adaleja import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC)
+
+
+def test_benchmark_tracer_installs():
+    # a fresh interpreter, so the wrappers never reach this test session
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import tracing; "
+            "tracing.install(tracing.Tracer())")
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "src"),
+                           str(root / "perfbench")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

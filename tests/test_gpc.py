@@ -69,7 +69,9 @@ class TestProjection:
         exp = project(f, [uniform(-1, 1)] * 2, 2)
         assert_allclose(exp.coefficient((1, 1)), 1.0 / 3.0, rtol=1e-12)
         # (1,) is a prefix of stored indices, not an index of the expansion
-        for outside in ((1,), (1, 2), (0, 1, 0)):
+        # an integer tuple of the expansion's length is required
+        for outside in ((1,), (1, 2), (0, 1, 0), (1.9, 1), (1.0, 1), (True, 1),
+                        ("1", 1), 5):
             with pytest.raises(ContractError):
                 exp.coefficient(outside)
 
@@ -188,6 +190,12 @@ class TestSerialization:
         # as many indices as the total-degree set, but one twice
         exp = project(lambda y: float(y[0]), [uniform(-1, 1)] * 2, 1)
         doc = json.loads(exp.to_json())
+        original = doc["indices"][2]
         doc["indices"][2] = doc["indices"][1]
         with pytest.raises(SerializationError, match="each index once"):
             GpcExpansion.from_json(json.dumps(doc).encode())
+        # entries are integers, not numbers that truncate to them
+        for entry in (1.0, 1.5, True, "1"):
+            doc["indices"][2] = [entry if c else c for c in original]
+            with pytest.raises(SerializationError, match="integer tuple"):
+                GpcExpansion.from_json(json.dumps(doc).encode())

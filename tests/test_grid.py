@@ -34,10 +34,21 @@ class TestConstruction:
             MultiIndexSet(1, [(1,)])
 
     def test_rejects_bad_indices(self):
-        with pytest.raises(ContractError):
-            MultiIndexSet(2, [(0, 0), (-1, 0)])
-        with pytest.raises(ContractError):
-            MultiIndexSet(2, [(0, 0, 0)])
+        # negative, wrong length, fractional, boolean, string, not a sequence
+        for bad in [(-1, 0), (0, 0, 0), (1.7, 0), (1.0, 0), (True, 0),
+                    (0, "1"), "10", 5, (np.float64(1.0), 0), (np.bool_(True), 0)]:
+            with pytest.raises(ContractError):
+                MultiIndexSet(2, [(0, 0), bad])
+            with pytest.raises(ContractError):
+                MultiIndexSet(2).add(bad)
+            with pytest.raises(ContractError):
+                MultiIndexSet(2).is_admissible(bad)
+        for degree in [2.5, 2.0, True, "2", -1]:
+            with pytest.raises(ContractError):
+                MultiIndexSet.total_degree(2, degree)
+        # numpy integers are integers
+        assert (0, 1) in MultiIndexSet(2, [(0, 0), (np.int64(0), np.int32(1))])
+        assert len(MultiIndexSet.total_degree(2, np.int64(2))) == 6
 
     def test_empty_allowed(self):
         assert len(MultiIndexSet(2, [])) == 0
@@ -179,3 +190,43 @@ class TestIncrementalFrontier:
         assert s.admissible_neighbors() == []
         s.add((0, 0, 0))
         assert s.admissible_neighbors() == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+
+def brute_force_depths(members, dim):
+    """Per depth, the parent rows and levels of the distinct prefixes of
+    ``members``, in order of first appearance."""
+    out = []
+    for k in range(1, dim + 1):
+        parents = list(dict.fromkeys(ix[:k - 1] for ix in members))
+        prefixes = list(dict.fromkeys(ix[:k] for ix in members))
+        out.append(([parents.index(p[:-1]) for p in prefixes],
+                    [p[-1] for p in prefixes]))
+    return out
+
+
+def check_prefix_tree(s, members):
+    """The set's prefix tree, ranks and maximum against a brute-force rescan."""
+    dim = s.dim
+    assert list(s) == members
+    got = [(list(parents), list(levels)) for parents, levels in s.depths()]
+    assert got == brute_force_depths(members, dim)
+    for rank, ix in enumerate(members):
+        assert s.position(ix) == rank
+        for k in range(dim):     # strict prefixes are rows, not members
+            assert ix[:k] not in s and s.position(ix[:k]) is None
+        assert ix + (0,) not in s and s.position(ix + (0,)) is None
+    for ix in s.admissible_neighbors():
+        assert ix not in s and s.position(ix) is None
+    top = tuple(max((ix[k] for ix in members), default=0) for k in range(dim))
+    assert s.max_level() == top
+
+
+class TestPrefixTree:
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 6), steps=st.integers(0, 40), data=st.data())
+    def test_grown_and_rebuilt_match_brute_force(self, dim, steps, data):
+        check_prefix_tree(MultiIndexSet(dim, []), [])
+        grown = grow(MultiIndexSet(dim), data, steps)
+        check_prefix_tree(grown, list(grown))
+        members = data.draw(st.permutations(list(grown)))
+        check_prefix_tree(MultiIndexSet(dim, members), members)

@@ -73,6 +73,12 @@ class TestSurplus:
         s = Surrogate(UNIT)
         with pytest.raises(ContractError):
             s.add_point((1,), 0.0)   # root missing
+        # entries must be integers: nothing truncates to the root
+        for bad in [(0.5,), (False,), ("0",)]:
+            with pytest.raises(ContractError):
+                s.add_point(bad, 0.0)
+            with pytest.raises(ContractError):
+                s.node_point(bad)
 
     def test_duplicate_rejected(self):
         s = Surrogate(UNIT)
@@ -257,11 +263,14 @@ class TestSerialization:
     def test_non_closed_indices_rejected(self):
         s = fit_1d(lambda y: 1.0, 3)
         doc = json.loads(serialize(s))
-        doc["indices"] = [[0], [2]]
         doc["surpluses_re"] = doc["surpluses_re"][:2]
         doc["surpluses_im"] = doc["surpluses_im"][:2]
-        with pytest.raises(SerializationError):
-            deserialize(json.dumps(doc).encode())
+        # not downward closed, then entries that are not integers
+        for indices in ([[0], [2]], [[0], [1.5]], [[0], ["1"]], [[0], [True]],
+                        [[0], 1], [[0], [0, 1]]):
+            doc["indices"] = indices
+            with pytest.raises(SerializationError):
+                deserialize(json.dumps(doc).encode())
 
     def test_tampered_nodes_are_not_replaced(self):
         f = lambda y: float(np.exp(y[0]))
