@@ -18,15 +18,18 @@ The drivers differ only in the closures they pass it:
 Two admissible neighbors of a downward-closed set are never
 componentwise comparable, so the basis polynomial an acceptance adds
 vanishes at every other pending node: scored indicators stay exact until
-their index is accepted or the run ends.  Apart from model work, a step
-costs one interpolant evaluation per new candidate and a sort of the
-frontier; nothing is rebuilt from the whole index set.  A non-finite
+their index is accepted or the run ends.  The loop keeps the frontier
+as a heap of the pending candidates and scores only the forward
+neighbors an acceptance makes admissible, so apart from model work a
+step costs one interpolant evaluation per new candidate and a heap
+update; nothing is rebuilt from the whole index set.  A non-finite
 model value, surplus or residual indicator raises a solve error naming
 the index and its point.
 """
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import math
 from dataclasses import dataclass, field
@@ -139,16 +142,6 @@ def _write_csv(target, header, rows):
     writer.writerows([_cell(c) for c in row] for row in rows)
 
 
-def _largest(pending):
-    """Candidate with the largest indicator modulus, smallest lex on ties."""
-    best_ix, best_val = None, -1.0
-    for ix in sorted(pending):
-        v = abs(pending[ix])
-        if v > best_val:
-            best_ix, best_val = ix, v
-    return best_ix, best_val
-
-
 def _refine(sur, config, report, score, accept, fold, on_accept):
     """The greedy loop both drivers share; ``sur`` is the steered surrogate.
 
@@ -159,23 +152,25 @@ def _refine(sur, config, report, score, accept, fold, on_accept):
     root = (0,) * sur.n_dim
     accept(root)
     rec = report.record(root, abs(sur.surplus(root)))
-    pending: dict[tuple, complex] = {}
+    # (-modulus, index, indicator): largest modulus on top, smallest index on ties
+    pending: list[tuple] = []
     while True:
         if on_accept is not None:  # the acceptance just recorded
             on_accept(sur, rec)
-        for ix in sur.index_set.admissible_neighbors():
-            if ix not in pending:
-                pending[ix] = score(ix)
-        best_ix, best_val = _largest(pending)
+        # only the accepted index's forward neighbors can have become admissible
+        for ix in sur.index_set._admissible_forward(rec.index):
+            v = score(ix)
+            heapq.heappush(pending, (-abs(v), ix, v))
+        best_val = -pending[0][0]
         if config.tol is not None and best_val < config.tol:
             break
         if len(sur) + len(pending) >= config.budget:
             break
-        del pending[best_ix]
+        best_ix = heapq.heappop(pending)[1]
         accept(best_ix)
         rec = report.record(best_ix, best_val)
-    for ix in sorted(pending):
-        fold(ix, pending[ix])
+    for ix, v in sorted((ix, v) for _, ix, v in pending):
+        fold(ix, v)
 
 
 def run_adaptive(model, config: AdaptiveConfig, distributions, maps=None,

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
-from .distributions import BETA33, UNIFORM, make_distribution
+from .distributions import BETA33, UNIFORM, _spec_number, make_distribution
 from .errors import ContractError, SerializationError
 from .grid import MultiIndexSet, _as_index
 from .surrogate import (_basis, _point_batch, _prefix_sum, _read_evaluable,
@@ -69,16 +69,25 @@ def gauss_rule(kind, order):
     return nodes, weights / np.sum(weights)
 
 
+def _degree(p_max):
+    """A non-negative integral degree: 2.0 reads as 2; 2.9, True, "2" are refused."""
+    try:
+        p_max = _spec_number(p_max, "p_max", integral=True)
+    except ValueError as exc:
+        raise ContractError(str(exc)) from None
+    if p_max < 0:
+        raise ContractError("p_max must be non-negative")
+    return p_max
+
+
 class GpcExpansion:
     """Total-degree orthonormal chaos expansion with complex coefficients."""
 
     def __init__(self, distributions, p_max, indices, coefficients):
         self.distributions = [make_distribution(d) for d in distributions]
-        self.p_max = int(p_max)
+        self.p_max = _degree(p_max)
         indices = [_as_index(ix) for ix in indices]
         self.coefficients = np.asarray(coefficients, dtype=complex)
-        if self.p_max < 0:
-            raise ContractError("p_max must be non-negative")
         if len(indices) != self.coefficients.size:
             raise ContractError("one coefficient per index is required")
         if sorted(indices) != sorted(MultiIndexSet.total_degree(self.n_dim,
@@ -160,9 +169,7 @@ def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
     dists = [make_distribution(d) for d in distributions]
     if not dists:
         raise ContractError("at least one distribution is required")
-    p_max = int(p_max)
-    if p_max < 0:
-        raise ContractError("p_max must be non-negative")
+    p_max = _degree(p_max)
     if quadrature not in (TENSOR, SMOLYAK):
         raise ContractError(f"unknown quadrature {quadrature!r}")
     n_dim = len(dists)

@@ -10,11 +10,11 @@ silently broken interpolant.
 With one new node per level in each dimension, grid points correspond
 one-to-one with multi-indices, so the set size is also the node count.
 
-The admissible frontier is kept incrementally, after the active/old index
-sets of dimension-adaptive quadrature (Gerstner & Griebel 2003): adding an
-index can only make its own forward neighbors admissible, so ``add`` costs
-O(dim^2) tuple operations and ``admissible_neighbors`` only sorts the
-frontier, whatever the size of the set.
+The adaptive loop keeps the frontier itself.  Adding an index can only
+make its own forward neighbors admissible (the active/old index sets of
+Gerstner & Griebel 2003), so the loop asks the set for those of each
+accepted index; ``admissible_neighbors`` rebuilds the whole frontier on
+demand from the members.
 
 The set also carries the prefix tree of its members, which the batch
 kernel of the surrogates and chaos expansions sums over: one row per
@@ -93,10 +93,8 @@ class MultiIndexSet:
         # [k, 0] parent rows and [k, 1] levels of depth k + 1
         self._table = np.empty((dim, 2, _INITIAL_CAPACITY), dtype=np.intp)
         self._depths = None
-        self._frontier: set[tuple] = set()
         if indices is None:
             indices = [(0,) * dim]
-        # the frontier kept by _absorb is right in any order of arrival
         for ix in indices:
             ix = _as_index(ix, dim)
             if ix not in self._rows:
@@ -169,12 +167,11 @@ class MultiIndexSet:
                 return False
         return True
 
-    def _grow_frontier(self, index):
-        """Admit the forward neighbors of a member that became admissible."""
-        for k in range(self.dim):
-            fwd = index[:k] + (index[k] + 1,) + index[k + 1:]
-            if fwd not in self._rows and self._has_parents(fwd):
-                self._frontier.add(fwd)
+    def _admissible_forward(self, index):
+        """Admissible forward neighbors of a member tuple, lex order."""
+        fwds = (index[:k] + (index[k] + 1,) + index[k + 1:]
+                for k in reversed(range(self.dim)))     # a later raise is lex smaller
+        return [f for f in fwds if f not in self._rows and self._has_parents(f)]
 
     def is_admissible(self, index) -> bool:
         """True when ``index`` is absent and all its parents are present."""
@@ -183,7 +180,7 @@ class MultiIndexSet:
 
     def admissible_neighbors(self):
         """Forward neighbors that keep the set downward closed, lex order."""
-        return sorted(self._frontier)
+        return sorted({fwd for ix in self._order for fwd in self._admissible_forward(ix)})
 
     def _admissible(self, index):
         """``index`` validated, checked absent and with all parents present."""
@@ -216,8 +213,6 @@ class MultiIndexSet:
                 self._table[k, :, row] = parent, index[k]
                 self._count[k] += 1
             parent = row
-        self._frontier.discard(index)
-        self._grow_frontier(index)
 
     def max_level(self):
         """Componentwise maximum over the set, as a tuple; zeros when empty."""

@@ -439,8 +439,8 @@ class Surrogate:
             if not isinstance(doc[key], list) or len(doc[key]) != n_dim:
                 raise SerializationError(f"'{key}' must list {n_dim} entries")
         indices = doc["indices"]
-        if not indices:
-            raise SerializationError("surrogate has no surpluses")
+        if not isinstance(indices, list) or not indices:
+            raise SerializationError("'indices' must be a non-empty list")
         if surpluses.shape[:1] != (len(indices),):
             raise SerializationError(
                 "'indices', 'surpluses_re' and 'surpluses_im' lengths differ")
@@ -451,18 +451,18 @@ class Surrogate:
             raise SerializationError(f"bad component spec: {exc}") from exc
 
         sur = cls(dists, maps)
-        nodes1d = [np.asarray(col, dtype=float) for col in doc["nodes1d"]]
         try:
+            nodes1d = [np.asarray(col, dtype=float) for col in doc["nodes1d"]]
             indices = [_as_index(ix, n_dim) for ix in indices]
             for d in range(n_dim):
                 need = max(ix[d] for ix in indices) + 1
                 if len(nodes1d[d]) < need:
-                    raise SerializationError(f"'nodes1d' dimension {d} has "
-                                             f"{len(nodes1d[d])} nodes, needs {need}")
+                    raise ContractError(f"'nodes1d' dimension {d} has "
+                                        f"{len(nodes1d[d])} nodes, needs {need}")
                 sur._set_nodes(d, nodes1d[d])
             for ix, s in zip(indices, surpluses):
                 sur.add_restricted(ix, s)
-        except ContractError as exc:
+        except (ValueError, TypeError) as exc:
             raise SerializationError(f"inconsistent surrogate data: {exc}") from exc
         return sur
 

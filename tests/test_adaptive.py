@@ -6,11 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from adaleja import (ADJOINT, SURPLUS, AdaptiveConfig, AdaptiveReport,
-                     LadderModel, corrected_evaluate, run_adaptive,
-                     run_adaptive_adjoint, uniform)
+                     LadderModel, Surrogate, backward_neighbors,
+                     corrected_evaluate, forward_neighbors, run_adaptive,
+                     run_adaptive_adjoint, serialize, uniform)
 from adaleja.errors import ContractError, SolveError
 
 
@@ -152,6 +155,90 @@ class TestSurplusDriver:
         with pytest.raises(SolveError, match=r"non-finite surplus .* index "
                                              r"\(1, 0\) at point \(-1\.0, 0\.0\)"):
             run_adaptive(cliff, AdaptiveConfig(budget=10), UNIT_SQUARE)
+
+
+def frontier_from_scratch(members):
+    """Forward neighbors of members whose backward neighbors all are members."""
+    return sorted({fwd for ix in members for fwd in forward_neighbors(ix)
+                   if fwd not in members
+                   and all(b in members for b in backward_neighbors(fwd))})
+
+
+def greedy_oracle(model, dists, budget, tol):
+    """The surplus greedy spelled out: each step rescans the frontier,
+    scores the candidates not yet scored in lex order and takes the
+    smallest (-|surplus|, index).  Returns the surrogate, the accepted
+    indices, their indicators, the model calls made by each acceptance
+    and the called points."""
+    sur = Surrogate(dists)
+    calls, values, pending = [], {}, {}
+
+    def call(ix):
+        x = sur.node_point(ix)
+        calls.append(tuple(x))
+        return complex(model(x))
+
+    root = (0,) * len(dists)
+    sur.add_point(root, call(root))
+    accepted, indicators, counts = [root], [abs(sur.surplus(root))], [len(calls)]
+    while True:
+        for ix in frontier_from_scratch(set(sur.indices)):
+            if ix not in pending:
+                values[ix] = call(ix)
+                pending[ix] = values[ix] - sur.predict_node(ix)
+        best = min(pending, key=lambda ix: (-abs(pending[ix]), ix))
+        if tol is not None and abs(pending[best]) < tol:
+            break
+        if len(sur) + len(pending) >= budget:
+            break
+        indicators.append(abs(pending.pop(best)))
+        sur.add_point(best, values[best])
+        accepted.append(best)
+        counts.append(len(calls))
+    for ix in sorted(pending):
+        sur.add_point(ix, values[ix])
+    return sur, accepted, indicators, counts, calls
+
+
+# models whose surpluses tie exactly: constants and functions of one
+# coordinate leave every other direction at surplus 0, products of
+# identical even factors are symmetric under swapped coordinates, and
+# small integer values repeat
+TIE_HEAVY = {
+    "constant": lambda y: 3.0,
+    "last coordinate": lambda y: float(np.cos(3.0 * y[-1])),
+    "even product": lambda y: float(np.prod(1.0 / (1.0 + 4.0 * y ** 2))),
+    "square product": lambda y: float(np.prod(y ** 2)),
+    "integer sum": lambda y: float(np.round(2.0 * np.sum(y))),
+}
+
+
+class TestLoopOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(sorted(TIE_HEAVY)), dim=st.integers(1, 4),
+           budget=st.integers(1, 40),
+           tol=st.one_of(st.none(), st.sampled_from([0.0, 1e-12, 0.05, 0.5])))
+    def test_matches_brute_force_greedy(self, name, dim, budget, tol):
+        model = TIE_HEAVY[name]
+        dists = [uniform(-1, 1)] * dim
+        seen = []
+
+        def traced(x):
+            seen.append(tuple(x))
+            return model(x)
+
+        sur, report = run_adaptive(traced, AdaptiveConfig(budget, tol=tol), dists)
+        ref, accepted, indicators, counts, calls = greedy_oracle(model, dists,
+                                                                 budget, tol)
+        assert seen == calls
+        assert report.accepted == accepted
+        assert [r.indicator for r in report.records] == indicators
+        assert [r.lu_count for r in report.records] == counts
+        assert [r.fb_count for r in report.records] == counts
+        assert [r.res_count for r in report.records] == [0] * len(counts)
+        assert (report.lu_count, report.fb_count, report.res_count) == (
+            len(calls), len(calls), 0)
+        assert serialize(sur) == serialize(ref)
 
 
 class TestReportCsv:

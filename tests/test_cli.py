@@ -392,7 +392,7 @@ class TestPostProcessing:
         assert code == 2
         assert f"invalid field '{field}'" in capsys.readouterr().err
 
-    def test_corrupt_artifact_names_its_path(self, tmp_path, capsys):
+    def test_corrupt_artifact_names_its_path(self, built, tmp_path, capsys):
         artifact = tmp_path / "broken.json"
         artifact.write_bytes(b"{not json")
         config = write_config(tmp_path, {"surrogate": str(artifact)})
@@ -400,6 +400,16 @@ class TestPostProcessing:
                             "--out", str(tmp_path / "run")])
         assert code == 2
         assert f"{artifact}: invalid JSON" in capsys.readouterr().err
+        # valid JSON with a node that is no number, or indices that are no list
+        _, out = built
+        with open(os.path.join(out, "surrogate.json")) as handle:
+            good = json.load(handle)
+        for field, value in (("nodes1d", [["a"], good["nodes1d"][1]]), ("indices", 5)):
+            artifact.write_text(json.dumps(dict(good, **{field: value})))
+            code = run_command(["stats", "--config", config,
+                                "--out", str(tmp_path / "run")])
+            assert code == 2
+            assert f"config error: {artifact}: " in capsys.readouterr().err
 
     def test_sobol_rows(self, built, tmp_path):
         _, out = built

@@ -74,6 +74,13 @@ class TestProjection:
                         ("1", 1), 5):
             with pytest.raises(ContractError):
                 exp.coefficient(outside)
+        # degrees are integers too: 2.0 reads as 2, nothing is truncated
+        assert project(f, [uniform(-1, 1)] * 2, 2.0).to_json() == exp.to_json()
+        for p_max in (2.9, float("nan"), True, "2", -1):
+            with pytest.raises(ContractError, match="p_max"):
+                project(f, [uniform(-1, 1)] * 2, p_max)
+            with pytest.raises(ContractError, match="p_max"):
+                GpcExpansion(exp.distributions, p_max, exp.indices, exp.coefficients)
 
     def test_physical_support_scaling(self):
         # the canonical coefficient structure is unchanged by the support
@@ -198,4 +205,10 @@ class TestSerialization:
         for entry in (1.0, 1.5, True, "1"):
             doc["indices"][2] = [entry if c else c for c in original]
             with pytest.raises(SerializationError, match="integer tuple"):
+                GpcExpansion.from_json(json.dumps(doc).encode())
+        doc["indices"][2] = original
+        assert GpcExpansion.from_json(json.dumps(doc).encode()).p_max == 1
+        for p_max in (1.9, True, "1", -1, None):
+            doc["p_max"] = p_max
+            with pytest.raises(SerializationError, match="p_max"):
                 GpcExpansion.from_json(json.dumps(doc).encode())

@@ -265,9 +265,9 @@ class TestSerialization:
         doc = json.loads(serialize(s))
         doc["surpluses_re"] = doc["surpluses_re"][:2]
         doc["surpluses_im"] = doc["surpluses_im"][:2]
-        # not downward closed, then entries that are not integers
+        # not downward closed, entries that are not integers, no list
         for indices in ([[0], [2]], [[0], [1.5]], [[0], ["1"]], [[0], [True]],
-                        [[0], 1], [[0], [0, 1]]):
+                        [[0], 1], [[0], [0, 1]], 5, {"0": [0]}):
             doc["indices"] = indices
             with pytest.raises(SerializationError):
                 deserialize(json.dumps(doc).encode())
@@ -281,6 +281,11 @@ class TestSerialization:
         with pytest.raises(ContractError, match="dimension 0"):
             loaded.add_point((3,), 0.0)
         assert loaded.nodes1d(0)[2] == doc["nodes1d"][0][2]
+        # nodes are numbers, in one flat list per dimension
+        for nodes in (["a", 0.0, 1.0], [0.0, [1.0], 2.0], {"0": 0.0}):
+            doc["nodes1d"][0] = nodes
+            with pytest.raises(SerializationError, match="inconsistent surrogate"):
+                deserialize(json.dumps(doc).encode())
 
     def test_loaded_nodes_extend(self):
         f = lambda y: float(np.exp(y[0]))
