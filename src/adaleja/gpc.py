@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .distributions import BETA33, UNIFORM, _spec_number, make_distribution
 from .errors import ContractError, SerializationError
@@ -63,6 +62,8 @@ def gauss_rule(kind, order):
     if kind == UNIFORM:
         nodes, weights = leggauss(order)
     elif kind == BETA33:
+        # imported here, as its only caller: uniform-only studies skip it
+        from scipy.special import roots_jacobi
         nodes, weights = roots_jacobi(order, 3.0, 3.0)
     else:
         raise ContractError(f"no Gauss rule for kind {kind!r}")

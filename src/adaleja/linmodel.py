@@ -6,6 +6,13 @@ The dual system Aᴴ z = j reuses the primal LU factors through a
 conjugate-transposed substitution, and the residual-based indicator
 z̃ᴴ(f − A c̃) needs assembly only, never a factorization.
 
+Every system is factorized in LAPACK band storage: ``gbtrf`` once per
+solve, ``gbtrs`` per substitution, ``gbmv`` for the residual checks
+(Anderson et al., *LAPACK Users' Guide*).  The ladder assembles its
+tridiagonal band directly in O(n); a dense matrix from any other model
+is packed as a full band (kl = ku = n − 1), so there is one
+factorization path and no size switch.
+
 The resonant ladder is a desk-scale stand-in for large frequency-domain
 models: a damped spring chain driven at one end and observed at the
 other, with uncertain section stiffnesses and an optional frequency
@@ -18,11 +25,87 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
+from .distributions import _spec_number
 from .errors import SolveError
 
 _RESIDUAL_TOL = 1e-10
+
+_gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.complex128)
+_gbmv = get_blas_funcs("gbmv", dtype=np.complex128)
+
+
+class _Band:
+    """An n × n complex matrix in LAPACK band storage.
+
+    ``ab`` is (2·kl + ku + 1) × n, Fortran-ordered, with A[i, j] at
+    ``ab[kl + ku + i − j, j]``; its top kl rows stay zero, as room for
+    the fill-in of ``gbtrf``.  Supports ``A @ x``, ``conj()``, ``.T``
+    and ``np.asarray(A)`` (the dense matrix).
+    """
+
+    def __init__(self, ab, kl, ku):
+        self.ab, self.kl, self.ku = ab, kl, ku
+        self.shape = (ab.shape[1], ab.shape[1])
+        self.dtype = ab.dtype
+
+    @classmethod
+    def pack(cls, dense, kl, ku):
+        """Band storage of the entries of ``dense`` within the band."""
+        n = dense.shape[0]
+        ab = np.zeros((2 * kl + ku + 1, n), dtype=complex, order="F")
+        i, j = _band_entries(n, kl, ku)
+        ab[kl + ku + i - j, j] = dense[i, j]
+        return cls(ab, kl, ku)
+
+    def matvec(self, x, adjoint=False):
+        """A x, or Aᴴ x with ``adjoint``, by one ``gbmv`` on ``ab``.
+
+        ``gbmv`` reads the zero fill-in rows as kl more superdiagonals,
+        so ``ab`` goes in uncopied.  scipy's wrapper also wants at least
+        as many matrix rows as storage rows; the rows past n it then
+        reads lie in the zero corner of the storage and are dropped.
+        """
+        n = self.shape[0]
+        rows = max(n, self.ab.shape[0])
+        if adjoint and rows > n:
+            x = np.concatenate([x, np.zeros(rows - n)])
+        return _gbmv(rows, n, self.kl, self.kl + self.ku, 1.0, self.ab, x,
+                     trans=2 if adjoint else 0)[:n]
+
+    __matmul__ = matvec
+
+    def conj(self):
+        return _Band(self.ab.conj(), self.kl, self.ku)
+
+    @property
+    def T(self):
+        return _Band.pack(np.asarray(self).T, self.ku, self.kl)
+
+    def __array__(self, dtype=None, copy=None):
+        n, kl, ku = self.shape[0], self.kl, self.ku
+        dense = np.zeros(self.shape, dtype=self.dtype)
+        i, j = _band_entries(n, kl, ku)
+        dense[i, j] = self.ab[kl + ku + i - j, j]
+        return dense if dtype is None else dense.astype(dtype)
+
+
+def _band_entries(n, kl, ku):
+    """Row and column indices of the n × n positions within the band."""
+    i, j = np.indices((n, n))
+    inside = (i - j <= kl) & (j - i <= ku)
+    return i[inside], j[inside]
+
+
+def _as_band(A, y):
+    """``A`` if band-stored, else the dense square ``A`` as a full band."""
+    if isinstance(A, _Band):
+        return A
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise SolveError(f"expected a square matrix, got shape {A.shape}", point=y)
+    return _Band.pack(A, A.shape[0] - 1, A.shape[0] - 1)
 
 
 class ParametricLinearModel:
@@ -54,40 +137,50 @@ class ParametricLinearModel:
 
 @dataclass
 class Factorization:
-    """Primal LU factors plus the assembled arrays they came from."""
+    """Primal band LU factors plus the assembled arrays they came from."""
 
     lu: np.ndarray
     piv: np.ndarray
-    A: np.ndarray
+    A: _Band
     f: np.ndarray
     j: np.ndarray
     offset: complex
 
 
 def factorize(A, y):
-    """Dense LU with partial pivoting; failures carry diagnostics."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return lu_factor(A)
-    except (np.linalg.LinAlgError, Warning, ValueError) as exc:
-        raise SolveError(f"factorization failed: {exc}", point=y,
-                         cond=_cond_estimate(A)) from exc
+    """Band LU with partial pivoting (``gbtrf``) of a band matrix ``A``.
+
+    Returns (lu, piv).  Non-finite entries and an exactly singular U
+    raise a solve error carrying the point and a condition estimate.
+    """
+    if not np.isfinite(A.ab).all():
+        raise SolveError("factorization failed: the matrix has non-finite entries",
+                         point=y, cond=_cond_estimate(A))
+    lu, piv, info = _gbtrf(A.ab, A.kl, A.ku)
+    if info != 0:
+        raise SolveError(f"factorization failed: U is exactly singular "
+                         f"(gbtrf info {info})", point=y, cond=_cond_estimate(A))
+    return lu, piv
 
 
 def substitute(factors, A, b, y, adjoint=False):
-    """One forward-backward substitution, with a residual check.
+    """One forward-backward substitution (``gbtrs``), with a residual check.
 
     With ``adjoint`` the conjugate-transposed system Aᴴ x = b is solved
     on the same factors.
     """
-    x = lu_solve(factors, b, trans=2 if adjoint else 0)
-    op = A.conj().T if adjoint else A
-    resid = np.linalg.norm(op @ x - b) / max(np.linalg.norm(b), 1e-300)
+    lu, piv = factors
+    x, _ = _gbtrs(lu, A.kl, A.ku, b, piv, trans=2 if adjoint else 0)
+    resid = _norm(A.matvec(x, adjoint) - b) / max(_norm(b), 1e-300)
     if not np.isfinite(resid) or resid > _RESIDUAL_TOL:
         raise SolveError(f"{'dual' if adjoint else 'primal'} residual {resid:.3e}",
                          point=y, cond=_cond_estimate(A))
     return x
+
+
+def _norm(v):
+    """Euclidean norm of a vector; one BLAS call, cheaper than np.linalg.norm."""
+    return np.vdot(v, v).real ** 0.5
 
 
 def solve_primal(model: ParametricLinearModel, y):
@@ -104,6 +197,7 @@ def solve_primal(model: ParametricLinearModel, y):
 def _solve_assembled(system, y):
     """Primal solve of an assembled ``(A, f, j, offset)``; see solve_primal."""
     A, f, j, offset = system
+    A = _as_band(A, y)
     lu, piv = factorize(A, y)
     c = substitute((lu, piv), A, f, y)
     return c, Factorization(lu, piv, A, f, j, offset)
@@ -116,10 +210,11 @@ def solve_dual(model: ParametricLinearModel, y, factorization: Factorization):
 
 
 def _cond_estimate(A):
+    """1-norm condition number of the dense matrix; error path only."""
     try:
         # cond of a complex matrix carries a complex dtype with zero
         # imaginary part; fold it before converting
-        return float(abs(np.linalg.cond(A, 1)))
+        return float(abs(np.linalg.cond(np.asarray(A), 1)))
     except np.linalg.LinAlgError:
         return float("inf")
 
@@ -150,19 +245,21 @@ class LadderModel(ParametricLinearModel):
 
     def __init__(self, n_params, sections=40, damping=0.02,
                  with_frequency=False, omega=1.0):
-        n_params = int(n_params)
-        sections = int(sections)
+        n_params = _spec_number(n_params, "stiffness parameter count", integral=True)
+        sections = _spec_number(sections, "section count", integral=True)
         if n_params < 0 or n_params > sections:
             raise ValueError("stiffness parameter count must lie in [0, sections]")
         if sections < 1:
             raise ValueError("the ladder needs at least one section")
         if not (n_params or with_frequency):
             raise ValueError("the model needs at least one parameter")
+        self.damping = _spec_number(damping, "damping")
+        self.omega = _spec_number(omega, "omega")
+        if not (np.isfinite(self.damping) and np.isfinite(self.omega)):
+            raise ValueError("damping and omega must be finite")
         self.n = sections
         self.n_stiff = n_params
-        self.damping = float(damping)
         self.with_frequency = bool(with_frequency)
-        self.omega = float(omega)
         self.n_params = n_params + (1 if with_frequency else 0)
 
     def support(self):
@@ -187,14 +284,16 @@ class LadderModel(ParametricLinearModel):
         springs[self.n + 1] = 0.0
         diag = springs[1:self.n + 1] + springs[2:self.n + 2]
         off = -springs[2:self.n + 1]
-        K = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        A = K.astype(complex)
-        A += (-omega ** 2 + 1j * self.damping * omega) * np.eye(self.n)
+        # band rows: fill-in room, superdiagonal, diagonal, subdiagonal
+        ab = np.zeros((4, self.n), dtype=complex, order="F")
+        ab[1, 1:] = off
+        ab[2] = diag + (-omega ** 2 + 1j * self.damping * omega)
+        ab[3, :-1] = off
         f = np.zeros(self.n, dtype=complex)
         f[0] = 1.0
         j = np.zeros(self.n, dtype=complex)
         j[-1] = 1.0
-        return A, f, j, 0.0 + 0.0j
+        return _Band(ab, 1, 1), f, j, 0.0 + 0.0j
 
 
 def material_interp(samples, omega):

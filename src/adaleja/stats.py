@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .distributions import make_distribution, sample_joint
 from .errors import ContractError
@@ -216,6 +215,10 @@ def extract_resonance(target, parameters, f_range, n_starts=3):
     def objective(f):
         point = np.concatenate([[f], rest])
         return abs(complex(_checked(target, point[None, :])[0]))
+
+    # imported here: scipy.optimize has no other caller, and its import
+    # costs every study that never extracts a resonance
+    from scipy.optimize import minimize_scalar
 
     edges = np.linspace(lo, hi, n_starts + 1)
     best_f, best_v = lo, objective(lo)

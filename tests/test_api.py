@@ -66,3 +66,15 @@ def test_benchmark_tracer_installs():
                            str(root / "perfbench")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_optimize_and_special_unloaded():
+    # scipy.optimize and scipy.special each serve one rarely used call
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import adaleja; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.special') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "src")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

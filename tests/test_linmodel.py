@@ -10,7 +10,8 @@ from adaleja import (LadderModel, ParametricLinearModel, error_indicator,
 from adaleja.errors import SolveError
 from adaleja.linmodel import (GOLD_KAPPA_SAMPLES, GOLD_N_SAMPLES,
                               MATERIAL_FREQUENCIES_THZ, SILVER_KAPPA_SAMPLES,
-                              SILVER_N_SAMPLES)
+                              SILVER_N_SAMPLES, _as_band, _Band, factorize,
+                              substitute)
 
 
 class TestLadderAssembly:
@@ -31,11 +32,41 @@ class TestLadderAssembly:
         assert j[-1] == 1.0 and np.count_nonzero(j) == 1
 
     def test_parameter_count_validation(self):
-        with pytest.raises(ValueError):
-            LadderModel(11, sections=10)
-        with pytest.raises(ValueError):
-            LadderModel(0, sections=10)          # no parameters at all
+        for args, kwargs in [
+            ((11,), {"sections": 10}),
+            ((0,), {"sections": 10}),            # no parameters at all
+            ((2.9,), {"sections": 40}),          # counts are not truncated
+            ((2,), {"sections": 40.7}),
+            ((True,), {"sections": 12}),         # nor read from bools
+            ((2,), {"sections": "12"}),          # or strings
+            ((2,), {"damping": float("nan")}),   # refused before any solve
+            ((2,), {"omega": float("inf")}),
+        ]:
+            with pytest.raises(ValueError):
+                LadderModel(*args, **kwargs)
         LadderModel(0, sections=10, with_frequency=True)
+        m = LadderModel(2.0, sections=40.0)      # integral floats read as ints
+        assert (m.n_stiff, m.n) == (2, 40) and type(m.n) is int
+
+    @pytest.mark.parametrize("with_frequency", [False, True])
+    def test_band_is_bitwise_the_dense_chain(self, with_frequency):
+        """np.asarray of the band equals the np.diag construction it replaced."""
+        n, damping = 9, 0.07
+        m = LadderModel(3, sections=n, damping=damping,
+                        with_frequency=with_frequency, omega=0.9)
+        y = np.array([1.3, -0.4, 0.8, 0.25][not with_frequency:])
+        omega, t = (y[0], y[1:]) if with_frequency else (0.9, y)
+        springs = np.ones(n + 2)
+        springs[1:4] = 1.0 + 0.1 * t
+        springs[n + 1] = 0.0
+        diag = springs[1:n + 1] + springs[2:n + 2]
+        off = -springs[2:n + 1]
+        K = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        expected = K.astype(complex)
+        expected += (-omega ** 2 + 1j * damping * omega) * np.eye(n)
+        A = np.asarray(m.assemble(y)[0])
+        assert A.dtype == expected.dtype
+        assert A.tobytes() == expected.tobytes()
 
     def test_support_box(self):
         m = LadderModel(2, sections=8, with_frequency=True)
@@ -131,12 +162,75 @@ class TestSolves:
             solve_primal(Degenerate(), np.array([0.7]))
         assert "0.7" in str(exc_info.value)
 
+    @pytest.mark.parametrize("entry, cause", [(0.0, "singular"),
+                                              (np.nan, "non-finite")])
+    def test_bad_band_matrix_raises(self, entry, cause):
+        D = np.diag(np.full(4, 3.0 + 0j)) + np.diag(np.ones(3), 1) \
+            + np.diag(np.ones(3), -1)
+        if cause == "singular":
+            D[:, 2] = entry                      # a zero column
+        else:
+            D[1, 2] = entry
+
+        class Banded(ParametricLinearModel):
+            n = 4
+            n_params = 1
+
+            def assemble(self, y):
+                f = np.ones(4, dtype=complex)
+                return _Band.pack(D, 1, 1), f, f, 0.0 + 0.0j
+
+        with pytest.raises(SolveError, match=cause) as exc_info:
+            solve_primal(Banded(), np.array([0.7]))
+        assert exc_info.value.point == (0.7,)
+        assert "0.7" in str(exc_info.value)
+
     def test_error_point_prints_as_plain_floats(self):
         err = SolveError("breakdown", point=np.array([-1.0, 0.5]), cond=2.0)
         assert str(err) == ("breakdown at point (-1.0, 0.5) "
                             "(condition estimate 2.000e+00)")
         assert err.point == (-1.0, 0.5)
         assert all(type(c) is float for c in err.point)
+
+
+class TestBandPath:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 30),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_band_lu_matches_dense_solve(self, data, n, seed):
+        """gbtrf/gbtrs and the band matvec against numpy on the dense matrix."""
+        kl = data.draw(st.integers(0, n - 1), label="kl")
+        ku = data.draw(st.integers(0, n - 1), label="ku")
+        rng = np.random.default_rng(seed)
+        D = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        i, j = np.indices((n, n))
+        D[(i - j > kl) | (j - i > ku)] = 0.0
+        D[i == j] += np.abs(D).sum(axis=1) + 1.0     # diagonally dominant
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        y = np.array([0.5])
+        primal = np.linalg.solve(D, b)
+        dual = np.linalg.solve(D.conj().T, b)
+        # the band as drawn, and the same matrix packed as a full band
+        for A in (_Band.pack(D, kl, ku), _as_band(D, y)):
+            assert A.shape == (n, n)
+            assert np.array_equal(np.asarray(A), D)
+            factors = factorize(A, y)
+            for x, ref, adjoint in ((substitute(factors, A, b, y), primal, False),
+                                    (substitute(factors, A, b, y, adjoint=True),
+                                     dual, True)):
+                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+            for got, ref in ((A @ b, D @ b),
+                             (A.conj().T @ b, D.conj().T @ b)):
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_dense_matrix_is_packed_as_a_full_band(self):
+        A = _as_band(np.eye(5, dtype=complex), [0.0])
+        assert (A.kl, A.ku, A.ab.shape) == (4, 4, (13, 5))
+
+    def test_non_square_matrix_raises(self):
+        with pytest.raises(SolveError, match="square") as exc_info:
+            _as_band(np.ones((3, 2)), np.array([0.25]))
+        assert exc_info.value.point == (0.25,)
 
 
 class TestMaterial:
