@@ -25,6 +25,9 @@ step costs one interpolant evaluation per new candidate and a heap
 update; nothing is rebuilt from the whole index set.  A non-finite
 model value, surplus or residual indicator raises a solve error naming
 the index and its point.
+
+The module writes no files: ``AdaptiveReport.to_csv`` returns its CSV
+text, and writes it only to a path or handle its caller passes.
 """
 from __future__ import annotations
 
@@ -33,11 +36,10 @@ import heapq
 import io
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ContractError, SolveError
+from .errors import ContractError, SolveError, _count
 from .linmodel import (ParametricLinearModel, _residual_indicator,
                        _solve_assembled, solve_dual)
 from .surrogate import Surrogate, _model_value, _point_batch
@@ -61,11 +63,7 @@ class AdaptiveConfig:
     tol: float | None = None
 
     def __post_init__(self):
-        if isinstance(self.budget, bool) or not isinstance(self.budget, Integral):
-            raise ContractError(f"budget must be an integer, got {self.budget!r}")
-        self.budget = int(self.budget)
-        if self.budget < 1:
-            raise ContractError("budget must be at least 1")
+        self.budget = _count(self.budget, "budget", 1)
         if self.indicator not in (SURPLUS, ADJOINT):
             raise ContractError(f"unknown indicator kind {self.indicator!r}")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0):
@@ -110,15 +108,19 @@ class AdaptiveReport:
         return self.records[-1]
 
     def to_csv(self, target=None):
-        """Write records as CSV; returns the text when target is None."""
-        buffer = io.StringIO() if target is None else None
-        _write_csv(target if buffer is None else buffer,
-                   ["iteration", "chosen_index", "indicator", "lu_count",
-                    "fb_count", "res_count", "cv_error"],
-                   [(r.iteration, " ".join(str(c) for c in r.index), r.indicator,
-                     r.lu_count, r.fb_count, r.res_count, r.cv_error)
-                    for r in self.records])
-        return None if buffer is None else buffer.getvalue()
+        """The records as CSV text, or written to a path or text handle."""
+        text = _csv_text(["iteration", "chosen_index", "indicator", "lu_count",
+                          "fb_count", "res_count", "cv_error"],
+                         [(r.iteration, " ".join(str(c) for c in r.index),
+                           r.indicator, r.lu_count, r.fb_count, r.res_count,
+                           r.cv_error) for r in self.records])
+        if target is None:
+            return text
+        if isinstance(target, (str, bytes)):
+            with open(target, "w", newline="") as handle:
+                handle.write(text)
+        else:
+            target.write(text)
 
 
 def _cell(value):
@@ -132,14 +134,13 @@ def _cell(value):
     return f"{float(value):.17g}"
 
 
-def _write_csv(target, header, rows):
-    """Write a header and rows of ``_cell`` values to a path or a text handle."""
-    if isinstance(target, (str, bytes)):
-        with open(target, "w", newline="") as handle:
-            return _write_csv(handle, header, rows)
-    writer = csv.writer(target, lineterminator="\n")
+def _csv_text(header, rows):
+    """CSV text of a header and rows of ``_cell`` values, lines ending in \\n."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([_cell(c) for c in row] for row in rows)
+    return buffer.getvalue()
 
 
 def _refine(sur, config, report, score, accept, fold, on_accept):

@@ -7,9 +7,12 @@ the seed, and package versions.  Feeding a manifest back as the config
 reproduces the run; all floats are written with 17 significant digits so
 repeated runs agree byte for byte.
 
+Each subcommand returns its artifacts as bytes, and ``run_command``
+writes them, with the manifest, only after all of them were made.
 Exit codes: 0 on success, 1 on numerical failure (the failing parameter
-point is part of the message), 2 on configuration problems, 64 for an
-unknown subcommand.
+point is part of the message), 2 on configuration problems, including
+an output directory that cannot be created or written, 64 for an
+unknown subcommand.  A failed run writes no artifact.
 """
 
 import argparse
@@ -26,7 +29,7 @@ import numpy as np
 import scipy
 
 from .adaptive import (ADJOINT, SURPLUS, AdaptiveConfig, AdaptiveReport,
-                       _write_csv, run_adaptive, run_adaptive_adjoint)
+                       _csv_text, run_adaptive, run_adaptive_adjoint)
 from .distributions import make_distribution, sample_joint
 from .errors import ConfigError, ContractError, DomainError, SerializationError, SolveError
 from .gpc import SMOLYAK, TENSOR, GpcExpansion, project
@@ -147,12 +150,19 @@ def make_model(spec):
                         _field(spec, "c", float, 10.0, field="model", gt=0))
 
 
-def _load_json(path):
+def _read(path, field):
+    """The bytes of the file at ``path``; an unreadable file is a config
+    error on ``field``."""
     try:
         with open(path, "rb") as handle:
-            data = json.load(handle)
+            return handle.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}", field="config")
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}", field=field)
+
+
+def _load_json(path):
+    try:
+        data = json.loads(_read(path, "config"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}", field="config")
     if isinstance(data, dict) and "config" in data and "command" in data:
@@ -248,15 +258,19 @@ def _cv_tracker(config, model, distributions, require=False):
                       _field(spec, "per_iteration", bool, False, field="cv"))
 
 
-def _build_surrogate(config, model, distributions, maps, out_dir=None, tracker=None):
-    """Run the configured algorithm; returns (target, report_or_None, extra_files)."""
+def _build_surrogate(config, model, distributions, maps, tracker=None):
+    """Run the configured algorithm; returns (target, report_or_None, parts).
+
+    ``parts`` maps a file name to a further surrogate only ``build``
+    writes: the primal and dual surrogates of an adjoint build.
+    """
     algorithm = config["algorithm"]
-    extra = {}
+    parts = {}
     if algorithm == "gpc":
         p_max = _field(config, "p_max", int, ge=1)
         quadrature = _field(config, "quadrature", str, TENSOR, choices=(TENSOR, SMOLYAK))
         expansion = project(model, distributions, p_max, quadrature=quadrature)
-        return expansion, None, extra
+        return expansion, None, parts
     if algorithm == "isotropic-smolyak":
         level = _field(config, "level", int, ge=1)
         indices = MultiIndexSet.total_degree(len(distributions), level)
@@ -269,7 +283,7 @@ def _build_surrogate(config, model, distributions, maps, out_dir=None, tracker=N
             report.record(ix, abs(sur.surplus(ix)))
         if tracker is not None:
             report.records[-1].cv_error = tracker.measure(sur)[0]
-        return sur, report, extra
+        return sur, report, parts
     budget = _field(config, "budget", int, ge=1)
     tol = _field(config, "tol", float, None, ge=0)
     on_accept = tracker.on_accept if tracker is not None else None
@@ -278,32 +292,21 @@ def _build_surrogate(config, model, distributions, maps, out_dir=None, tracker=N
             raise ConfigError(
                 "adaptive-adjoint requires a linear-system model", field="algorithm")
         cfg = AdaptiveConfig(budget=budget, indicator=ADJOINT, tol=tol)
-        qoi, primal, dual, report = run_adaptive_adjoint(
+        target, primal, dual, report = run_adaptive_adjoint(
             model, cfg, distributions, maps, on_accept=on_accept)
-        if out_dir is not None:
-            for name, part in (("primal.json", primal), ("dual.json", dual)):
-                path = os.path.join(out_dir, name)
-                with open(path, "wb") as handle:
-                    handle.write(serialize(part))
-                extra[name] = path
-        target = qoi
+        parts = {"primal.json": primal, "dual.json": dual}
     else:
         cfg = AdaptiveConfig(budget=budget, indicator=SURPLUS, tol=tol)
         target, report = run_adaptive(
             model, cfg, distributions, maps, on_accept=on_accept)
     if tracker is not None and not tracker.per_iteration:
         report.records[-1].cv_error = tracker.measure(target)[0]
-    return target, report, extra
+    return target, report, parts
 
 
 def _load_artifact(path):
     """Load a serialized surrogate or gpc expansion, whichever the file holds."""
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}",
-                          field="surrogate")
+    data = _read(path, "surrogate")
     try:
         kind, doc, values = _read_evaluable(data)
         cls = GpcExpansion if kind == "gpc" else Surrogate
@@ -312,15 +315,14 @@ def _load_artifact(path):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _target(config, out_dir):
+def _target(config):
     """Surrogate for the stats family: loaded from disk or built fresh."""
     path = _field(config, "surrogate", str, None)
     if path is not None:
         target = _load_artifact(path)
         return target, list(target.distributions)
     model, distributions, maps = _study(config)
-    target, _, _ = _build_surrogate(config, model, distributions, maps, out_dir)
-    return target, distributions
+    return _build_surrogate(config, model, distributions, maps)[0], distributions
 
 
 def _linspace(spec, field, lo, hi, count, gt=None):
@@ -335,25 +337,19 @@ def _linspace(spec, field, lo, hi, count, gt=None):
     return np.linspace(lo, hi, _field(spec, "count", int, count, field=field, ge=2))
 
 
-def _cmd_build(config, out_dir, seed):
+def _cmd_build(config, seed):
     model, distributions, maps = _study(config)
     tracker = _cv_tracker(config, model, distributions)
-    target, report, extra = _build_surrogate(
-        config, model, distributions, maps, out_dir, tracker)
-    files = dict(extra)
-    sur_path = os.path.join(out_dir, "surrogate.json")
-    payload = target.to_json() if isinstance(target, GpcExpansion) else serialize(target)
-    with open(sur_path, "wb") as handle:
-        handle.write(payload)
-    files["surrogate.json"] = sur_path
+    target, report, parts = _build_surrogate(
+        config, model, distributions, maps, tracker)
+    files = {name: serialize(part) for name, part in parts.items()}
     if isinstance(target, GpcExpansion):
-        decay_path = os.path.join(out_dir, "decay.csv")
-        _write_csv(decay_path, ["total_degree", "max_abs_coeff"], target.decay())
-        files["decay.csv"] = decay_path
+        files["surrogate.json"] = target.to_json()
+        files["decay.csv"] = _csv_text(["total_degree", "max_abs_coeff"],
+                                       target.decay()).encode()
     else:
-        report_path = os.path.join(out_dir, "report.csv")
-        report.to_csv(report_path)
-        files["report.csv"] = report_path
+        files["surrogate.json"] = serialize(target)
+        files["report.csv"] = report.to_csv().encode()
     return files
 
 
@@ -370,7 +366,7 @@ def _sweep_values(config):
     return list(range(lo, hi + 1, _field(spec, "step", int, 1, field="sweep", ge=1)))
 
 
-def _cmd_converge(config, out_dir, seed):
+def _cmd_converge(config, seed):
     model, distributions, maps = _study(config)
     values = _sweep_values(config)
     tracker = _cv_tracker(config, model, distributions, require=True)
@@ -379,24 +375,20 @@ def _cmd_converge(config, out_dir, seed):
     for value in values:
         run_config = dict(config)
         run_config[ALGORITHMS[algorithm]] = value
-        if algorithm == "adaptive-adjoint":
-            build_model, counter = model, {"calls": 0}
-        else:
-            build_model, counter = _counted(model)
+        # gpc returns no report, so its model calls are counted here
+        build_model, counter = _counted(model) if algorithm == "gpc" else (model, None)
         target, report, _ = _build_surrogate(
             run_config, build_model, distributions, maps)
         nodes = report.lu_count if report is not None else counter["calls"]
         mean_l1, max_err = tracker.measure(target)
         rows.append((nodes, mean_l1, max_err))
-    path = os.path.join(out_dir, "report.csv")
-    _write_csv(path, ["nodes", "mean_l1", "max_err"], rows)
-    return {"report.csv": path}
+    return {"report.csv": _csv_text(["nodes", "mean_l1", "max_err"], rows).encode()}
 
 
-def _cmd_stats(config, out_dir, seed):
+def _cmd_stats(config, seed):
     n_samples = _field(config, "n_samples", int, 100_000, ge=2)
     alpha = _field(config, "alpha", float, None, gt=0, lt=1)
-    target, distributions = _target(config, out_dir)
+    target, distributions = _target(config)
     children = np.random.SeedSequence(seed).spawn(2)
     summary = mc_moments(target, distributions, n_samples, children[0])
     row = [summary.sample_count, summary.mean, summary.std, None, None]
@@ -404,27 +396,23 @@ def _cmd_stats(config, out_dir, seed):
         row[3] = alpha
         row[4] = failure_probability(target, distributions, alpha,
                                      n_samples, children[1])
-    path = os.path.join(out_dir, "moments.csv")
-    _write_csv(path, ["sample_count", "mean", "std", "alpha",
-                      "failure_probability"], [row])
-    return {"moments.csv": path}
+    return {"moments.csv": _csv_text(["sample_count", "mean", "std", "alpha",
+                                      "failure_probability"], [row]).encode()}
 
 
-def _cmd_sobol(config, out_dir, seed):
+def _cmd_sobol(config, seed):
     n_base = _field(config, "n_base", int, 10_000, ge=1)
-    target, distributions = _target(config, out_dir)
+    target, distributions = _target(config)
     result = sobol_indices(target, distributions, n_base, seed)
     rows = [(k, result.main[k], result.total[k])
             for k in range(len(distributions))]
-    path = os.path.join(out_dir, "sobol.csv")
-    _write_csv(path, ["parameter", "main", "total"], rows)
-    return {"sobol.csv": path}
+    return {"sobol.csv": _csv_text(["parameter", "main", "total"], rows).encode()}
 
 
-def _cmd_kde(config, out_dir, seed):
+def _cmd_kde(config, seed):
     n_samples = _field(config, "n_samples", int, 100_000, ge=1)
     bandwidth = _field(config, "bandwidth", float, None, gt=0)
-    target, distributions = _target(config, out_dir)
+    target, distributions = _target(config)
     points = sample_joint(distributions, n_samples, seed)
     samples = np.abs(np.asarray(target.evaluate(points)))
     if bandwidth is None:
@@ -433,13 +421,11 @@ def _cmd_kde(config, out_dir, seed):
     grid = _linspace(config.get("kde_grid") or {}, "kde_grid",
                      samples.min() - bandwidth, samples.max() + bandwidth, 512)
     density = kde_pdf(samples, bandwidth, grid)
-    path = os.path.join(out_dir, "kde.csv")
-    _write_csv(path, ["T", "density"], zip(grid, density))
-    return {"kde.csv": path}
+    return {"kde.csv": _csv_text(["T", "density"], zip(grid, density)).encode()}
 
 
-def _cmd_resonance(config, out_dir, seed):
-    target, distributions = _target(config, out_dir)
+def _cmd_resonance(config, seed):
+    target, distributions = _target(config)
     spec = config.get("resonance")
     if not isinstance(spec, dict):
         raise ConfigError("missing object with f_range", field="resonance")
@@ -465,12 +451,10 @@ def _cmd_resonance(config, out_dir, seed):
     for point in slices:
         f_res, s_res = extract_resonance(target, point, f_range, n_starts)
         rows.append((f_res, s_res))
-    path = os.path.join(out_dir, "resonance.csv")
-    _write_csv(path, ["fRes", "sRes"], rows)
-    return {"resonance.csv": path}
+    return {"resonance.csv": _csv_text(["fRes", "sRes"], rows).encode()}
 
 
-def _cmd_gain(config, out_dir, seed):
+def _cmd_gain(config, seed):
     spec = config.get("gain")
     if not isinstance(spec, dict):
         raise ConfigError("missing object with map and epsilons", field="gain")
@@ -490,9 +474,7 @@ def _cmd_gain(config, out_dir, seed):
     n_samples = _field(spec, "n_samples", int, 4096, field="gain", ge=1)
     rows = [(eps, cmap.estimate_gain(eps, n_samples=n_samples))
             for eps in epsilons]
-    path = os.path.join(out_dir, "gain.csv")
-    _write_csv(path, ["epsilon", "gain"], rows)
-    return {"gain.csv": path}
+    return {"gain.csv": _csv_text(["epsilon", "gain"], rows).encode()}
 
 
 _HANDLERS = {
@@ -516,7 +498,7 @@ def _versions():
     }
 
 
-def _write_manifest(out_dir, command, config, seed, threads):
+def _manifest(command, config, seed, threads):
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     manifest = {
         "command": command,
@@ -528,11 +510,7 @@ def _write_manifest(out_dir, command, config, seed, threads):
     if threads is not None:
         # the variables were set after numpy loaded its BLAS
         manifest["threads_applied"] = False
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+    return (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
 
 
 def run_command(argv):
@@ -567,12 +545,19 @@ def run_command(argv):
         out_dir = ns.out or config_out or "."
         resolved = copy.deepcopy(config)
         resolved["seed"] = seed
-        os.makedirs(out_dir, exist_ok=True)
-        files = _HANDLERS[command](resolved, out_dir, seed)
+        files = _HANDLERS[command](resolved, seed)
         if threads is not None:
             resolved["threads"] = threads
-        files["manifest.json"] = _write_manifest(out_dir, command, resolved, seed,
-                                                 threads)
+        files["manifest.json"] = _manifest(command, resolved, seed, threads)
+        # the one place that writes, after everything else has succeeded
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            for name in sorted(files):
+                with open(os.path.join(out_dir, name), "wb") as handle:
+                    handle.write(files[name])
+        except OSError as exc:
+            raise ConfigError(f"cannot write {exc.filename or out_dir}: "
+                              f"{exc.strerror or exc}", field="out_dir")
     except (ConfigError, SerializationError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
@@ -581,7 +566,7 @@ def run_command(argv):
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 1
     for name in sorted(files):
-        print(f"wrote {files[name]}")
+        print(f"wrote {os.path.join(out_dir, name)}")
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _count
 
 BETA33 = "beta33"
 UNIFORM = "uniform"
@@ -86,10 +86,7 @@ class Distribution:
         closed-form degree-7 polynomial CDF is inverted with a bracketed
         Newton iteration (bisection fallback) to residual 1e-12.
         """
-        if n < 0:
-            raise ValueError("sample count must be non-negative")
-        rng = np.random.default_rng(seed)
-        u = rng.random(int(n))
+        u = np.random.default_rng(seed).random(_count(n, "sample count"))
         if self.kind == UNIFORM:
             t = u
         else:
@@ -196,4 +193,4 @@ def sample_joint(distributions, n, seed):
         seed = np.random.SeedSequence(seed)
     children = seed.spawn(len(distributions))
     cols = [d.sample(n, s) for d, s in zip(distributions, children)]
-    return np.column_stack(cols) if cols else np.empty((int(n), 0))
+    return np.column_stack(cols) if cols else np.empty((_count(n, "sample count"), 0))

@@ -1,5 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check."""
 from __future__ import annotations
+
+from numbers import Integral
 
 
 class DomainError(ValueError):
@@ -41,6 +43,19 @@ class SerializationError(ValueError):
 
 class UnsupportedVersionError(SerializationError):
     """A serialized artifact declares a schema version this code cannot read."""
+
+
+def _count(value, name, least=0):
+    """``value`` as an int of at least ``least``.
+
+    Booleans, floats (2.0 too) and strings are refused with a contract
+    error, never truncated; numpy integers are integers.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ContractError(f"{name} must be at least {least}, got {value}")
+    return int(value)
 
 
 class ConfigError(ValueError):

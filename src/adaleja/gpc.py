@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .distributions import BETA33, UNIFORM, _spec_number, make_distribution
-from .errors import ContractError, SerializationError
+from .errors import ContractError, SerializationError, _count
 from .grid import MultiIndexSet, _as_index
 from .surrogate import (_basis, _point_batch, _prefix_sum, _read_evaluable,
                         _write_evaluable)
@@ -56,9 +56,7 @@ def ortho_table(kind, y, degree):
 
 def gauss_rule(kind, order):
     """Canonical Gauss nodes and probability weights for a law kind."""
-    order = int(order)
-    if order < 1:
-        raise ContractError("quadrature order must be at least 1")
+    order = _count(order, "quadrature order", 1)
     if kind == UNIFORM:
         nodes, weights = leggauss(order)
     elif kind == BETA33:

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import operator
 from math import comb
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, _count
 
 # Rows allocated by the first append; the arrays double from there.
 _INITIAL_CAPACITY = 16
@@ -83,10 +82,7 @@ class MultiIndexSet:
     """
 
     def __init__(self, dim, indices=None):
-        dim = int(dim)
-        if dim < 1:
-            raise ContractError("dimension must be at least 1")
-        self.dim = dim
+        self.dim = dim = _count(dim, "dimension", 1)
         self._order: list[tuple] = []
         self._rows: dict[tuple, int] = {}   # every prefix -> its row at its depth
         self._count = [0] * dim
@@ -107,8 +103,7 @@ class MultiIndexSet:
     @classmethod
     def total_degree(cls, dim, degree):
         """All indices with level sum at most ``degree``."""
-        if isinstance(degree, bool) or not isinstance(degree, Integral) or degree < 0:
-            raise ContractError(f"degree must be a non-negative integer, got {degree!r}")
+        dim, degree = _count(dim, "dimension", 1), _count(degree, "degree")
 
         def rec(prefix, remaining, budget):
             if remaining == 1:
@@ -118,7 +113,7 @@ class MultiIndexSet:
             for c in range(budget + 1):
                 yield from rec(prefix + (c,), remaining - 1, budget - c)
 
-        return cls(dim, sorted(rec((), int(dim), int(degree))))
+        return cls(dim, sorted(rec((), dim, degree)))
 
     @staticmethod
     def total_degree_size(dim, degree):

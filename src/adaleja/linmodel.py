@@ -41,14 +41,13 @@ class _Band:
 
     ``ab`` is (2·kl + ku + 1) × n, Fortran-ordered, with A[i, j] at
     ``ab[kl + ku + i − j, j]``; its top kl rows stay zero, as room for
-    the fill-in of ``gbtrf``.  Supports ``A @ x``, ``conj()``, ``.T``
-    and ``np.asarray(A)`` (the dense matrix).
+    the fill-in of ``gbtrf``.  Supports ``A @ x``, ``A.matvec(x,
+    adjoint=True)`` and ``np.asarray(A)`` (the dense matrix).
     """
 
     def __init__(self, ab, kl, ku):
         self.ab, self.kl, self.ku = ab, kl, ku
         self.shape = (ab.shape[1], ab.shape[1])
-        self.dtype = ab.dtype
 
     @classmethod
     def pack(cls, dense, kl, ku):
@@ -76,16 +75,9 @@ class _Band:
 
     __matmul__ = matvec
 
-    def conj(self):
-        return _Band(self.ab.conj(), self.kl, self.ku)
-
-    @property
-    def T(self):
-        return _Band.pack(np.asarray(self).T, self.ku, self.kl)
-
     def __array__(self, dtype=None, copy=None):
         n, kl, ku = self.shape[0], self.kl, self.ku
-        dense = np.zeros(self.shape, dtype=self.dtype)
+        dense = np.zeros(self.shape, dtype=self.ab.dtype)
         i, j = _band_entries(n, kl, ku)
         dense[i, j] = self.ab[kl + ku + i - j, j]
         return dense if dtype is None else dense.astype(dtype)

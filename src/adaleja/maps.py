@@ -18,7 +18,7 @@ from math import asin, factorial, inf, sqrt
 import numpy as np
 
 from .distributions import _spec_number
-from .errors import DomainError
+from .errors import DomainError, _count
 
 _EDGE_SLACK = 1e-12
 
@@ -122,7 +122,8 @@ class ConformalMap:
         if epsilon <= 0.0:
             raise DomainError("epsilon must be positive")
         r_max = epsilon + np.hypot(1.0, epsilon)
-        theta = np.linspace(0.0, 2.0 * np.pi, int(n_samples), endpoint=False)
+        theta = np.linspace(0.0, 2.0 * np.pi, _count(n_samples, "n_samples", 1),
+                            endpoint=False)
         boundary = np.exp(1j * theta)
 
         def contained(r):
@@ -181,6 +182,7 @@ class IdentityMap(ConformalMap):
     def estimate_gain(self, epsilon, n_samples=4096):
         if float(epsilon) <= 0.0:
             raise DomainError("epsilon must be positive")
+        _count(n_samples, "n_samples", 1)
         return 0.0
 
     def spec(self):

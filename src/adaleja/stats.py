@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import make_distribution, sample_joint
-from .errors import ContractError
+from .errors import ContractError, _count
 
 # Epanechnikov block size, in sample-grid pairs: a block holds
 # _KDE_BLOCK // G samples.  It fixes the summation grouping, not just the
@@ -72,9 +72,7 @@ class SobolResult:
 
 def mc_moments(target, distributions, n_samples, seed) -> McSummary:
     """Sample mean and unbiased standard deviation of the output modulus."""
-    n_samples = int(n_samples)
-    if n_samples < 2:
-        raise ContractError("at least two samples are required")
+    n_samples = _count(n_samples, "n_samples", 2)
     dists = [make_distribution(d) for d in distributions]
     values = _modulus(target, sample_joint(dists, n_samples, seed))
     return McSummary(n_samples, float(np.mean(values)),
@@ -86,8 +84,9 @@ def failure_probability(target, distributions, alpha, n_samples, seed) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ContractError("alpha must lie strictly inside (0, 1)")
+    n_samples = _count(n_samples, "n_samples", 1)
     dists = [make_distribution(d) for d in distributions]
-    values = _modulus(target, sample_joint(dists, int(n_samples), seed))
+    values = _modulus(target, sample_joint(dists, n_samples, seed))
     return float(np.mean(values >= 1.0 - alpha))
 
 
@@ -161,9 +160,7 @@ def sobol_indices(target, distributions, n_base, seed) -> SobolResult:
     average the squared-difference estimator.  A zero-variance output
     reports all indices as zero.
     """
-    n_base = int(n_base)
-    if n_base < 1:
-        raise ContractError("n_base must be positive")
+    n_base = _count(n_base, "n_base", 1)
     dists = [make_distribution(d) for d in distributions]
     n_dim = len(dists)
     root = np.random.SeedSequence(seed)
@@ -207,9 +204,7 @@ def extract_resonance(target, parameters, f_range, n_starts=3):
     lo, hi = (float(f_range[0]), float(f_range[1]))
     if not hi > lo:
         raise ContractError("the frequency range must have positive width")
-    n_starts = int(n_starts)
-    if n_starts < 1:
-        raise ContractError("at least one start is required")
+    n_starts = _count(n_starts, "n_starts", 1)
     rest = np.asarray(parameters, dtype=float).reshape(-1)
 
     def objective(f):
@@ -241,9 +236,7 @@ def cv_errors(target, reference, distributions, n_cv, seed):
     cross-validation samples; a non-finite target or reference value
     raises a contract error.
     """
-    n_cv = int(n_cv)
-    if n_cv < 1:
-        raise ContractError("at least one sample is required")
+    n_cv = _count(n_cv, "n_cv", 1)
     dists = [make_distribution(d) for d in distributions]
     points = sample_joint(dists, n_cv, seed)
     exact = np.array([complex(reference(p)) for p in points])

@@ -7,13 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adaleja.adaptive import ADJOINT, AdaptiveConfig, run_adaptive_adjoint
 from adaleja.cli import make_model, run_command
 from adaleja.distributions import make_distribution
 from adaleja.errors import SolveError
 from adaleja.gpc import GpcExpansion
 from adaleja.grid import MultiIndexSet
+from adaleja.linmodel import LadderModel
 from adaleja.maps import make_map
-from adaleja.stats import mc_moments
+from adaleja.stats import cv_errors, mc_moments
 from adaleja.surrogate import Surrogate
 
 
@@ -278,6 +280,114 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "numerical failure: non-finite model value" in err
         assert not (out / "surrogate.json").exists()
+
+
+class TestUntracedPaths:
+    """CLI branches the other tests never reach."""
+
+    ADJOINT = dict(BUILD_CONFIG, algorithm="adaptive-adjoint", budget=15,
+                   maps=None)
+
+    def test_per_iteration_cv(self, tmp_path):
+        config = dict(self.ADJOINT, cv={"n": 50, "seed": 5, "per_iteration": True})
+        path = write_config(tmp_path, config)
+        out = str(tmp_path / "run")
+        assert run_command(["build", "--config", path, "--out", out]) == 0
+        rows = read_rows(os.path.join(out, "report.csv"))[1:]
+        assert len(rows) > 1
+        assert all(float(r[-1]) >= 0.0 for r in rows)
+
+    def test_adjoint_converge_counts_lus(self, tmp_path):
+        config = dict(self.ADJOINT, sweep=[5, 12], cv={"n": 50, "seed": 5})
+        path = write_config(tmp_path, config)
+        out = str(tmp_path / "run")
+        assert run_command(["converge", "--config", path, "--out", out]) == 0
+        rows = read_rows(os.path.join(out, "report.csv"))[1:]
+        model = make_model(config["model"])
+        dists = [make_distribution(d) for d in config["distributions"]]
+        lus = [run_adaptive_adjoint(model, AdaptiveConfig(budget=b, indicator=ADJOINT),
+                                    dists)[3].lu_count for b in (5, 12)]
+        assert [int(r[0]) for r in rows] == lus
+        assert all(np.isfinite(float(v)) for r in rows for v in r[1:])
+
+    def test_adjoint_on_black_box_exits_two(self, tmp_path, capsys):
+        config = dict(self.ADJOINT, model={"model": "runge", "n_params": 2})
+        path = write_config(tmp_path, config)
+        code = run_command(["build", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert ("invalid field 'algorithm': adaptive-adjoint requires a "
+                "linear-system model") in capsys.readouterr().err
+
+    def test_isotropic_cv_on_last_row(self, tmp_path):
+        config = dict(BUILD_CONFIG, algorithm="isotropic-smolyak", level=3)
+        path = write_config(tmp_path, config)
+        out = str(tmp_path / "run")
+        assert run_command(["build", "--config", path, "--out", out]) == 0
+        rows = read_rows(os.path.join(out, "report.csv"))[1:]
+        assert [r[-1] for r in rows[:-1]] == [""] * (len(rows) - 1)
+        model = make_model(config["model"])
+        dists = [make_distribution(d) for d in config["distributions"]]
+        sur = Surrogate.fit(model, dists, MultiIndexSet.total_degree(2, 3),
+                            make_map(config["maps"]))
+        mean_l1, _ = cv_errors(sur, model, dists, 100, 11)
+        assert rows[-1][-1] == f"{mean_l1:.17g}"
+
+
+class TestOutput:
+    """Only run_command writes, and only what its wrote lines name."""
+
+    ADJOINT = TestUntracedPaths.ADJOINT
+
+    @pytest.mark.parametrize("command, spec", [
+        ("stats", {"n_samples": 200}),
+        ("sobol", {"n_base": 50}),
+        ("kde", {"n_samples": 200, "kde_grid": {"count": 8}}),
+        ("resonance", {
+            "model": {"model": "ladder", "sections": 10, "damping": 0.1,
+                      "n_params": 1, "with_frequency": True},
+            "distributions": [{"kind": "uniform", "lower": 0.5, "upper": 1.5},
+                              {"kind": "uniform", "lower": -1.0, "upper": 1.0}],
+            "resonance": {"f_range": [0.5, 1.5], "n_starts": 3, "n_slices": 2}}),
+    ])
+    def test_adjoint_study_writes_what_it_names(self, tmp_path, capsys, command, spec):
+        path = write_config(tmp_path, dict(self.ADJOINT, **spec))
+        out = tmp_path / "run"
+        assert run_command([command, "--config", path, "--out", str(out)]) == 0
+        named = [line.split(" ", 1)[1] for line in capsys.readouterr().out.splitlines()]
+        assert sorted(named) == sorted(str(p) for p in out.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["manifest.json", f"{'moments' if command == 'stats' else command}.csv"])
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_naming_a_file_exits_two(self, tmp_path, capsys, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("x")
+        path = write_config(tmp_path, {"gain": {"epsilons": [0.5], "n_samples": 64}})
+        code = run_command(["gain", "--config", path,
+                            "--out", str(blocker / below) if below else str(blocker)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: invalid field 'out_dir': cannot write {blocker}" in err
+        assert blocker.read_text() == "x"
+
+    def test_failed_adjoint_build_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        class NanReference(LadderModel):
+            """A ladder whose first direct call, the first CV point, is NaN."""
+
+            calls = 0
+
+            def __call__(self, y):
+                self.calls += 1
+                return complex("nan") if self.calls == 1 else super().__call__(y)
+
+        monkeypatch.setattr("adaleja.cli.make_model",
+                            lambda spec: NanReference(2, sections=10, damping=0.05))
+        path = write_config(tmp_path, self.ADJOINT)
+        out = tmp_path / "o"
+        code = run_command(["build", "--config", path, "--out", str(out)])
+        assert code == 1
+        assert "reference values are not finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConverge:

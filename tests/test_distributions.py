@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import stats as spstats
 
 from adaleja import Distribution, beta33, make_distribution, sample_joint, uniform
-from adaleja.errors import DomainError
+from adaleja.errors import ContractError, DomainError
 
 
 class TestPdf:
@@ -182,6 +182,18 @@ class TestJointSampling:
         assert pts.shape == (300, 2)
         assert pts[:, 0].min() >= 0.5 and pts[:, 0].max() <= 1.5
         assert pts[:, 1].min() >= -1.0 and pts[:, 1].max() <= 1.0
+
+    def test_sample_count_is_an_integer(self):
+        d = uniform(-1, 1)
+        for n in (-1, 2.7, 2.0, True, "2", None):
+            with pytest.raises(ContractError):
+                d.sample(n, 0)
+            with pytest.raises(ContractError):
+                sample_joint([d, d], n, 0)
+            with pytest.raises(ContractError):
+                sample_joint([], n, 0)
+        assert d.sample(np.int64(0), 0).shape == (0,)
+        assert sample_joint([], 3, 0).shape == (3, 0)
 
     def test_seed_sequence_accepted(self):
         dists = [uniform(-1, 1)] * 3

@@ -42,6 +42,13 @@ class TestOrthonormalBasis:
             _, w = gauss_rule(kind, 12)
             assert_allclose(w.sum(), 1.0, rtol=1e-13)
 
+    def test_gauss_order_is_an_integer(self):
+        # 2.6 returned two nodes
+        for order in (0, 2.6, 2.0, True, "2"):
+            with pytest.raises(ContractError):
+                gauss_rule("uniform", order)
+        assert len(gauss_rule("uniform", np.int64(3))[0]) == 3
+
 
 class TestProjection:
     def test_reproduces_basis_coefficient(self):

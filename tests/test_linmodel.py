@@ -25,6 +25,7 @@ class TestLadderAssembly:
     def test_structure(self):
         m = LadderModel(2, sections=6, damping=0.05)
         A, f, j, _ = m.assemble(np.array([1.0, 1.0]))
+        A = np.asarray(A)
         assert np.iscomplexobj(A)
         # symmetric tridiagonal stiffness plus the frequency shift
         assert_allclose(A, A.T, rtol=0)
@@ -103,7 +104,7 @@ class TestSolves:
         A, f, j, _ = self.model.assemble(self.y)
         c, factors = solve_primal(self.model, self.y)
         z = solve_dual(self.model, self.y, factors)
-        assert np.linalg.norm(A.conj().T @ z - j) <= 1e-10
+        assert np.linalg.norm(np.asarray(A).conj().T @ z - j) <= 1e-10
 
     def test_primal_dual_equivalence(self):
         """j^H c equals z^H f: both compute the same QoI."""
@@ -220,7 +221,7 @@ class TestBandPath:
                                      dual, True)):
                 assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
             for got, ref in ((A @ b, D @ b),
-                             (A.conj().T @ b, D.conj().T @ b)):
+                             (A.matvec(b, adjoint=True), D.conj().T @ b)):
                 assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_dense_matrix_is_packed_as_a_full_band(self):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from adaleja import (IdentityMap, KTEMap, SausageMap, Surrogate, make_map,
                      uniform)
-from adaleja.errors import DomainError
+from adaleja.errors import ContractError, DomainError
 
 ALL_MAPS = [
     IdentityMap(),
@@ -114,6 +114,12 @@ class TestGain:
         m = IdentityMap()
         for eps in (0.1, 0.5, 2.0):
             assert m.estimate_gain(eps) == 0.0
+
+    def test_sample_count_is_an_integer(self):
+        for m in (IdentityMap(), SausageMap(9)):
+            for n in (0, 2.7, 64.0, True, "64"):
+                with pytest.raises(ContractError):
+                    m.estimate_gain(0.5, n_samples=n)
 
     def test_sausage9_positive_at_moderate_eps(self):
         g = SausageMap(9).estimate_gain(0.3294)

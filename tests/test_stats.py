@@ -58,8 +58,10 @@ class TestMoments:
         assert (direct.mean, direct.std) == (wrapped.mean, wrapped.std)
 
     def test_needs_two_samples(self):
-        with pytest.raises(ContractError):
-            mc_moments(lambda pts: pts[:, 0], UNIT, 1, 0)
+        # and an integer count: nothing is truncated or parsed
+        for n in (1, 2.9, 3.0, True, "3", None):
+            with pytest.raises(ContractError):
+                mc_moments(lambda pts: pts[:, 0], UNIT, n, 0)
 
     def test_bad_output_shape(self):
         with pytest.raises(ContractError):
@@ -84,6 +86,12 @@ class TestFailureProbability:
     def test_alpha_bounds(self, alpha):
         with pytest.raises(ContractError):
             failure_probability(lambda pts: pts[:, 0], UNIT, alpha, 100, 0)
+
+    def test_rejects_bad_sample_count(self):
+        # zero samples gave nan with a RuntimeWarning, fractions were truncated
+        for n in (0, -1, 0.5, 2.7, 3.0, True, "100"):
+            with pytest.raises(ContractError):
+                failure_probability(lambda pts: pts[:, 0], UNIT, 0.5, n, 0)
 
     def test_non_finite_output_rejected(self):
         # NaN >= 1 - alpha is false, so a NaN would read as a safe sample
@@ -235,8 +243,9 @@ class TestSobol:
         assert np.array_equal(a.total, b.total)
 
     def test_rejects_bad_n_base(self):
-        with pytest.raises(ContractError):
-            sobol_indices(lambda pts: pts[:, 0], UNIT, 0, 0)
+        for n_base in (0, 2.7, 2.0, True, "3", None):
+            with pytest.raises(ContractError):
+                sobol_indices(lambda pts: pts[:, 0], UNIT, n_base, 0)
 
     def test_non_finite_output_rejected(self):
         with pytest.raises(ContractError, match="1 of 50 evaluated values"):
@@ -279,9 +288,10 @@ class TestResonance:
             extract_resonance(Evaluable(lambda pts: pts[:, 0]), [], (1.0, 1.0))
 
     def test_rejects_bad_start_count(self):
-        with pytest.raises(ContractError):
-            extract_resonance(Evaluable(lambda pts: pts[:, 0]), [],
-                              (0.0, 1.0), n_starts=0)
+        for n_starts in (0, 2.7, 2.0, True, "3", None):
+            with pytest.raises(ContractError):
+                extract_resonance(Evaluable(lambda pts: pts[:, 0]), [],
+                                  (0.0, 1.0), n_starts=n_starts)
 
     def test_non_finite_target_rejected(self):
         target = Evaluable(lambda pts: np.full(len(pts), np.nan))
@@ -305,8 +315,9 @@ class TestCvErrors:
         assert max_err == 0.0
 
     def test_rejects_empty_sample(self):
-        with pytest.raises(ContractError):
-            cv_errors(lambda pts: pts[:, 0], lambda p: 0.0, UNIT, 0, 0)
+        for n_cv in (0, 2.7, 2.0, True, "3", None):
+            with pytest.raises(ContractError):
+                cv_errors(lambda pts: pts[:, 0], lambda p: 0.0, UNIT, n_cv, 0)
 
     def test_non_finite_target_rejected(self):
         def half_nan(pts):
