@@ -34,12 +34,11 @@ from __future__ import annotations
 import csv
 import heapq
 import io
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, SolveError, _count
+from .errors import ContractError, SolveError, _count, _number
 from .linmodel import (ParametricLinearModel, _residual_indicator,
                        _solve_assembled, solve_dual)
 from .surrogate import Surrogate, _model_value, _point_batch
@@ -66,9 +65,8 @@ class AdaptiveConfig:
         self.budget = _count(self.budget, "budget", 1)
         if self.indicator not in (SURPLUS, ADJOINT):
             raise ContractError(f"unknown indicator kind {self.indicator!r}")
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0):
-            raise ContractError(
-                f"tolerance must be finite and non-negative, got {self.tol!r}")
+        if self.tol is not None:
+            self.tol = _number(self.tol, "tol", ge=0)
 
 
 @dataclass
@@ -189,10 +187,7 @@ def run_adaptive(model, config: AdaptiveConfig, distributions, maps=None,
     values: dict[tuple, complex] = {}
 
     def call(ix):
-        value = _model_value(model, sur, ix)
-        if value.ndim:
-            raise ContractError(f"run_adaptive needs a scalar model, got shape "
-                                f"{value.shape} at index {ix}")
+        value = _model_value(model, sur.node_point(ix), f"index {ix}", scalar=True)
         report.lu_count += 1
         report.fb_count += 1
         return complex(value)

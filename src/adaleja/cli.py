@@ -19,8 +19,6 @@ import argparse
 import copy
 import hashlib
 import json
-import math
-import operator
 import os
 import platform
 import sys
@@ -31,7 +29,8 @@ import scipy
 from .adaptive import (ADJOINT, SURPLUS, AdaptiveConfig, AdaptiveReport,
                        _csv_text, run_adaptive, run_adaptive_adjoint)
 from .distributions import make_distribution, sample_joint
-from .errors import ConfigError, ContractError, DomainError, SerializationError, SolveError
+from .errors import (ConfigError, ContractError, DomainError, SerializationError,
+                     SolveError, _number)
 from .gpc import SMOLYAK, TENSOR, GpcExpansion, project
 from .grid import MultiIndexSet
 from .linmodel import LadderModel, ParametricLinearModel
@@ -65,20 +64,18 @@ To cap this process, set those variables before starting adaleja.
 
 _REQUIRED = object()
 
-_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
-          str: "a string"}
-
-
 def _field(spec, key, kind, default=_REQUIRED, *, field=None,
            ge=None, gt=None, lt=None, choices=None):
     """``spec[key]``, or ``default`` when absent, as a JSON value of one kind.
 
-    ``kind`` is int, float, bool or str.  Integers must be integral (2.0
-    reads as 2), booleans are never numbers, floats must be finite, and
-    numbers must satisfy the bounds ``ge``/``gt``/``lt``; strings must be
-    among ``choices`` when given.  A null value stands for absence only
-    where the default is None.  Anything else raises ConfigError naming
-    ``field`` (the enclosing config object) and ``key``, or ``key`` alone.
+    ``kind`` is int, float, bool or str.  An int or float is read by
+    ``errors._number`` with the bounds ``ge``/``gt``/``lt``, as the
+    library reads its arguments: booleans and strings are no numbers,
+    numbers must be finite, and an int may be written 2.0.  Strings must
+    be among ``choices`` when given.  A null value stands for absence
+    only where the default is None.  Anything else raises ConfigError
+    naming ``field`` (the enclosing config object) and ``key``, or
+    ``key`` alone.
     """
     value = spec.get(key, default)
     if value is None and default is None:
@@ -90,39 +87,24 @@ def _field(spec, key, kind, default=_REQUIRED, *, field=None,
 
     if value is _REQUIRED:
         raise invalid("missing")
-    if kind in (bool, str):
-        if not isinstance(value, kind):
-            raise invalid(f"must be {_KINDS[kind]}")
-        if choices is not None and value not in choices:
-            raise invalid(f"must be one of {', '.join(choices)}")
-        return value
-    number = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if kind in (int, float):
         try:
-            number = float(value)
-        except OverflowError:    # an integer beyond the float range
-            number = math.inf
-    if not math.isfinite(number) or (kind is int and not number.is_integer()):
-        raise invalid(f"must be {_KINDS[kind]}")
-    value = int(value) if kind is int else number
-    for holds, op, bound in ((operator.ge, ">=", ge), (operator.gt, ">", gt),
-                             (operator.lt, "<", lt)):
-        if bound is not None and not holds(value, bound):
-            raise invalid(f"must be {op} {bound}")
+            return _number(value, key, integral=kind is int, ge=ge, gt=gt, lt=lt)
+        except ContractError as exc:
+            raise ConfigError(str(exc), field=field or key) from None
+    if not isinstance(value, kind):
+        raise invalid("must be true or false" if kind is bool else "must be a string")
+    if choices is not None and value not in choices:
+        raise invalid(f"must be one of {', '.join(choices)}")
     return value
 
 
 class RungeProduct:
     """Product Runge function, the standard smooth-but-stiff benchmark."""
 
-    name = "runge"
-
     def __init__(self, n_params, c=10.0):
         self.n_params = n_params
         self.c = c
-
-    def support(self):
-        return [(-1.0, 1.0)] * self.n_params
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)

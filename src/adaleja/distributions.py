@@ -8,12 +8,11 @@ and polynomial bases live; the affine transform pair ``to_canonical`` /
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _count
+from .errors import DomainError, _count, _number
 
 BETA33 = "beta33"
 UNIFORM = "uniform"
@@ -44,9 +43,7 @@ class Distribution:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         for bound in ("lower", "upper"):
-            object.__setattr__(self, bound, _spec_number(getattr(self, bound), bound))
-        if not np.isfinite(self.lower) or not np.isfinite(self.upper):
-            raise ValueError("support bounds must be finite")
+            object.__setattr__(self, bound, _number(getattr(self, bound), bound))
         if not self.upper > self.lower:
             raise ValueError("upper bound must exceed lower bound")
 
@@ -118,21 +115,6 @@ class Distribution:
     def spec(self) -> dict:
         """JSON-ready description, inverse of :func:`make_distribution`."""
         return {"kind": self.kind, "lower": self.lower, "upper": self.upper}
-
-
-def _spec_number(value, name, integral=False):
-    """A number of a component spec: float, or int when ``integral``.
-
-    Strings and booleans are refused, and an integral number must have
-    no fractional part (9.0 reads as 9, 9.7 is refused).
-    """
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not integral:
-        return float(value)
-    if not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def make_distribution(spec) -> Distribution:

@@ -1,7 +1,16 @@
-"""Exception types shared across the package, and the count check."""
+"""Exception types shared across the package, and the readers of numbers
+from outside.
+
+Every number a caller or a config file supplies is read by one of two
+checks: ``_count`` for counts, which must be integers, and ``_number``
+for every other real.  Both refuse booleans, strings and non-finite
+values with a contract error, a ``ValueError``, instead of coercing them.
+"""
 from __future__ import annotations
 
-from numbers import Integral
+import math
+import operator
+from numbers import Integral, Real
 
 
 class DomainError(ValueError):
@@ -56,6 +65,33 @@ def _count(value, name, least=0):
     if value < least:
         raise ContractError(f"{name} must be at least {least}, got {value}")
     return int(value)
+
+
+def _number(value, name, integral=False, ge=None, gt=None, lt=None):
+    """``value`` as a finite float, or as an int when ``integral``.
+
+    A real number is required, numpy scalars included, never a boolean
+    or a string; an int too large for a float counts as non-finite.
+    With ``integral``, 9.0 reads as 9 and an int is returned exactly.
+    The value must satisfy the bounds ``ge``, ``gt`` and ``lt``.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ContractError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ContractError(f"{name} must be a finite number, got {value!r}")
+    if integral:
+        if not number.is_integer():
+            raise ContractError(f"{name} must be an integer, got {value!r}")
+        number = int(value) if isinstance(value, Integral) else int(number)
+    for holds, op, bound in ((operator.ge, ">=", ge), (operator.gt, ">", gt),
+                             (operator.lt, "<", lt)):
+        if bound is not None and not holds(number, bound):
+            raise ContractError(f"{name} must be {op} {bound}, got {value!r}")
+    return number
 
 
 class ConfigError(ValueError):

@@ -15,11 +15,11 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .distributions import BETA33, UNIFORM, _spec_number, make_distribution
-from .errors import ContractError, SerializationError, _count
+from .distributions import BETA33, UNIFORM, make_distribution
+from .errors import ContractError, SerializationError, _count, _number
 from .grid import MultiIndexSet, _as_index
-from .surrogate import (_basis, _point_batch, _prefix_sum, _read_evaluable,
-                        _write_evaluable)
+from .surrogate import (_basis, _model_value, _point_batch, _prefix_sum,
+                        _read_evaluable, _write_evaluable)
 
 TENSOR = "tensor"
 SMOLYAK = "smolyak"
@@ -68,23 +68,12 @@ def gauss_rule(kind, order):
     return nodes, weights / np.sum(weights)
 
 
-def _degree(p_max):
-    """A non-negative integral degree: 2.0 reads as 2; 2.9, True, "2" are refused."""
-    try:
-        p_max = _spec_number(p_max, "p_max", integral=True)
-    except ValueError as exc:
-        raise ContractError(str(exc)) from None
-    if p_max < 0:
-        raise ContractError("p_max must be non-negative")
-    return p_max
-
-
 class GpcExpansion:
     """Total-degree orthonormal chaos expansion with complex coefficients."""
 
     def __init__(self, distributions, p_max, indices, coefficients):
         self.distributions = [make_distribution(d) for d in distributions]
-        self.p_max = _degree(p_max)
+        self.p_max = _number(p_max, "p_max", integral=True, ge=0)
         indices = [_as_index(ix) for ix in indices]
         self.coefficients = np.asarray(coefficients, dtype=complex)
         if len(indices) != self.coefficients.size:
@@ -150,9 +139,12 @@ class GpcExpansion:
     @classmethod
     def _from_document(cls, doc, coeff):
         """Expansion of a document ``_read_evaluable`` accepted."""
+        dists = doc["distributions"]
+        if not isinstance(dists, list) or len(dists) != doc["N"]:
+            raise SerializationError(f"'distributions' must list {doc['N']} entries")
         try:
-            return cls(doc["distributions"], doc["p_max"], doc["indices"], coeff)
-        except (ContractError, ValueError, TypeError) as exc:
+            return cls(dists, doc["p_max"], doc["indices"], coeff)
+        except (ValueError, TypeError) as exc:
             raise SerializationError(f"inconsistent expansion data: {exc}") from exc
 
 
@@ -168,7 +160,7 @@ def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
     dists = [make_distribution(d) for d in distributions]
     if not dists:
         raise ContractError("at least one distribution is required")
-    p_max = _degree(p_max)
+    p_max = _number(p_max, "p_max", integral=True, ge=0)
     if quadrature not in (TENSOR, SMOLYAK):
         raise ContractError(f"unknown quadrature {quadrature!r}")
     n_dim = len(dists)
@@ -189,7 +181,8 @@ def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
         for q in range(ys.shape[0]):
             key = tuple(ys[q])
             if key not in cache:
-                cache[key] = complex(model(xs[q]))
+                cache[key] = complex(_model_value(model, xs[q], "a quadrature node",
+                                                  scalar=True))
             values[q] = cache[key]
         tables = [ortho_table(d.kind, ys[:, k], p_max).T
                   for k, d in enumerate(dists)]

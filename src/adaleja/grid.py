@@ -117,7 +117,8 @@ class MultiIndexSet:
 
     @staticmethod
     def total_degree_size(dim, degree):
-        return comb(dim + degree, dim)
+        dim = _count(dim, "dimension", 1)
+        return comb(dim + _count(degree, "degree"), dim)
 
     def _closure_defect(self):
         for ix in self._order:

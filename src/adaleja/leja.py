@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import Distribution
+from .errors import _count
 
 # Candidate grid resolution for the exhaustive scan.
 GRID_POINTS = 100_001
@@ -73,6 +74,7 @@ class LejaSequence:
         return y
 
     def extend_to(self, count: int):
+        count = _count(count, "count")
         while len(self._nodes) < count:
             self.next_node()
         return self
@@ -106,8 +108,7 @@ def leja_nodes(law: Distribution, count: int):
     the same canonical weight), so repeated callers share one growing
     sequence per kind.
     """
-    if count < 0:
-        raise ValueError("count must be non-negative")
+    count = _count(count, "count")
     seq = _CACHE.get(law.kind)
     if seq is None:
         seq = _CACHE[law.kind] = LejaSequence(law)

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-from .distributions import _spec_number
-from .errors import SolveError
+from .errors import SolveError, _number
 
 _RESIDUAL_TOL = 1e-10
 
@@ -103,14 +102,13 @@ def _as_band(A, y):
 class ParametricLinearModel:
     """Contract: assemble(y) -> (A, f, j, offset) with A nonsingular.
 
-    Subclasses set ``n`` (system size), ``n_params`` (parameter count)
-    and ``name``.  Calling the model solves the primal system and
-    returns the quantity of interest.
+    Subclasses set ``n`` (system size) and ``n_params`` (parameter
+    count).  Calling the model solves the primal system and returns the
+    quantity of interest.
     """
 
     n: int
     n_params: int
-    name: str = "model"
 
     def assemble(self, y):
         raise NotImplementedError
@@ -233,22 +231,16 @@ class LadderModel(ParametricLinearModel):
     pinned to ``omega``.
     """
 
-    name = "ladder"
-
     def __init__(self, n_params, sections=40, damping=0.02,
                  with_frequency=False, omega=1.0):
-        n_params = _spec_number(n_params, "stiffness parameter count", integral=True)
-        sections = _spec_number(sections, "section count", integral=True)
-        if n_params < 0 or n_params > sections:
+        n_params = _number(n_params, "stiffness parameter count", integral=True, ge=0)
+        sections = _number(sections, "section count", integral=True, ge=1)
+        if n_params > sections:
             raise ValueError("stiffness parameter count must lie in [0, sections]")
-        if sections < 1:
-            raise ValueError("the ladder needs at least one section")
         if not (n_params or with_frequency):
             raise ValueError("the model needs at least one parameter")
-        self.damping = _spec_number(damping, "damping")
-        self.omega = _spec_number(omega, "omega")
-        if not (np.isfinite(self.damping) and np.isfinite(self.omega)):
-            raise ValueError("damping and omega must be finite")
+        self.damping = _number(damping, "damping")
+        self.omega = _number(omega, "omega")
         self.n = sections
         self.n_stiff = n_params
         self.with_frequency = bool(with_frequency)
@@ -294,13 +286,14 @@ def material_interp(samples, omega):
     Queries outside the sample hull are answered anyway but raise an
     extrapolation warning.
     """
-    pts = [(float(f), float(v)) for f, v in samples]
+    pts = [(_number(f, "sample frequency"), _number(v, "sample value"))
+           for f, v in samples]
     if len(pts) != 3:
         raise ValueError("exactly three samples are required")
     freqs = [p[0] for p in pts]
     if len(set(freqs)) != 3:
         raise ValueError("sample frequencies must be distinct")
-    omega = float(omega)
+    omega = _number(omega, "omega")
     if omega < min(freqs) or omega > max(freqs):
         warnings.warn(
             f"frequency {omega} is outside the sample hull "
@@ -317,8 +310,7 @@ def material_interp(samples, omega):
 
 def permittivity(n, kappa):
     """Relative complex permittivity from refractive index and extinction."""
-    n = float(n)
-    kappa = float(kappa)
+    n, kappa = _number(n, "n"), _number(kappa, "kappa")
     return complex(n * n - kappa * kappa, -2.0 * n * kappa)
 
 

@@ -17,8 +17,7 @@ from math import asin, factorial, inf, sqrt
 
 import numpy as np
 
-from .distributions import _spec_number
-from .errors import DomainError, _count
+from .errors import DomainError, _count, _number
 
 _EDGE_SLACK = 1e-12
 
@@ -118,7 +117,7 @@ class ConformalMap:
             Positive values mean the mapped basis converges
             geometrically faster.
         """
-        epsilon = float(epsilon)
+        epsilon = _number(epsilon, "epsilon")
         if epsilon <= 0.0:
             raise DomainError("epsilon must be positive")
         r_max = epsilon + np.hypot(1.0, epsilon)
@@ -179,8 +178,8 @@ class IdentityMap(ConformalMap):
         t = _check_unit(t, "t")
         return t if t.ndim else float(t)
 
-    def estimate_gain(self, epsilon, n_samples=4096):
-        if float(epsilon) <= 0.0:
+    def estimate_gain(self, epsilon, n_samples=GAIN_SAMPLES):
+        if _number(epsilon, "epsilon") <= 0.0:
             raise DomainError("epsilon must be positive")
         _count(n_samples, "n_samples", 1)
         return 0.0
@@ -201,8 +200,8 @@ class SausageMap(ConformalMap):
     kind = "sausage"
 
     def __init__(self, order=9):
-        order = _spec_number(order, "sausage order", integral=True)
-        if order < 1 or order % 2 == 0:
+        order = _number(order, "sausage order", integral=True, ge=1)
+        if order % 2 == 0:
             raise ValueError("sausage order must be an odd positive integer")
         self.order = order
         i = np.arange((order - 1) // 2 + 1)
@@ -247,10 +246,7 @@ class KTEMap(ConformalMap):
     kind = "kte"
 
     def __init__(self, alpha):
-        alpha = _spec_number(alpha, "kte alpha")
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("kte alpha must lie strictly inside (0, 1)")
-        self.alpha = alpha
+        self.alpha = alpha = _number(alpha, "kte alpha", gt=0, lt=1)
         self._norm = asin(alpha)
         self.singularity_radius = 1.0 / alpha + sqrt(1.0 / alpha ** 2 - 1.0)
 

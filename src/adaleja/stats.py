@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import make_distribution, sample_joint
-from .errors import ContractError, _count
+from .errors import ContractError, _count, _number
 
 # Epanechnikov block size, in sample-grid pairs: a block holds
 # _KDE_BLOCK // G samples.  It fixes the summation grouping, not just the
@@ -81,9 +81,7 @@ def mc_moments(target, distributions, n_samples, seed) -> McSummary:
 
 def failure_probability(target, distributions, alpha, n_samples, seed) -> float:
     """Fraction of sampled outputs with modulus at least 1 - alpha."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ContractError("alpha must lie strictly inside (0, 1)")
+    alpha = _number(alpha, "alpha", gt=0, lt=1)
     n_samples = _count(n_samples, "n_samples", 1)
     dists = [make_distribution(d) for d in distributions]
     values = _modulus(target, sample_joint(dists, n_samples, seed))
@@ -112,9 +110,7 @@ def kde_pdf(samples, bandwidth, grid):
     if samples.size == 0:
         raise ContractError("at least one sample is required")
     _finite(samples, "samples")
-    bandwidth = float(bandwidth)
-    if not 0.0 < bandwidth < np.inf:
-        raise ContractError(f"bandwidth must be positive and finite, got {bandwidth}")
+    bandwidth = _number(bandwidth, "bandwidth", gt=0)
     grid = np.asarray(grid, dtype=float)
     flat = _finite(grid.reshape(-1), "grid points")
     order = np.argsort(flat, kind="stable")
@@ -201,9 +197,8 @@ def extract_resonance(target, parameters, f_range, n_starts=3):
     tolerance of 1e-9 times the range; the range endpoints also compete.
     Returns (frequency, modulus at it).
     """
-    lo, hi = (float(f_range[0]), float(f_range[1]))
-    if not hi > lo:
-        raise ContractError("the frequency range must have positive width")
+    lo = _number(f_range[0], "f_range[0]")
+    hi = _number(f_range[1], "f_range[1]", gt=lo)
     n_starts = _count(n_starts, "n_starts", 1)
     rest = np.asarray(parameters, dtype=float).reshape(-1)
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .distributions import make_distribution
 from .errors import (ContractError, SerializationError, SolveError,
-                     UnsupportedVersionError)
+                     UnsupportedVersionError, _count)
 from .grid import _INITIAL_CAPACITY, MultiIndexSet, _as_index
 from .leja import leja_nodes
 from .maps import ConformalMap, IdentityMap, make_map
@@ -133,23 +133,25 @@ def _as_map_list(maps, n_dim):
     return out
 
 
-def _model_value(model, sur, index):
-    """Model value at the node of ``index``, as a complex array.
+def _model_value(model, x, label, scalar=False):
+    """Model value at the point ``x``, as a complex array: the one checked call.
 
     A model exception, or a non-finite value (scalar or any vector
-    entry), raises a solve error naming the index and its point.
+    entry), raises a solve error naming ``label`` and the point; with
+    ``scalar``, a vector value raises a contract error.
     """
-    x = sur.node_point(index)
     try:
         value = np.asarray(model(x), dtype=complex)
     except SolveError:
         raise
     except Exception as exc:
-        raise SolveError(f"model evaluation failed at index {index}: {exc}",
+        raise SolveError(f"model evaluation failed at {label}: {exc}",
                          point=x) from exc
     if not np.isfinite(value).all():
-        raise SolveError(f"non-finite model value {value} at index {index}",
-                         point=x)
+        raise SolveError(f"non-finite model value {value} at {label}", point=x)
+    if scalar and value.ndim:
+        raise ContractError(f"expected a scalar model, got shape {value.shape} "
+                            f"at {label}")
     return value
 
 
@@ -399,7 +401,7 @@ class Surrogate:
         """
         sur = cls(distributions, maps)
         for ix in sorted(tuple(i) for i in index_set):
-            sur.add_point(ix, _model_value(model, sur, ix))
+            sur.add_point(ix, _model_value(model, sur.node_point(ix), f"index {ix}"))
         return sur
 
     def restrict(self, indices):
@@ -433,8 +435,6 @@ class Surrogate:
     def _from_document(cls, doc, surpluses) -> "Surrogate":
         """Surrogate of a document ``_read_evaluable`` accepted."""
         n_dim = doc["N"]
-        if not isinstance(n_dim, int) or n_dim < 1:
-            raise SerializationError(f"invalid dimension N={n_dim!r}")
         for key in ("distributions", "maps", "nodes1d"):
             if not isinstance(doc[key], list) or len(doc[key]) != n_dim:
                 raise SerializationError(f"'{key}' must list {n_dim} entries")
@@ -490,9 +490,9 @@ def _write_evaluable(kind, fields, values):
 def _read_evaluable(data):
     """Parse a serialized surrogate or chaos expansion: (kind, document, values).
 
-    Checks the JSON syntax, the top-level object, the version and the
-    keys of the document's kind, and assembles the complex values from
-    their real and imaginary parts.
+    Checks the JSON syntax, the top-level object, the version, the keys
+    of the document's kind and its dimension count ``N``, and assembles
+    the complex values from their real and imaginary parts.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -515,6 +515,10 @@ def _read_evaluable(data):
     for key in keys + (part + "_re", part + "_im"):
         if key not in doc:
             raise SerializationError(f"missing key '{key}'")
+    try:
+        _count(doc["N"], "N", 1)
+    except ContractError as exc:
+        raise SerializationError(f"invalid dimension: {exc}") from exc
     try:
         re = np.asarray(doc[part + "_re"], dtype=float)
         im = np.asarray(doc[part + "_im"], dtype=float)

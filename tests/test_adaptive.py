@@ -55,9 +55,11 @@ class TestConfig:
 
     def test_negative_tolerance(self):
         # nan would never stop the loop, since best < nan is always false
-        for tol in (-1e-3, float("nan"), float("inf"), -float("inf")):
+        for tol in (-1e-3, float("nan"), float("inf"), -float("inf"), "0.1", True):
             with pytest.raises(ContractError):
                 AdaptiveConfig(budget=5, tol=tol)
+        assert AdaptiveConfig(budget=5, tol=np.float64(0.5)).tol == 0.5
+        assert AdaptiveConfig(budget=5, tol=0).tol == 0
 
 
 class TestSurplusDriver:

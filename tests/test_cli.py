@@ -178,12 +178,16 @@ class TestBuild:
 
     def test_seed_flag_overrides_config(self, tmp_path):
         path = write_config(tmp_path, BUILD_CONFIG)
-        out = str(tmp_path / "run")
-        assert run_command(["build", "--config", path, "--out", out,
-                            "--seed", "99"]) == 0
-        manifest = read_json(os.path.join(out, "manifest.json"))
-        assert manifest["seed"] == 99
-        assert manifest["config"]["seed"] == 99
+        # a seed beyond the float range's exact integers is written as given
+        for seed in (99, 18446744073709551615):
+            out = str(tmp_path / f"run{seed}")
+            assert run_command(["build", "--config", path, "--out", out,
+                                "--seed", str(seed)]) == 0
+            manifest = read_json(os.path.join(out, "manifest.json"))
+            assert manifest["seed"] == seed
+            assert manifest["config"]["seed"] == seed
+            with open(os.path.join(out, "manifest.json")) as handle:
+                assert f'"seed": {seed},' in handle.read()
 
     def test_thread_cap_is_recorded(self, tmp_path, monkeypatch):
         # run_command sets these; monkeypatch restores them after the test
@@ -488,6 +492,13 @@ class TestPostProcessing:
             {"kind": "uniform", "lower": -1.0, "upper": 1.0}]}),
         ("build", "maps", {"maps": {"map": "sausage", "order": 9.7}}),
         ("build", "maps", {"maps": {"map": "sausage", "order": "9"}}),
+        # non-finite component numbers
+        ("build", "maps", {"maps": {"map": "kte", "alpha": float("nan")}}),
+        ("build", "distributions", {"distributions": [
+            {"kind": "uniform", "lower": -1.0, "upper": float("inf")},
+            {"kind": "uniform", "lower": -1.0, "upper": 1.0}]}),
+        ("build", "budget", {"budget": 10 ** 400}),
+        ("gain", "gain", {"gain": {"epsilons": [float("nan")]}}),
     ])
     def test_bad_range_exits_two(self, built, tmp_path, capsys, command, field, spec):
         _, out = built

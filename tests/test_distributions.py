@@ -165,6 +165,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="must be a number"):
             uniform(lower, upper)
 
+    @pytest.mark.parametrize("bounds", [
+        (float("nan"), 1.0), (-1.0, float("inf")), (-float("inf"), 1.0),
+        (-1.0, 10 ** 400)])
+    def test_bounds_must_be_finite(self, bounds):
+        lower, upper = bounds
+        with pytest.raises(ContractError, match="must be a finite number"):
+            Distribution("uniform", lower, upper)
+
     def test_bounds_are_stored_as_floats(self):
         d = Distribution("beta33", np.int64(-1), 2)
         assert d.spec() == {"kind": "beta33", "lower": -1.0, "upper": 2.0}

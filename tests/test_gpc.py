@@ -10,7 +10,8 @@ from numpy.testing import assert_allclose
 from adaleja import (GpcExpansion, MultiIndexSet, SMOLYAK, TENSOR, beta33,
                      gauss_rule, project, sample_joint, uniform)
 from adaleja import surrogate
-from adaleja.errors import ContractError, SerializationError, UnsupportedVersionError
+from adaleja.errors import (ContractError, SerializationError, SolveError,
+                            UnsupportedVersionError)
 from adaleja.gpc import ortho_table, recurrence_betas
 
 
@@ -63,6 +64,25 @@ class TestProjection:
         assert_allclose(exp.coefficient((2, 0)), 1.0, atol=1e-12)
         others = [ix for ix in exp.indices if ix != (2, 0)]
         assert max(abs(exp.coefficient(ix)) for ix in others) < 1e-12
+
+    @pytest.mark.parametrize("model, error, match", [
+        # a NaN gave all-NaN coefficients, written as bare NaN tokens
+        (lambda y: np.nan if y[0] > 0.5 else 1.0, SolveError, "non-finite model value"),
+        (lambda y: 1.0 / 0.0, SolveError, "model evaluation failed at a quadrature node"),
+        (lambda y: np.array([1.0, 2.0]), ContractError, r"scalar model, got shape \(2,\)"),
+    ])
+    @pytest.mark.parametrize("quadrature", [TENSOR, SMOLYAK])
+    def test_model_faults_are_refused(self, model, error, match, quadrature):
+        with pytest.raises(error, match=match):
+            project(model, [uniform(-1, 1)] * 2, 3, quadrature=quadrature)
+
+    def test_p_max_is_an_integral_number(self):
+        for p_max in (2.5, True, "2", -1, float("nan"), float("inf")):
+            with pytest.raises(ContractError, match="p_max"):
+                project(lambda y: 1.0, [uniform(-1, 1)], p_max)
+            with pytest.raises(ContractError, match="p_max"):
+                GpcExpansion([uniform(-1, 1)], p_max, [(0,)], [1.0])
+        assert project(lambda y: 1.0, [uniform(-1, 1)], 2.0).p_max == 2
 
     def test_constant_model(self):
         exp = project(lambda y: 5.0 - 2.0j, [beta33(-1, 1)], 2)
@@ -218,4 +238,10 @@ class TestSerialization:
         for p_max in (1.9, True, "1", -1, None):
             doc["p_max"] = p_max
             with pytest.raises(SerializationError, match="p_max"):
+                GpcExpansion.from_json(json.dumps(doc).encode())
+        # the dimension is a count, and it counts the distributions
+        doc["p_max"] = 1
+        for n_dim in ("x", True, 2.0, 0, 1, 3, None):
+            doc["N"] = n_dim
+            with pytest.raises(SerializationError, match="N|distributions"):
                 GpcExpansion.from_json(json.dumps(doc).encode())

@@ -46,15 +46,20 @@ class TestConstruction:
         for degree in [2.5, 2.0, True, "2", -1]:
             with pytest.raises(ContractError):
                 MultiIndexSet.total_degree(2, degree)
+            with pytest.raises(ContractError):
+                MultiIndexSet.total_degree_size(2, degree)
         # dimensions too: 2.7 built a 2-D set, 0 recursed without end
         for dim in [2.7, 2.0, True, "2", 0, -1]:
             with pytest.raises(ContractError):
                 MultiIndexSet(dim)
             with pytest.raises(ContractError):
                 MultiIndexSet.total_degree(dim, 2)
+            with pytest.raises(ContractError):
+                MultiIndexSet.total_degree_size(dim, 2)
         # numpy integers are integers
         assert (0, 1) in MultiIndexSet(2, [(0, 0), (np.int64(0), np.int32(1))])
         assert len(MultiIndexSet.total_degree(2, np.int64(2))) == 6
+        assert MultiIndexSet.total_degree_size(np.int64(2), np.int64(2)) == 6
         assert MultiIndexSet(np.int64(3)).dim == 3
 
     def test_empty_allowed(self):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from adaleja.errors import ContractError
+
 from adaleja import (IdentityMap, LejaSequence, SausageMap, beta33,
                      leja_nodes, uniform)
 
@@ -96,6 +98,15 @@ class TestSequenceObject:
         assert len(s.nodes) == 4
         s.extend_to(2)
         assert len(s.nodes) == 4
+
+    def test_counts_are_integers(self):
+        # 2.5 failed inside a slice, -1 with a plain ValueError
+        for count in (2.5, 2.0, True, "3", -1, None):
+            with pytest.raises(ContractError):
+                leja_nodes(uniform(-1, 1), count)
+            with pytest.raises(ContractError):
+                LejaSequence(uniform(-1, 1)).extend_to(count)
+        assert len(leja_nodes(uniform(-1, 1), np.int64(3))) == 3
 
     def test_next_node_appends(self):
         s = LejaSequence(uniform(-1, 1))

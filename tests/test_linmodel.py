@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from adaleja import (LadderModel, ParametricLinearModel, error_indicator,
                      material_interp, permittivity, read_material_samples,
                      solve_dual, solve_primal)
-from adaleja.errors import SolveError
+from adaleja.errors import ContractError, SolveError
 from adaleja.linmodel import (GOLD_KAPPA_SAMPLES, GOLD_N_SAMPLES,
                               MATERIAL_FREQUENCIES_THZ, SILVER_KAPPA_SAMPLES,
                               SILVER_N_SAMPLES, _as_band, _Band, factorize,
@@ -42,6 +42,10 @@ class TestLadderAssembly:
             ((2,), {"sections": "12"}),          # or strings
             ((2,), {"damping": float("nan")}),   # refused before any solve
             ((2,), {"omega": float("inf")}),
+            ((float("nan"),), {"sections": 10}),
+            ((2,), {"sections": float("inf")}),
+            ((2,), {"damping": "0.02"}),
+            ((2,), {"omega": True}),
         ]:
             with pytest.raises(ValueError):
                 LadderModel(*args, **kwargs)
@@ -255,6 +259,24 @@ class TestMaterial:
     def test_degenerate_frequencies_rejected(self):
         with pytest.raises(ValueError):
             material_interp([(1.0, 0.1), (1.0, 0.2), (2.0, 0.3)], 1.5)
+
+    def test_numbers_are_checked(self):
+        # strings were parsed and booleans read as 1.0
+        for call in (
+            lambda: material_interp(GOLD_N_SAMPLES, "425.57"),
+            lambda: material_interp(GOLD_N_SAMPLES, True),
+            lambda: material_interp(GOLD_N_SAMPLES, float("nan")),
+            lambda: material_interp([(1.0, 0.1), (2.0, "0.2"), (3.0, 0.3)], 1.5),
+            lambda: material_interp([(1.0, 0.1), (2.0, 0.2), (float("inf"), 0.3)], 1.5),
+            lambda: permittivity("0.14", 4.542),
+            lambda: permittivity(0.14, True),
+            lambda: permittivity(float("nan"), 4.542),
+        ):
+            with pytest.raises(ContractError):
+                call()
+        # ints and numpy scalars are reals
+        assert material_interp(GOLD_N_SAMPLES, np.float64(425.57)) == 0.13
+        assert permittivity(np.int64(1), 0) == permittivity(1.0, 0.0)
 
     def test_permittivity_formula(self):
         eps = permittivity(0.14, 4.542)

@@ -160,6 +160,18 @@ class TestGain:
         with pytest.raises(DomainError):
             m.estimate_gain(0.0)
 
+    @pytest.mark.parametrize("m", [IdentityMap(), SausageMap(9), KTEMap(0.9)])
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), "0.5", True])
+    def test_gain_rejects_epsilon_that_is_no_finite_number(self, m, epsilon):
+        # nan returned nan, inf returned -1.0, and the string was parsed
+        with pytest.raises(ContractError, match="epsilon"):
+            m.estimate_gain(epsilon)
+
+    def test_gain_reads_any_real_epsilon(self):
+        m = SausageMap(9)
+        assert m.estimate_gain(np.float64(0.5)) == m.estimate_gain(0.5)
+        assert m.estimate_gain(1) == m.estimate_gain(1.0)
+
 
 class TestFactory:
     def test_make_map_kinds(self):
@@ -187,6 +199,9 @@ class TestFactory:
         {"map": "sausage", "order": True},
         {"map": "kte", "alpha": "0.5"},
         {"map": "kte", "alpha": False},
+        {"map": "kte", "alpha": float("nan")},
+        {"map": "kte", "alpha": np.bool_(True)},
+        {"map": "sausage", "order": float("inf")},
     ])
     def test_spec_numbers_are_not_coerced(self, spec):
         with pytest.raises(ValueError, match="must be a"):

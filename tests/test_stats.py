@@ -81,8 +81,10 @@ class TestFailureProbability:
     def test_threshold_includes_equality(self):
         ones = lambda pts: np.ones(pts.shape[0])
         assert failure_probability(ones, UNIT, 0.5, 100, 0) == 1.0
+        assert failure_probability(ones, UNIT, np.float64(0.5), 100, 0) == 1.0
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5, "0.5", True,
+                                       float("nan"), float("inf")])
     def test_alpha_bounds(self, alpha):
         with pytest.raises(ContractError):
             failure_probability(lambda pts: pts[:, 0], UNIT, alpha, 100, 0)
@@ -145,6 +147,9 @@ class TestKde:
     def test_single_sample_formula(self):
         # (1/h) 0.75 (1 - ((T - x)/h)^2) at T = 0.1, x = 0, h = 0.5
         assert_allclose(kde_pdf([0.0], 0.5, [0.1]), [1.44], rtol=1e-15)
+        # any real bandwidth: ints and numpy scalars too
+        assert kde_pdf([0.0], np.float64(0.5), [0.1]) == kde_pdf([0.0], 0.5, [0.1])
+        assert kde_pdf([0.0], 1, [0.1]) == kde_pdf([0.0], 1.0, [0.1])
 
     def test_peak_height_at_sample(self):
         h = 0.2
@@ -170,7 +175,8 @@ class TestKde:
         with pytest.raises(ContractError):
             kde_pdf([], 0.5, [0.0])
 
-    @pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), float("inf"), True, "0.3",
+                                   pytest.param(10 ** 400, id="beyond-float")])
     def test_rejects_bad_bandwidth(self, h):
         with pytest.raises(ContractError):
             kde_pdf([0.0], h, [0.0])
@@ -286,6 +292,14 @@ class TestResonance:
     def test_rejects_empty_range(self):
         with pytest.raises(ContractError):
             extract_resonance(Evaluable(lambda pts: pts[:, 0]), [], (1.0, 1.0))
+        # and ends that are no finite numbers
+        for f_range in (("0", 1.0), (0.0, "1"), (0.0, True), (float("nan"), 1.0),
+                        (0.0, float("inf"))):
+            with pytest.raises(ContractError):
+                extract_resonance(Evaluable(lambda pts: pts[:, 0]), [], f_range)
+        f, _ = extract_resonance(Evaluable(lambda pts: pts[:, 0]), [],
+                                 (np.float64(0.5), 1))
+        assert f == 0.5
 
     def test_rejects_bad_start_count(self):
         for n_starts in (0, 2.7, 2.0, True, "3", None):

@@ -252,6 +252,12 @@ class TestSerialization:
         del doc["surpluses_im"]
         with pytest.raises(SerializationError):
             deserialize(json.dumps(doc).encode())
+        # a dimension that is no count; true loaded as a 1-D surrogate
+        doc = json.loads(serialize(s))
+        for n_dim in (True, "1", 1.0, 0, None):
+            doc["N"] = n_dim
+            with pytest.raises(SerializationError, match="N must be"):
+                deserialize(json.dumps(doc).encode())
 
     def test_version_mismatch(self):
         s = fit_1d(lambda y: 1.0, 2)
