@@ -150,7 +150,7 @@ def _refine(sur, config, report, score, accept, fold, on_accept):
     """
     root = (0,) * sur.n_dim
     accept(root)
-    rec = report.record(root, abs(sur.surplus(root)))
+    rec = report.record(root, abs(complex(sur._surplus_values()[0])))
     # (-modulus, index, indicator): largest modulus on top, smallest index on ties
     pending: list[tuple] = []
     while True:
@@ -187,24 +187,24 @@ def run_adaptive(model, config: AdaptiveConfig, distributions, maps=None,
     values: dict[tuple, complex] = {}
 
     def call(ix):
-        value = _model_value(model, sur.node_point(ix), f"index {ix}", scalar=True)
+        value = _model_value(model, sur._node_point(ix), f"index {ix}", scalar=True)
         report.lu_count += 1
         report.fb_count += 1
         return complex(value)
 
     def score(ix):
         values[ix] = call(ix)
-        s = values[ix] - sur.predict_node(ix)
+        s = values[ix] - complex(sur._node_value(ix))
         if not np.isfinite(s):
             raise SolveError(f"non-finite surplus {s} at index {ix}",
-                             point=sur.node_point(ix))
+                             point=sur._node_point(ix))
         return s
 
     def accept(ix):
-        sur.add_point(ix, values.pop(ix) if ix in values else call(ix))
+        sur._add(ix, values.pop(ix) if ix in values else call(ix))
 
     _refine(sur, config, report, score, accept,
-            lambda ix, _: sur.add_point(ix, values[ix]), on_accept)
+            lambda ix, _: sur._add(ix, values[ix]), on_accept)
     return sur, report
 
 
@@ -222,8 +222,8 @@ def run_adaptive_adjoint(model: ParametricLinearModel, config: AdaptiveConfig,
     if not isinstance(model, ParametricLinearModel):
         raise ContractError("the adjoint driver needs a ParametricLinearModel")
     qoi = Surrogate(distributions, maps)
-    primal = Surrogate(distributions, maps)
-    dual = Surrogate(distributions, maps)
+    # empty copies sharing the node tables that qoi._node_point fills
+    primal, dual = qoi.restrict([]), qoi.restrict([])
     if qoi.n_dim != model.n_params:
         raise ContractError(
             f"model has {model.n_params} parameters, got {qoi.n_dim} distributions")
@@ -232,29 +232,29 @@ def run_adaptive_adjoint(model: ParametricLinearModel, config: AdaptiveConfig,
     assemblies: dict[tuple, tuple] = {}
 
     def score(ix):
-        x = qoi.node_point(ix)
+        x = qoi._node_point(ix)
         assemblies[ix] = model.assemble(x)
         A, f, _, _ = assemblies[ix]
         report.res_count += 1
-        eta = _residual_indicator(A, f, primal.predict_node(ix),
-                                  dual.predict_node(ix))
+        eta = _residual_indicator(A, f, primal._node_value(ix), dual._node_value(ix))
         if not np.isfinite(eta):
             raise SolveError(f"non-finite residual indicator {eta} at index {ix}",
                              point=x)
         return eta
 
     def accept(ix):
-        x = qoi.node_point(ix)
+        x = qoi._node_point(ix)
         system = assemblies.pop(ix) if ix in assemblies else model.assemble(x)
         c, fac = _solve_assembled(system, x)
         z = solve_dual(model, x, fac)
         report.lu_count += 1
         report.fb_count += 2
-        qoi.add_point(ix, np.vdot(fac.j, c) + fac.offset)
-        primal.add_point(ix, c)
-        dual.add_point(ix, z)
+        qoi._add(ix, np.vdot(fac.j, c) + fac.offset)
+        primal._add(ix, c)
+        dual._add(ix, z)
 
-    _refine(qoi, config, report, score, accept, qoi.add_restricted, on_accept)
+    _refine(qoi, config, report, score, accept,
+            lambda ix, v: qoi._append(ix, qoi._as_value(v)), on_accept)
     return qoi, primal, dual, report
 
 

@@ -74,17 +74,17 @@ class GpcExpansion:
     def __init__(self, distributions, p_max, indices, coefficients):
         self.distributions = [make_distribution(d) for d in distributions]
         self.p_max = _number(p_max, "p_max", integral=True, ge=0)
-        indices = [_as_index(ix) for ix in indices]
+        indices = list(indices)
+        # in the given order, which is the order of the coefficients
+        self._indices = MultiIndexSet(self.n_dim, indices)
         self.coefficients = np.asarray(coefficients, dtype=complex)
         if len(indices) != self.coefficients.size:
             raise ContractError("one coefficient per index is required")
-        if sorted(indices) != sorted(MultiIndexSet.total_degree(self.n_dim,
-                                                                self.p_max)):
+        if len(self._indices) != len(indices) or self._indices.sorted_indices() != list(
+                MultiIndexSet.total_degree(self.n_dim, self.p_max)):
             raise ContractError(
                 f"expected the full total-degree set of degree {self.p_max} "
                 f"in {self.n_dim} dimensions, each index once")
-        # in the given order, which is the order of the coefficients
-        self._indices = MultiIndexSet(self.n_dim, indices)
 
     @property
     def n_dim(self):
@@ -197,7 +197,7 @@ def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
         for ell in index_set:
             scale = 0
             for z in np.ndindex(*(2,) * n_dim):
-                if tuple(a + b for a, b in zip(ell, z)) in index_set:
+                if sum(ell) + sum(z) <= p_max:      # ell + z is in the set
                     scale += (-1) ** int(np.sum(z))
             if scale:
                 tensor_contribution(tuple(l + 1 for l in ell), float(scale))

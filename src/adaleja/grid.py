@@ -55,11 +55,7 @@ def _as_index(index, dim=None):
 def backward_neighbors(index):
     """Indices one level lower in a single dimension (skips zero levels)."""
     index = _as_index(index)
-    out = []
-    for k, c in enumerate(index):
-        if c > 0:
-            out.append(index[:k] + (c - 1,) + index[k + 1:])
-    return out
+    return [index[:k] + (c - 1,) + index[k + 1:] for k, c in enumerate(index) if c]
 
 
 def forward_neighbors(index):
@@ -122,9 +118,8 @@ class MultiIndexSet:
 
     def _closure_defect(self):
         for ix in self._order:
-            for nb in backward_neighbors(ix):
-                if nb not in self._rows:
-                    return ix, nb
+            if not self._has_parents(ix):
+                return ix, next(nb for nb in backward_neighbors(ix) if nb not in self._rows)
         return None
 
     def is_downward_closed(self) -> bool:
@@ -179,8 +174,7 @@ class MultiIndexSet:
         return sorted({fwd for ix in self._order for fwd in self._admissible_forward(ix)})
 
     def _admissible(self, index):
-        """``index`` validated, checked absent and with all parents present."""
-        index = _as_index(index, self.dim)
+        """An index tuple, refused when it is a member or lacks a parent."""
         if index in self._rows:
             raise ContractError(f"index {index} is already in the set")
         if not self._has_parents(index):
@@ -189,12 +183,10 @@ class MultiIndexSet:
 
     def add(self, index):
         """Absorb an admissible index; reject anything else."""
-        index = self._admissible(index)
-        self._absorb(index)
-        return index
+        return self._absorb(self._admissible(_as_index(index, self.dim)))
 
     def _absorb(self, index):
-        """Add a validated absent tuple without re-checking it."""
+        """Add a validated absent tuple without re-checking it; returns it."""
         self._order.append(index)
         self._depths = None
         parent = 0
@@ -209,6 +201,7 @@ class MultiIndexSet:
                 self._table[k, :, row] = parent, index[k]
                 self._count[k] += 1
             parent = row
+        return index
 
     def max_level(self):
         """Componentwise maximum over the set, as a tuple; zeros when empty."""

@@ -250,7 +250,10 @@ class Surrogate:
         failing ``deserialize`` or ``restrict``: it raises a domain error
         here, once its level or a higher one is asked for.
         """
-        index = _as_index(index, self.n_dim)
+        return self._node_point(_as_index(index, self.n_dim))
+
+    def _node_point(self, index):
+        """``node_point`` of an index tuple; installs its node levels."""
         self._ensure_levels(index)
         return np.array([self._coordinates(d, lev)[lev]
                          for d, lev in enumerate(index)])
@@ -346,13 +349,14 @@ class Surrogate:
         return value
 
     def _append(self, index, surplus):
-        """Store a checked admissible index and its surplus: the one write path."""
+        """Store an admissible tuple, levels installed, and its value-shaped surplus."""
         n = len(self)
         if n == len(self._surpluses):
             self._surpluses = np.concatenate(
                 [self._surpluses, np.empty_like(self._surpluses)])
         self._surpluses[n] = surplus.reshape(-1)
         self._indices._absorb(index)
+        return self
 
     def add_point(self, index, model_value):
         """Absorb an admissible index with the model value at its node.
@@ -361,13 +365,14 @@ class Surrogate:
         current interpolant's prediction at the node, so interpolation at
         all previously absorbed nodes is untouched.
         """
-        index = self._indices._admissible(index)
-        value = self._as_value(model_value)
+        index = self._indices._admissible(_as_index(index, self.n_dim))
         self._ensure_levels(index)
-        if len(self._indices):
-            value = value - self._node_value(index)
-        self._append(index, value)
-        return self
+        return self._add(index, model_value)
+
+    def _add(self, index, value):
+        """``add_point`` of an admissible tuple whose levels are installed."""
+        value = self._as_value(value)
+        return self._append(index, value - self._node_value(index) if len(self) else value)
 
     def predict_node(self, index):
         """Current interpolant value at the grid node of ``index``.
@@ -400,8 +405,8 @@ class Surrogate:
         naming the index and its point.
         """
         sur = cls(distributions, maps)
-        for ix in sorted(tuple(i) for i in index_set):
-            sur.add_point(ix, _model_value(model, sur.node_point(ix), f"index {ix}"))
+        for ix in MultiIndexSet(sur.n_dim, list(index_set)).sorted_indices():
+            sur._add(ix, _model_value(model, sur._node_point(ix), f"index {ix}"))
         return sur
 
     def restrict(self, indices):
@@ -409,27 +414,25 @@ class Surrogate:
 
         The kept set must be downward closed; surpluses carry over
         unchanged because every dropped index is incomparable to or above
-        the kept ones.
+        the kept ones.  The copy shares the node tables, which only grow.
         """
         keep = {_as_index(ix, self.n_dim) for ix in indices}
         missing = keep.difference(self._indices)
         if missing:
             raise ContractError(f"indices not in the surrogate: {sorted(missing)}")
         out = Surrogate(self.distributions, self.maps)
-        for d, col in enumerate(self._nodes1d):
-            out._set_nodes(d, col.copy())
+        out._nodes1d, out._dens, out._node_tables, out._coords = (
+            self._nodes1d, self._dens, self._node_tables, self._coords)
         for ix, s in zip(self._indices, self._surplus_values()):
             if ix in keep:
-                out.add_restricted(ix, s)
+                out._append(out._indices._admissible(ix), out._as_value(s))
         return out
 
     def add_restricted(self, index, surplus):
         """Append a pre-computed surplus (restriction path)."""
-        index = self._indices._admissible(index)
-        surplus = self._as_value(surplus)
+        index = self._indices._admissible(_as_index(index, self.n_dim))
         self._ensure_levels(index)
-        self._append(index, surplus)
-        return self
+        return self._append(index, self._as_value(surplus))
 
     @classmethod
     def _from_document(cls, doc, surpluses) -> "Surrogate":
@@ -453,15 +456,14 @@ class Surrogate:
         sur = cls(dists, maps)
         try:
             nodes1d = [np.asarray(col, dtype=float) for col in doc["nodes1d"]]
-            indices = [_as_index(ix, n_dim) for ix in indices]
-            for d in range(n_dim):
-                need = max(ix[d] for ix in indices) + 1
-                if len(nodes1d[d]) < need:
-                    raise ContractError(f"'nodes1d' dimension {d} has "
-                                        f"{len(nodes1d[d])} nodes, needs {need}")
-                sur._set_nodes(d, nodes1d[d])
             for ix, s in zip(indices, surpluses):
-                sur.add_restricted(ix, s)
+                ix = sur._indices._admissible(_as_index(ix, n_dim))
+                sur._append(ix, sur._as_value(s))
+            for d, top in enumerate(sur._indices.max_level()):
+                if len(nodes1d[d]) <= top:
+                    raise ContractError(f"'nodes1d' dimension {d} has "
+                                        f"{len(nodes1d[d])} nodes, needs {top + 1}")
+                sur._set_nodes(d, nodes1d[d])
         except (ValueError, TypeError) as exc:
             raise SerializationError(f"inconsistent surrogate data: {exc}") from exc
         return sur

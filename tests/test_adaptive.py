@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from adaleja import (ADJOINT, SURPLUS, AdaptiveConfig, AdaptiveReport,
-                     LadderModel, Surrogate, backward_neighbors,
-                     corrected_evaluate, forward_neighbors, run_adaptive,
-                     run_adaptive_adjoint, serialize, uniform)
+                     LadderModel, SausageMap, Surrogate, backward_neighbors,
+                     corrected_evaluate, deserialize, error_indicator,
+                     forward_neighbors, run_adaptive, run_adaptive_adjoint,
+                     serialize, solve_dual, solve_primal, uniform)
+from adaleja import grid, surrogate
 from adaleja.errors import ContractError, SolveError
 
 
@@ -376,3 +378,130 @@ class TestAdjointDriver:
         with pytest.raises(ContractError):
             run_adaptive_adjoint(
                 model, AdaptiveConfig(budget=5, indicator=ADJOINT), three)
+
+
+def adjoint_oracle(model, dists, maps, budget, tol):
+    """The adjoint greedy spelled out with public calls only: each step
+    rescans the frontier, scores the candidates not yet scored by the
+    residual indicator and takes the smallest (-|indicator|, index); an
+    accepted index costs one primal and one dual solve.  Returns the
+    three surrogates, the records (index, indicator, lu, fb, res) and
+    the final counters."""
+    qoi, primal, dual = (Surrogate(dists, maps) for _ in range(3))
+    counts = {"lu": 0, "fb": 0, "res": 0}
+    records, pending = [], {}
+
+    def absorb(ix):
+        x = qoi.node_point(ix)
+        c, fac = solve_primal(model, x)
+        z = solve_dual(model, x, fac)
+        counts["lu"] += 1
+        counts["fb"] += 2
+        qoi.add_point(ix, np.vdot(fac.j, c) + fac.offset)
+        primal.add_point(ix, c)
+        dual.add_point(ix, z)
+
+    def record(ix, indicator):
+        records.append((ix, abs(indicator), counts["lu"], counts["fb"],
+                        counts["res"]))
+
+    root = (0,) * len(dists)
+    absorb(root)
+    record(root, qoi.surplus(root))
+    while True:
+        for ix in frontier_from_scratch(set(qoi.indices)):
+            if ix not in pending:
+                pending[ix] = error_indicator(model, qoi.node_point(ix),
+                                              primal.predict_node(ix),
+                                              dual.predict_node(ix))
+                counts["res"] += 1
+        best = min(pending, key=lambda ix: (-abs(pending[ix]), ix))
+        if tol is not None and abs(pending[best]) < tol:
+            break
+        if len(qoi) + len(pending) >= budget:
+            break
+        indicator = pending.pop(best)
+        absorb(best)
+        record(best, indicator)
+    for ix in sorted(pending):
+        qoi.add_restricted(ix, pending[ix])
+    return (qoi, primal, dual), records, counts
+
+
+class TestAdjointOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(n_stiff=st.integers(0, 2), with_frequency=st.booleans(),
+           sections=st.integers(2, 8), damping=st.sampled_from([0.05, 0.1, 0.5]),
+           mapped=st.booleans(), budget=st.integers(1, 30),
+           tol=st.one_of(st.none(), st.sampled_from([0.0, 1e-6, 1e-2])))
+    def test_matches_brute_force_greedy(self, n_stiff, with_frequency, sections,
+                                        damping, mapped, budget, tol):
+        if not (n_stiff or with_frequency):
+            with_frequency = True
+        model = LadderModel(n_stiff, sections=sections, damping=damping,
+                            with_frequency=with_frequency)
+        dists = [uniform(lo, hi) for lo, hi in model.support()]
+        maps = SausageMap(9) if mapped else None
+        *surs, report = run_adaptive_adjoint(
+            model, AdaptiveConfig(budget, indicator=ADJOINT, tol=tol), dists, maps)
+        refs, records, counts = adjoint_oracle(model, dists, maps, budget, tol)
+        assert [(r.index, r.indicator, r.lu_count, r.fb_count, r.res_count)
+                for r in report.records] == records
+        assert (report.lu_count, report.fb_count, report.res_count) == (
+            counts["lu"], counts["fb"], counts["res"])
+        for sur, ref in zip(surs, refs):
+            assert sur.indices == ref.indices
+            assert serialize(sur) == serialize(ref)
+
+
+class TestIndicesCheckedOnce:
+    """The drivers pass the tuples the index set hands them to unchecked
+    code; restrict and deserialize check each index once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"index": 0, "levels": 0}
+
+        def count(owner, name, key):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        count(grid, "_as_index", "index")
+        count(surrogate, "_as_index", "index")
+        count(Surrogate, "_ensure_levels", "levels")
+        return calls
+
+    def test_surplus_driver(self, calls):
+        # the benchmark's size: 5-D product Runge, sausage-9 maps, budget
+        # 300; the loop made three index checks and three level installs
+        # per node when it called the public methods
+        c = np.array([4.0, 25.0, 1.0, 12.0, 50.0])
+        model = lambda y: float(np.prod(1.0 / (1.0 + c * y * y)))
+        sur, _ = run_adaptive(model, AdaptiveConfig(300), [uniform(-1, 1)] * 5,
+                              SausageMap(9))
+        assert calls["index"] == 0
+        assert calls["levels"] <= len(sur)
+
+    def test_adjoint_driver(self, calls):
+        # the three surrogates share their node tables, so an index's
+        # levels are installed when it is scored and when it is accepted;
+        # through the public methods, this build made 511 index checks and
+        # 510 level installs
+        model = LadderModel(3, sections=40, damping=0.1)
+        dists = [uniform(lo, hi) for lo, hi in model.support()]
+        qoi, primal, _, _ = run_adaptive_adjoint(
+            model, AdaptiveConfig(80, indicator=ADJOINT), dists, SausageMap(9))
+        assert calls["index"] == 0
+        assert calls["levels"] <= len(qoi) + len(primal)
+
+    def test_restrict_and_deserialize(self, calls):
+        sur, _ = run_adaptive(runge2, AdaptiveConfig(60), UNIT_SQUARE)
+        data = serialize(sur)
+        for call in (lambda: sur.restrict(sur.indices), lambda: deserialize(data)):
+            calls["index"] = 0
+            call()
+            assert calls["index"] == len(sur)
