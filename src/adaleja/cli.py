@@ -30,7 +30,7 @@ from .adaptive import (ADJOINT, SURPLUS, AdaptiveConfig, AdaptiveReport,
                        _csv_text, run_adaptive, run_adaptive_adjoint)
 from .distributions import make_distribution, sample_joint
 from .errors import (ConfigError, ContractError, DomainError, SerializationError,
-                     SolveError, _number)
+                     SolveError, _flag, _number)
 from .gpc import SMOLYAK, TENSOR, GpcExpansion, project
 from .grid import MultiIndexSet
 from .linmodel import LadderModel, ParametricLinearModel
@@ -68,14 +68,14 @@ def _field(spec, key, kind, default=_REQUIRED, *, field=None,
            ge=None, gt=None, lt=None, choices=None):
     """``spec[key]``, or ``default`` when absent, as a JSON value of one kind.
 
-    ``kind`` is int, float, bool or str.  An int or float is read by
-    ``errors._number`` with the bounds ``ge``/``gt``/``lt``, as the
-    library reads its arguments: booleans and strings are no numbers,
-    numbers must be finite, and an int may be written 2.0.  Strings must
-    be among ``choices`` when given.  A null value stands for absence
-    only where the default is None.  Anything else raises ConfigError
-    naming ``field`` (the enclosing config object) and ``key``, or
-    ``key`` alone.
+    ``kind`` is int, float, bool or str.  A bool is read by
+    ``errors._flag``, an int or float by ``errors._number`` with the
+    bounds ``ge``/``gt``/``lt``, as the library reads its arguments:
+    booleans and strings are no numbers, numbers must be finite, and an
+    int may be written 2.0.  Strings must be among ``choices`` when
+    given.  A null value stands for absence only where the default is
+    None.  Anything else raises ConfigError naming ``field`` (the
+    enclosing config object) and ``key``, or ``key`` alone.
     """
     value = spec.get(key, default)
     if value is None and default is None:
@@ -87,13 +87,14 @@ def _field(spec, key, kind, default=_REQUIRED, *, field=None,
 
     if value is _REQUIRED:
         raise invalid("missing")
-    if kind in (int, float):
+    if kind in (int, float, bool):
         try:
-            return _number(value, key, integral=kind is int, ge=ge, gt=gt, lt=lt)
+            return (_flag(value, key) if kind is bool else
+                    _number(value, key, integral=kind is int, ge=ge, gt=gt, lt=lt))
         except ContractError as exc:
             raise ConfigError(str(exc), field=field or key) from None
-    if not isinstance(value, kind):
-        raise invalid("must be true or false" if kind is bool else "must be a string")
+    if not isinstance(value, str):
+        raise invalid("must be a string")
     if choices is not None and value not in choices:
         raise invalid(f"must be one of {', '.join(choices)}")
     return value

@@ -5,12 +5,15 @@ Every number a caller or a config file supplies is read by one of two
 checks: ``_count`` for counts, which must be integers, and ``_number``
 for every other real.  Both refuse booleans, strings and non-finite
 values with a contract error, a ``ValueError``, instead of coercing them.
+``_flag`` reads flags, booleans only, and ``_finite`` arrays of values.
 """
 from __future__ import annotations
 
 import math
 import operator
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -65,6 +68,24 @@ def _count(value, name, least=0):
     if value < least:
         raise ContractError(f"{name} must be at least {least}, got {value}")
     return int(value)
+
+
+def _flag(value, name):
+    """``value`` as a bool; only Python and numpy booleans are flags."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ContractError(f"{name} must be true or false, got {value!r}")
+    return bool(value)
+
+
+def _finite(values, what):
+    """``values`` as an array; entries that are not finite raise a contract error."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biufc":
+        raise ContractError(f"{what} must be numbers, got {values!r}")
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise ContractError(f"{bad} of {values.size} {what} are not finite")
+    return values
 
 
 def _number(value, name, integral=False, ge=None, gt=None, lt=None):

@@ -16,8 +16,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .distributions import BETA33, UNIFORM, make_distribution
-from .errors import ContractError, SerializationError, _count, _number
-from .grid import MultiIndexSet, _as_index
+from .errors import ContractError, SerializationError, _count, _finite, _number
+from .grid import MultiIndexSet
 from .surrogate import (_basis, _model_value, _point_batch, _prefix_sum,
                         _read_evaluable, _write_evaluable)
 
@@ -77,7 +77,7 @@ class GpcExpansion:
         indices = list(indices)
         # in the given order, which is the order of the coefficients
         self._indices = MultiIndexSet(self.n_dim, indices)
-        self.coefficients = np.asarray(coefficients, dtype=complex)
+        self.coefficients = _finite(np.asarray(coefficients, dtype=complex), "coefficients")
         if len(indices) != self.coefficients.size:
             raise ContractError("one coefficient per index is required")
         if len(self._indices) != len(indices) or self._indices.sorted_indices() != list(
@@ -96,7 +96,6 @@ class GpcExpansion:
         return list(self._indices)
 
     def coefficient(self, index):
-        index = _as_index(index, self.n_dim)
         row = self._indices.position(index)
         if row is None:
             raise ContractError(f"index {index} is outside the expansion")

@@ -4,8 +4,9 @@ A multi-index is a tuple of non-negative per-dimension levels.  A set is
 downward closed when every backward neighbor (one level lower in one
 dimension) of every member is itself a member.  The adaptive algorithm
 only ever grows a set by admissible forward neighbors, which preserves
-closure; the checks here catch misuse early instead of producing a
-silently broken interpolant.
+closure.  Public methods check an index once, with ``_as_index``, so
+misuse fails early; the adaptive loop and surrogates pass their tuples
+to the unchecked ``_admissible``, ``_absorb`` and ``_admissible_forward``.
 
 With one new node per level in each dimension, grid points correspond
 one-to-one with multi-indices, so the set size is also the node count.
@@ -139,9 +140,10 @@ class MultiIndexSet:
 
     def position(self, index):
         """Insertion rank of a member, or None for anything else."""
-        index = tuple(index)
-        # shorter keys of _rows are prefixes, not members
-        return self._rows.get(index) if len(index) == self.dim else None
+        try:    # the dimension check keeps prefixes, shorter keys of _rows, out
+            return self._rows.get(_as_index(index, self.dim))
+        except ContractError:
+            return None
 
     def depths(self):
         """(parent rows, levels) of each depth of the prefix tree, as arrays."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-from .errors import SolveError, _number
+from .errors import SolveError, _flag, _number
 
 _RESIDUAL_TOL = 1e-10
 
@@ -237,14 +237,14 @@ class LadderModel(ParametricLinearModel):
         sections = _number(sections, "section count", integral=True, ge=1)
         if n_params > sections:
             raise ValueError("stiffness parameter count must lie in [0, sections]")
-        if not (n_params or with_frequency):
+        self.with_frequency = _flag(with_frequency, "with_frequency")
+        if not (n_params or self.with_frequency):
             raise ValueError("the model needs at least one parameter")
         self.damping = _number(damping, "damping")
         self.omega = _number(omega, "omega")
         self.n = sections
         self.n_stiff = n_params
-        self.with_frequency = bool(with_frequency)
-        self.n_params = n_params + (1 if with_frequency else 0)
+        self.n_params = n_params + self.with_frequency
 
     def support(self):
         box = [(-1.0, 1.0)] * self.n_stiff

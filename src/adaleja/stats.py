@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import make_distribution, sample_joint
-from .errors import ContractError, _count, _number
+from .errors import ContractError, _count, _finite, _number
 
 # Epanechnikov block size, in sample-grid pairs: a block holds
 # _KDE_BLOCK // G samples.  It fixes the summation grouping, not just the
@@ -25,13 +25,6 @@ _KDE_BLOCK = 4_194_304
 # Pairs evaluated per arithmetic pass inside a block.  The kernel terms
 # are elementwise, so this bounds temporaries without touching any bit.
 _KDE_CHUNK = 65_536
-
-
-def _finite(values, what):
-    bad = values.size - np.count_nonzero(np.isfinite(values))
-    if bad:
-        raise ContractError(f"{bad} of {values.size} {what} are not finite")
-    return values
 
 
 def _checked(target, points):

@@ -11,13 +11,14 @@ Surpluses may be complex scalars (quantity-of-interest surrogates) or
 complex vectors (solution-field surrogates); both share the same code
 path.  Finished surrogates serialize to a self-contained JSON document.
 
-Every way of growing a surrogate (``add_point``, ``add_restricted``,
-``restrict`` and ``deserialize``) writes through one append path into a
-flat surplus array whose capacity doubles when full, and into the
-surrogate's ``MultiIndexSet``, which carries the prefix tree of the
-indices and finds an index's surplus in O(1).  Absorbing an index costs
-one prediction at its node plus amortized O(1) bookkeeping, and
-evaluation reads these without rebuilding them.
+Each public method checks its index once; ``add_point`` and
+``add_restricted`` also check admissibility and refuse a non-finite
+value.  The adaptive drivers call the unchecked twins on the tuples the
+index set hands them: ``_node_point``, which installs the node levels of
+an index, ``_node_value``, ``_add`` and ``_append``.  Every way of
+growing a surrogate ends in ``_append``, which writes a flat surplus
+array whose capacity doubles when full and the ``MultiIndexSet`` whose
+prefix tree finds an index's surplus in O(1).
 
 Batch evaluation is ``_prefix_sum``, the one kernel ``gpc`` shares: sum
 factorization over the prefix tree (Orszag 1980) of the hierarchical
@@ -30,11 +31,9 @@ prediction builds no tables.  Both evaluables are read back through
 ``_read_evaluable``.
 
 The physical coordinate of every node is tabulated per dimension and
-level, so ``node_point`` is one table lookup per dimension.  The table is
-filled lazily, by ``node_point``, over the missing levels in one
-vectorized map and distribution call: stored nodes are checked against
-[-1, 1] only there, so a corrupt node raises when its point is asked
-for, never while a surrogate is loaded or restricted.
+level and filled lazily by ``node_point``, so a corrupt stored node
+raises when its point is asked for, never while a surrogate is loaded or
+restricted.
 """
 from __future__ import annotations
 
@@ -44,7 +43,7 @@ import numpy as np
 
 from .distributions import make_distribution
 from .errors import (ContractError, SerializationError, SolveError,
-                     UnsupportedVersionError, _count)
+                     UnsupportedVersionError, _count, _finite)
 from .grid import _INITIAL_CAPACITY, MultiIndexSet, _as_index
 from .leja import leja_nodes
 from .maps import ConformalMap, IdentityMap, make_map
@@ -367,7 +366,7 @@ class Surrogate:
         """
         index = self._indices._admissible(_as_index(index, self.n_dim))
         self._ensure_levels(index)
-        return self._add(index, model_value)
+        return self._add(index, _finite(model_value, f"values at index {index}"))
 
     def _add(self, index, value):
         """``add_point`` of an admissible tuple whose levels are installed."""
@@ -388,7 +387,6 @@ class Surrogate:
         return out if self._value_shape else complex(out)
 
     def surplus(self, index):
-        index = _as_index(index, self.n_dim)
         row = self._indices.position(index)
         if row is None:
             raise ContractError(f"index {index} is not in the set")
@@ -432,6 +430,7 @@ class Surrogate:
         """Append a pre-computed surplus (restriction path)."""
         index = self._indices._admissible(_as_index(index, self.n_dim))
         self._ensure_levels(index)
+        surplus = _finite(surplus, f"values at index {index}")
         return self._append(index, self._as_value(surplus))
 
     @classmethod
@@ -458,7 +457,7 @@ class Surrogate:
             nodes1d = [np.asarray(col, dtype=float) for col in doc["nodes1d"]]
             for ix, s in zip(indices, surpluses):
                 ix = sur._indices._admissible(_as_index(ix, n_dim))
-                sur._append(ix, sur._as_value(s))
+                sur._append(ix, sur._as_value(_finite(s, f"values at index {ix}")))
             for d, top in enumerate(sur._indices.max_level()):
                 if len(nodes1d[d]) <= top:
                     raise ContractError(f"'nodes1d' dimension {d} has "

@@ -220,6 +220,17 @@ class TestSerialization:
         with pytest.raises(SerializationError):
             GpcExpansion.from_json(b"[1, 2, 3]")
 
+    def test_non_finite_coefficients_refused(self):
+        # they were stored, written as bare NaN tokens and read back
+        exp = project(lambda y: float(y[0]), [uniform(-1, 1)] * 2, 1)
+        for value in (np.nan, complex(1.0, -np.inf)):
+            with pytest.raises(ContractError, match="1 of 3 coefficients are not finite"):
+                GpcExpansion(exp.distributions, 1, exp.indices, [value, 1.0, 0.0])
+        doc = json.loads(exp.to_json())
+        doc["coefficients_im"][2] = float("nan")
+        with pytest.raises(SerializationError, match="coefficients are not finite"):
+            GpcExpansion.from_json(json.dumps(doc).encode())
+
     def test_duplicate_indices_rejected(self):
         # as many indices as the total-degree set, but one twice
         exp = project(lambda y: float(y[0]), [uniform(-1, 1)] * 2, 1)

@@ -224,9 +224,18 @@ def check_prefix_tree(s, members):
     assert got == brute_force_depths(members, dim)
     for rank, ix in enumerate(members):
         assert s.position(ix) == rank
+        assert s.position([np.int64(c) for c in ix]) == rank
         for k in range(dim):     # strict prefixes are rows, not members
             assert ix[:k] not in s and s.position(ix[:k]) is None
         assert ix + (0,) not in s and s.position(ix + (0,)) is None
+        # floats and booleans equal to a member's levels are no member
+        aliases = [tuple(map(float, ix)), tuple(np.float64(c) for c in ix)]
+        if max(ix) <= 1:
+            aliases += [tuple(map(bool, ix)), tuple(np.bool_(c) for c in ix)]
+        for alias in aliases:
+            assert alias not in s and s.position(alias) is None
+    for junk in (5, None, 1.5, "0" * dim, [-1] * dim):
+        assert junk not in s and s.position(junk) is None
     for ix in s.admissible_neighbors():
         assert ix not in s and s.position(ix) is None
     top = tuple(max((ix[k] for ix in members), default=0) for k in range(dim))

@@ -46,10 +46,15 @@ class TestLadderAssembly:
             ((2,), {"sections": float("inf")}),
             ((2,), {"damping": "0.02"}),
             ((2,), {"omega": True}),
+            # flags are booleans: "no" built a frequency model
+            ((0,), {"sections": 10, "with_frequency": "no"}),
+            ((1,), {"sections": 10, "with_frequency": 1}),
+            ((1,), {"sections": 10, "with_frequency": None}),
         ]:
             with pytest.raises(ValueError):
                 LadderModel(*args, **kwargs)
         LadderModel(0, sections=10, with_frequency=True)
+        assert LadderModel(0, sections=10, with_frequency=np.True_).n_params == 1
         m = LadderModel(2.0, sections=40.0)      # integral floats read as ints
         assert (m.n_stiff, m.n) == (2, 40) and type(m.n) is int
 

@@ -86,6 +86,21 @@ class TestSurplus:
         with pytest.raises(ContractError):
             s.add_point((0,), 2.0)
 
+    def test_non_finite_values_refused(self):
+        # they were stored, and the surrogate evaluated to nan
+        vector = Surrogate(UNIT).add_point((0,), [1.0, 2.0])
+        for call in (
+            lambda: Surrogate(UNIT).add_point((0,), np.nan),
+            lambda: Surrogate(UNIT).add_restricted((0,), np.inf),
+            lambda: vector.add_point((1,), [1.0, np.nan]),
+            lambda: vector.add_restricted((1,), [complex(0.0, np.inf), 1.0]),
+        ):
+            with pytest.raises(ContractError, match=r"at index \(\d,\) are not finite"):
+                call()
+        assert vector.indices == [(0,)]
+        with pytest.raises(ContractError, match="must be numbers"):
+            vector.add_point((1,), ["1", "2"])
+
 
 class TestFit:
     SQUARE = [uniform(-1.0, 1.0), uniform(-1.0, 1.0)]
@@ -258,6 +273,13 @@ class TestSerialization:
             doc["N"] = n_dim
             with pytest.raises(SerializationError, match="N must be"):
                 deserialize(json.dumps(doc).encode())
+
+    def test_non_finite_surplus_refused(self):
+        doc = json.loads(serialize(fit_1d(lambda y: 1.0, 3)))
+        for part in ("surpluses_re", "surpluses_im"):
+            bad = dict(doc, **{part: [0.0, float("nan"), 0.0]})
+            with pytest.raises(SerializationError, match=r"index \(1,\) are not finite"):
+                deserialize(json.dumps(bad).encode())
 
     def test_version_mismatch(self):
         s = fit_1d(lambda y: 1.0, 2)
