@@ -265,8 +265,8 @@ def corrected_evaluate(qoi_sur: Surrogate, primal_sur: Surrogate,
 
     The quantity-of-interest surrogate is restricted to the index set the
     primal and dual surrogates share, so an indicator-extended surrogate
-    is never double-corrected.  Each point costs one assembly and two
-    surrogate evaluations; no system is solved.
+    is never double-corrected.  Each point costs one assembly and one map
+    inversion, which surrogates with equal maps share; no system is solved.
     """
     core_set = primal_sur.indices
     if dual_sur.indices != core_set:
@@ -276,9 +276,10 @@ def corrected_evaluate(qoi_sur: Surrogate, primal_sur: Surrogate,
     else:
         core = qoi_sur.restrict(core_set)
     pts, single = _point_batch(points, core.n_dim)
-    base = core.evaluate(pts)
-    c_tilde = primal_sur.evaluate(pts)
-    z_tilde = dual_sur.evaluate(pts)
+    S, frame = core._preimages(pts), (core.distributions, core.maps)
+    base, c_tilde, z_tilde = (
+        s._evaluate_pre(S if (s.distributions, s.maps) == frame else s._preimages(pts))
+        for s in (core, primal_sur, dual_sur))
     out = np.empty(pts.shape[0], dtype=complex)
     for p in range(pts.shape[0]):
         A, f, _, _ = model.assemble(pts[p])

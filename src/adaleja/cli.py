@@ -24,7 +24,7 @@ import platform
 import sys
 
 import numpy as np
-import scipy
+import scipy.linalg  # the CLI's studies solve: load LAPACK before any command
 
 from .adaptive import (ADJOINT, SURPLUS, AdaptiveConfig, AdaptiveReport,
                        _csv_text, run_adaptive, run_adaptive_adjoint)

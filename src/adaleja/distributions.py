@@ -94,7 +94,7 @@ class Distribution:
         """Affine transform of points in the support onto [-1, 1]."""
         y = np.asarray(y, dtype=float)
         slack = _EDGE_SLACK * max(1.0, abs(self.lower), abs(self.upper))
-        if np.any(y < self.lower - slack) or np.any(y > self.upper + slack):
+        if not np.all((y >= self.lower - slack) & (y <= self.upper + slack)):
             raise DomainError(
                 f"point outside support [{self.lower}, {self.upper}]")
         t = np.clip((2.0 * y - self.lower - self.upper) / self.width, -1.0, 1.0)
@@ -103,7 +103,7 @@ class Distribution:
     def from_canonical(self, t):
         """Inverse of :meth:`to_canonical`."""
         t = np.asarray(t, dtype=float)
-        if np.any(np.abs(t) > 1.0 + _EDGE_SLACK):
+        if not np.all(np.abs(t) <= 1.0 + _EDGE_SLACK):
             raise DomainError("canonical point outside [-1, 1]")
         y = self.lower + 0.5 * (np.clip(t, -1.0, 1.0) + 1.0) * self.width
         return y if y.ndim else float(y)

@@ -8,10 +8,11 @@ z̃ᴴ(f − A c̃) needs assembly only, never a factorization.
 
 Every system is factorized in LAPACK band storage: ``gbtrf`` once per
 solve, ``gbtrs`` per substitution, ``gbmv`` for the residual checks
-(Anderson et al., *LAPACK Users' Guide*).  The ladder assembles its
-tridiagonal band directly in O(n); a dense matrix from any other model
-is packed as a full band (kl = ku = n − 1), so there is one
-factorization path and no size switch.
+(Anderson et al., *LAPACK Users' Guide*), all bound at the first solve
+so that black-box use never loads scipy.linalg.  The ladder assembles
+its tridiagonal band directly in O(n); a dense matrix from any other
+model is packed as a full band (kl = ku = n − 1): one factorization
+path, no size switch.
 
 The resonant ladder is a desk-scale stand-in for large frequency-domain
 models: a damped spring chain driven at one end and observed at the
@@ -23,16 +24,20 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .errors import SolveError, _flag, _number
 
 _RESIDUAL_TOL = 1e-10
 
-_gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.complex128)
-_gbmv = get_blas_funcs("gbmv", dtype=np.complex128)
+
+@cache
+def _lapack(name):
+    """The complex LAPACK or BLAS routine ``name``, bound at its first use."""
+    from scipy.linalg import blas, lapack
+    return getattr(blas if name == "gbmv" else lapack, "z" + name)
 
 
 class _Band:
@@ -69,8 +74,8 @@ class _Band:
         rows = max(n, self.ab.shape[0])
         if adjoint and rows > n:
             x = np.concatenate([x, np.zeros(rows - n)])
-        return _gbmv(rows, n, self.kl, self.kl + self.ku, 1.0, self.ab, x,
-                     trans=2 if adjoint else 0)[:n]
+        return _lapack("gbmv")(rows, n, self.kl, self.kl + self.ku, 1.0, self.ab, x,
+                               trans=2 if adjoint else 0)[:n]
 
     __matmul__ = matvec
 
@@ -146,7 +151,7 @@ def factorize(A, y):
     if not np.isfinite(A.ab).all():
         raise SolveError("factorization failed: the matrix has non-finite entries",
                          point=y, cond=_cond_estimate(A))
-    lu, piv, info = _gbtrf(A.ab, A.kl, A.ku)
+    lu, piv, info = _lapack("gbtrf")(A.ab, A.kl, A.ku)
     if info != 0:
         raise SolveError(f"factorization failed: U is exactly singular "
                          f"(gbtrf info {info})", point=y, cond=_cond_estimate(A))
@@ -160,7 +165,7 @@ def substitute(factors, A, b, y, adjoint=False):
     on the same factors.
     """
     lu, piv = factors
-    x, _ = _gbtrs(lu, A.kl, A.ku, b, piv, trans=2 if adjoint else 0)
+    x, _ = _lapack("gbtrs")(lu, A.kl, A.ku, b, piv, trans=2 if adjoint else 0)
     resid = _norm(A.matvec(x, adjoint) - b) / max(_norm(b), 1e-300)
     if not np.isfinite(resid) or resid > _RESIDUAL_TOL:
         raise SolveError(f"{'dual' if adjoint else 'primal'} residual {resid:.3e}",

@@ -9,10 +9,13 @@ an epsilon-neighbourhood of the interval is quantified by
 ellipse inscribed in the neighbourhood against the largest ellipse whose
 image under g still fits inside, on a log scale.  The mapped ellipse may
 not reach past the map's own singularities, so each map states the
-Bernstein radius of the nearest one.
+Bernstein radius of the nearest one.  :meth:`ConformalMap.inverse`
+starts each point from a table of g^-1, built once per distinct map, and
+stops it at its own residual.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from math import asin, factorial, inf, sqrt
 
 import numpy as np
@@ -21,9 +24,12 @@ from .errors import DomainError, _count, _number
 
 _EDGE_SLACK = 1e-12
 
-# Inverse-map Newton: residual target and iteration cap.
+# Inverse map: residual target per point, Newton pass cap, chunk size,
+# and intervals of the table of starting values.
 _INV_TOL = 1e-14
 _INV_MAXIT = 80
+_INV_CHUNK = 8192
+_INV_KNOTS = 8192
 
 # Gain estimate: boundary samples on the candidate ellipse and the relative
 # width at which the radius bisection stops.
@@ -34,7 +40,7 @@ _GAIN_RADIUS_CAP = 1e9
 
 def _check_unit(x, name):
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + _EDGE_SLACK):
+    if not np.all(np.abs(x) <= 1.0 + _EDGE_SLACK):    # NaN fails too
         raise DomainError(f"{name} outside [-1, 1]")
     return np.clip(x, -1.0, 1.0)
 
@@ -73,29 +79,49 @@ class ConformalMap:
     def inverse(self, t):
         """Solve g(y) = t on [-1, 1] elementwise.
 
-        Safeguarded Newton with the analytic derivative; falls back to
-        bisection on the monotone bracket whenever a step leaves it.  The
-        result satisfies |g(y) - t| <= 1e-13.
+        Safeguarded Newton with the analytic derivative from a tabulated
+        start, with bisection on each point's bracket when a step leaves
+        it.  Points go in cache-sized chunks, and each stops at its own
+        |g(y) - t| <= 1e-14, so the batch never changes a result.
         """
         t = _check_unit(t, "t")
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        lo = np.full_like(t, -1.0)
-        hi = np.ones_like(t)
-        y = t.copy()
+        flat = t.reshape(-1)
+        y = np.empty_like(flat)
+        y0, dy = self._start_table()
+        for start in range(0, flat.size, _INV_CHUNK):
+            rows = slice(start, start + _INV_CHUNK)
+            u = (flat[rows] + 1.0) * (0.5 * _INV_KNOTS)
+            k = u.astype(np.intp)
+            y[rows] = self._newton(flat[rows], y0[k] + (u - k) * dy[k])
+        return y.reshape(t.shape) if t.ndim else y[0]
+
+    @lru_cache(64)      # equal maps hash alike (by spec) and share a table
+    def _start_table(self):
+        """g^-1 at ``_INV_KNOTS`` + 1 equispaced knots and the steps after them."""
+        knots = np.linspace(-1.0, 1.0, _INV_KNOTS + 1)
+        y = self._newton(knots, knots.copy())
+        return y, np.append(np.diff(y), 0.0)
+
+    def _newton(self, t, y):
+        """``inverse`` of the 1-D ``t`` from the start ``y``, which it overwrites."""
+        out, at = y, np.arange(len(t))
+        lo, hi = np.full_like(t, -1.0), np.ones_like(t)
         for _ in range(_INV_MAXIT):
-            f = np.asarray(self._raw(y)) - t
-            if np.max(np.abs(f)) <= _INV_TOL:
-                break
+            f = self._raw(y) - t
+            open_ = np.abs(f) > _INV_TOL
+            if not open_.all():
+                out[at] = y
+                if not open_.any():
+                    return out
+                at, t, y, f, lo, hi = (a[open_] for a in (at, t, y, f, lo, hi))
             above = f > 0.0
-            hi = np.where(above, y, hi)
-            lo = np.where(above, lo, y)
-            d = np.asarray(self._raw_derivative(y))
+            hi, lo = np.where(above, y, hi), np.where(above, lo, y)
             with np.errstate(divide="ignore", invalid="ignore"):
-                yn = y - f / d
-            bad = ~np.isfinite(yn) | (yn < lo) | (yn > hi)
-            y = np.where(bad, 0.5 * (lo + hi), yn)
-        return y[0] if scalar else y
+                yn = y - f / self._raw_derivative(y)
+            # a step that is not finite or leaves the bracket bisects it
+            y = np.where((yn >= lo) & (yn <= hi), yn, 0.5 * (lo + hi))
+        out[at] = y
+        return out
 
     def estimate_gain(self, epsilon, n_samples=GAIN_SAMPLES):
         """Convergence-gain exponent for epsilon-analytic integrands.
@@ -211,26 +237,23 @@ class SausageMap(ConformalMap):
         self._even_coef = coef[::-1].copy()
         # d/dy of y*q(y^2) needs (2i+1) c_i y^(2i).
         self._deriv_coef = (coef * (2 * i + 1))[::-1].copy()
-        self._norm = float(self._poly_part(np.asarray(1.0)))
+        self._norm = float(self._horner(self._even_coef, np.asarray(1.0)))
 
-    def _poly_part(self, y):
-        # y * q(y^2); exactly odd because only y^2 enters the Horner loop.
+    @staticmethod
+    def _horner(coef, y):
+        # q(y^2), exactly even because only y^2 enters the loop
         s = y * y
         acc = np.zeros_like(s)
-        for c in self._even_coef:
+        for c in coef:
             acc = acc * s + c
-        return y * acc
+        return acc
 
     def _raw(self, y):
-        return self._poly_part(np.asarray(y)) / self._norm
+        y = np.asarray(y)
+        return y * self._horner(self._even_coef, y) / self._norm
 
     def _raw_derivative(self, y):
-        y = np.asarray(y)
-        s = y * y
-        acc = np.zeros_like(s)
-        for c in self._deriv_coef:
-            acc = acc * s + c
-        return acc / self._norm
+        return self._horner(self._deriv_coef, np.asarray(y)) / self._norm
 
     def spec(self):
         return {"map": "sausage", "order": self.order}

@@ -28,7 +28,7 @@ their parents' rows times one row of a per-dimension table laid out as
 levels by points.  Node predictions run the same kernel on one column of
 per-dimension node tables, which are built once per node level, so a
 prediction builds no tables.  Both evaluables are read back through
-``_read_evaluable``.
+``_read_evaluable``.  ``corrected_evaluate`` shares one ``_preimages`` pass.
 
 The physical coordinate of every node is tabulated per dimension and
 level and filled lazily by ``node_point``, so a corrupt stored node
@@ -268,12 +268,13 @@ class Surrogate:
     # -- evaluation ------------------------------------------------------
 
     def _preimages(self, pts):
-        """Map physical points to the polynomial coordinate, columnwise."""
-        cols = []
-        for d in range(self.n_dim):
-            y = self.distributions[d].to_canonical(pts[:, d])
-            cols.append(np.asarray(self.maps[d].inverse(y)))
-        return np.column_stack(cols)
+        """Preimages of physical points, one ``inverse`` call per distinct map."""
+        S = np.column_stack([dist.to_canonical(pts[:, d])
+                             for d, dist in enumerate(self.distributions)])
+        for g in dict.fromkeys(self.maps):
+            cols = [d for d, m in enumerate(self.maps) if m == g]
+            S[:, cols] = g.inverse(S[:, cols])
+        return S
 
     def _surplus_values(self):
         """Live surpluses in absorption order, shape (len(self),) + value shape."""
@@ -292,6 +293,8 @@ class Surrogate:
         return out.reshape((n_pts,) + self._value_shape)
 
     def _evaluate_pre(self, S):
+        if not self._indices:
+            raise ContractError("cannot evaluate an empty surrogate")
         top = self._indices.max_level()
         return self._sum(lambda rows: self._newton_tables(S[rows], top), len(S))
 
@@ -310,8 +313,6 @@ class Surrogate:
         Returns a complex scalar or array; raises a domain error when any
         coordinate leaves the support box.
         """
-        if not self._indices:
-            raise ContractError("cannot evaluate an empty surrogate")
         pts, single = _point_batch(points, self.n_dim)
         out = self._evaluate_pre(self._preimages(pts))
         if single:

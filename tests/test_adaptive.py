@@ -341,6 +341,48 @@ class TestAdjointDriver:
         assert isinstance(single, complex)
         assert_allclose(abs(single - batch[0]), 0.0, atol=1e-15)
 
+    def test_one_map_inversion_per_point(self, monkeypatch):
+        # the three surrogates share their preimages: 3 N inverted
+        # coordinates per call before, N now, with the same bits
+        model = LadderModel(2, sections=6, damping=0.1, with_frequency=True)
+        dists = [uniform(lo, hi) for lo, hi in model.support()]
+        qoi, primal, dual, _ = run_adaptive_adjoint(
+            model, AdaptiveConfig(budget=25, indicator=ADJOINT), dists,
+            maps=SausageMap(9))
+        rng = np.random.default_rng(3)
+        pts = np.column_stack([rng.uniform(lo, hi, 50) for lo, hi in model.support()])
+        core = qoi.restrict(primal.indices)
+        expected = core.evaluate(pts) + np.array([
+            error_indicator(model, p, c, z)
+            for p, c, z in zip(pts, primal.evaluate(pts), dual.evaluate(pts))])
+        inverted = []
+        inverse = SausageMap.inverse
+
+        def counting(self, t):
+            inverted.append(np.size(t))
+            return inverse(self, t)
+
+        monkeypatch.setattr(SausageMap, "inverse", counting)
+        got = corrected_evaluate(qoi, primal, dual, model, pts)
+        assert sum(inverted) == pts.size
+        assert np.array_equal(got, expected)
+        # surrogates under other maps still use their own preimages
+        other = [Surrogate(dists, SausageMap(3)) for _ in range(2)]
+        for sur, src in zip(other, (primal, dual)):
+            for ix, s in zip(src.indices, src._surplus_values()):
+                sur.add_restricted(ix, s)
+        expected = core.evaluate(pts) + np.array([
+            error_indicator(model, p, c, z)
+            for p, c, z in zip(pts, other[0].evaluate(pts), other[1].evaluate(pts))])
+        assert np.array_equal(corrected_evaluate(qoi, *other, model, pts), expected)
+
+    def test_empty_primal_and_dual(self, run):
+        model, (qoi, primal, dual, report) = run
+        empty = primal.restrict([])
+        with pytest.raises(ContractError, match="empty surrogate"):
+            corrected_evaluate(qoi, empty, dual.restrict([]), model,
+                               np.array([1.0, 0.0]))
+
     def test_mismatched_primal_dual_sets(self, run):
         model, (qoi, primal, dual, report) = run
         root_only = dual.restrict([(0, 0)])

@@ -78,3 +78,17 @@ def test_import_leaves_optimize_and_special_unloaded():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_leaves_linalg_unloaded():
+    # the band LU routines are bound at the first solve; a black-box
+    # study never solves a system and so never pays for scipy.linalg
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import adaleja; "
+            "print('scipy.linalg' in sys.modules); "
+            "adaleja.LadderModel(2, sections=4)([0.1, -0.2]); "
+            "print('scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "src")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

@@ -112,6 +112,13 @@ class TestCanonical:
         with pytest.raises(DomainError):
             d.from_canonical(-1.01)
 
+    @pytest.mark.parametrize("method", ["to_canonical", "from_canonical"])
+    @pytest.mark.parametrize("value", [np.nan, [0.5, np.nan]])
+    def test_nan_is_outside_the_support(self, method, value):
+        # nan passed both range checks and came back as nan
+        with pytest.raises(DomainError):
+            getattr(beta33(0.0, 1.0), method)(value)
+
     @settings(max_examples=200, deadline=None)
     @given(kind=st.sampled_from(["beta33", "uniform"]),
            lower=st.floats(-1e6, 1e6), width=st.floats(1e-6, 1e6),

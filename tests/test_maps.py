@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from adaleja import (IdentityMap, KTEMap, SausageMap, Surrogate, make_map,
-                     uniform)
+from adaleja import (IdentityMap, KTEMap, SausageMap, Surrogate, beta33,
+                     make_map, uniform)
 from adaleja.errors import ContractError, DomainError
+from adaleja.maps import _INV_CHUNK, _INV_KNOTS
 
 ALL_MAPS = [
     IdentityMap(),
@@ -100,6 +103,15 @@ class TestMapProperties:
         with pytest.raises(DomainError):
             SausageMap(9).inverse(1.1)
 
+    @pytest.mark.parametrize("m", [SausageMap(9), KTEMap(0.9), IdentityMap()])
+    @pytest.mark.parametrize("method", ["inverse", "forward", "derivative"])
+    @pytest.mark.parametrize("value", [np.nan, [0.5, np.nan], [[0.0], [np.nan]]])
+    def test_nan_is_outside_the_interval(self, m, method, value):
+        # nan passed the range check: inverse ran its 80 passes and
+        # returned nan, forward and derivative returned nan
+        with pytest.raises(DomainError, match=r"outside \[-1, 1\]"):
+            getattr(m, method)(value)
+
     def test_identity_inverse(self):
         assert IdentityMap().inverse(0.37) == 0.37
 
@@ -107,6 +119,78 @@ class TestMapProperties:
         for m in (SausageMap(9), KTEMap(0.7)):
             for y in np.linspace(-0.9, 0.9, 19):
                 assert abs(m.forward_complex(complex(y, 0.0)) - m.forward(y)) < 1e-14
+
+
+MAPS = st.one_of(
+    st.integers(0, 8).map(lambda k: SausageMap(2 * k + 1)),
+    st.floats(1e-3, 0.999).map(KTEMap),
+)
+# on the table's knots, at its ends and the middle, and anywhere between
+KNOTS = st.integers(0, _INV_KNOTS).map(lambda k: -1.0 + 2.0 * k / _INV_KNOTS)
+POINTS = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, -0.0]), KNOTS,
+                   st.floats(-1.0, 1.0))
+
+
+def exact_points(m, t):
+    """|g(y) - t| <= 1e-14 and y in [-1, 1] at every point."""
+    y = m.inverse(t)
+    assert np.all(np.abs(m.forward(y) - t) <= 1e-14)
+    assert np.all((y >= -1.0) & (y <= 1.0))
+    return y
+
+
+class TestInverseProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(m=MAPS, t=st.lists(POINTS, min_size=1, max_size=40))
+    def test_each_point_alone_and_in_a_batch(self, m, t):
+        t = np.array(t)
+        batch = exact_points(m, t)
+        alone = np.array([m.inverse(ti) for ti in t])
+        assert np.array_equal(batch.view(np.int64), alone.view(np.int64))
+
+    @settings(max_examples=12, deadline=None)
+    @given(m=MAPS, extra=st.sampled_from([-1, 0, 1]), seed=st.integers(0, 2**32 - 1),
+           probe=st.lists(POINTS, min_size=1, max_size=5))
+    def test_chunk_edges_do_not_change_a_point(self, m, extra, seed, probe):
+        # a batch one short of, equal to and one past the chunk size; each
+        # point is bit-equal to its own inversion, wherever it lands
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(-1.0, 1.0, _INV_CHUNK + extra)
+        at = rng.choice(t.size, len(probe), replace=False)
+        t[at] = probe
+        y = exact_points(m, t)
+        order = rng.permutation(t.size)
+        assert np.array_equal(m.inverse(t[order]), y[order])
+        for i in list(at) + [0, t.size - 1]:
+            assert m.inverse(t[i]) == y[i]
+
+    def test_batch_of_many_chunks_matches_single_points(self):
+        # a batch ran every point until the worst one converged, so most
+        # points took extra Newton steps that moved their last bits
+        m = SausageMap(9)
+        t = np.random.default_rng(5).uniform(-1.0, 1.0, 3 * _INV_CHUNK)
+        y = exact_points(m, t)
+        every = np.arange(0, t.size, 12)
+        assert np.array_equal(y[every], [m.inverse(ti) for ti in t[every]])
+
+    def test_equal_maps_share_their_table(self):
+        assert SausageMap(9)._start_table() is SausageMap(9)._start_table()
+        assert KTEMap(0.5)._start_table() is not KTEMap(0.25)._start_table()
+
+    @settings(max_examples=40, deadline=None)
+    @given(maps=st.lists(st.one_of(MAPS, st.just(IdentityMap())), min_size=1,
+                         max_size=4),
+           seed=st.integers(0, 2**32 - 1), n_pts=st.integers(0, 30))
+    def test_grouped_preimages_equal_per_column_inversion(self, maps, seed, n_pts):
+        # columns under equal maps go through one inverse call
+        maps = maps + maps[:2]
+        dists = [beta33(-2.0 - d, 3.0) for d in range(len(maps))]
+        sur = Surrogate(dists, maps)
+        pts = np.random.default_rng(seed).uniform(-2.0, 3.0, (n_pts, len(maps)))
+        S = sur._preimages(pts)
+        for d, (m, dist) in enumerate(zip(maps, dists)):
+            column = np.asarray(m.inverse(dist.to_canonical(pts[:, d])))
+            assert np.array_equal(S[:, d], column)
 
 
 class TestGain:

@@ -53,6 +53,26 @@ class TestHierarchicalBasis:
                 assert abs(val) < 1e-12
 
 
+class TestNanPoints:
+    @pytest.fixture(scope="class")
+    def sur(self):
+        return Surrogate.fit(lambda y: float(y[0] * y[1]), [uniform(-1, 1)] * 2,
+                             MultiIndexSet(2, [(0, 0), (1, 0), (0, 1)]),
+                             [SausageMap(9), IdentityMap()])
+
+    @pytest.mark.parametrize("point", [[np.nan, 0.0], [0.0, np.nan],
+                                       [[0.1, 0.2], [np.nan, np.nan]]])
+    def test_evaluate_refuses_nan(self, sur, point):
+        # evaluate([nan, 0.0]) returned nan+nanj after 80 inverse passes
+        with pytest.raises(DomainError, match="outside support"):
+            sur.evaluate(point)
+
+    @pytest.mark.parametrize("point", [[np.nan, 0.0], [[0.1, 0.2], [0.0, np.nan]]])
+    def test_hierarchical_basis_refuses_nan(self, sur, point):
+        with pytest.raises(DomainError, match="outside support"):
+            sur.hierarchical_basis((1, 0), point)
+
+
 class TestSurplus:
     def test_quadratic_surplus_frozen(self):
         # interpolating y^2 on Leja nodes {0, -1}: prediction at node 2 (y=1)
