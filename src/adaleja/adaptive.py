@@ -271,10 +271,7 @@ def corrected_evaluate(qoi_sur: Surrogate, primal_sur: Surrogate,
     core_set = primal_sur.indices
     if dual_sur.indices != core_set:
         raise ContractError("primal and dual surrogates must share an index set")
-    if qoi_sur.indices == core_set:
-        core = qoi_sur
-    else:
-        core = qoi_sur.restrict(core_set)
+    core = qoi_sur.restrict(core_set)
     pts, single = _point_batch(points, core.n_dim)
     S, frame = core._preimages(pts), (core.distributions, core.maps)
     base, c_tilde, z_tilde = (

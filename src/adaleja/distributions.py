@@ -4,27 +4,49 @@ Two families are supported, a symmetric quartic-kernel beta shape and the
 uniform law, both on an arbitrary bounded interval.  Every law can be
 rescaled to the canonical interval [-1, 1], which is where node sequences
 and polynomial bases live; the affine transform pair ``to_canonical`` /
-``from_canonical`` moves points between the two frames.
+``from_canonical`` moves points between the two frames.  Centred on
+[-1, 1], the beta CDF is an odd increasing self-map, so it is a
+:class:`~adaleja.maps.ConformalMap` and samples through that ``inverse``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, _count, _number
+from .maps import _EDGE_SLACK, ConformalMap, _check_unit
 
 BETA33 = "beta33"
 UNIFORM = "uniform"
 
 _KINDS = (BETA33, UNIFORM)
 
-# Slack admitted when checking membership of a closed interval, to absorb
-# round-off from affine round trips.
-_EDGE_SLACK = 1e-12
 
-# Newton tolerance on the CDF residual when inverting for samples.
-_CDF_TOL = 1e-12
+class _Beta33Cdf(ConformalMap):
+    """2F((y+1)/2) - 1 for the beta33 CDF F on [0, 1]: a self-map of [-1, 1]."""
+
+    def _raw(self, y):
+        s = y * y
+        return y * (35.0 + s * (-35.0 + s * (21.0 - 5.0 * s))) / 16.0
+
+    def _raw_derivative(self, y):
+        return 35.0 / 16.0 * (1.0 - y * y) ** 3
+
+    def spec(self):     # keys the cached start table
+        return {"map": "beta33-cdf"}
+
+
+_BETA33_CDF = _Beta33Cdf()
+
+
+def _points(y):
+    y = np.asarray(y, dtype=float)
+    # math.isnan for a scalar: Leja searches call pdf on one point at a time
+    if np.isnan(y).any() if y.ndim else math.isnan(y):
+        raise DomainError("point is NaN")
+    return y
 
 
 @dataclass(frozen=True)
@@ -53,7 +75,7 @@ class Distribution:
 
     def pdf(self, y):
         """Probability density at ``y`` (scalar or array), zero off support."""
-        y = np.asarray(y, dtype=float)
+        y = _points(y)
         if self.kind == UNIFORM:
             out = np.where((y >= self.lower) & (y <= self.upper),
                            1.0 / self.width, 0.0)
@@ -68,26 +90,21 @@ class Distribution:
 
     def cdf(self, y):
         """Cumulative distribution at ``y`` (scalar or array)."""
-        y = np.asarray(y, dtype=float)
-        t = np.clip((y - self.lower) / self.width, 0.0, 1.0)
-        if self.kind == UNIFORM:
-            out = t
-        else:
-            out = _beta33_cdf01(t)
+        out = np.clip((_points(y) - self.lower) / self.width, 0.0, 1.0)
+        if self.kind == BETA33:
+            out = 0.5 * (_BETA33_CDF._raw(2.0 * out - 1.0) + 1.0)
         return out if out.ndim else float(out)
 
     def sample(self, n, seed):
         """Draw ``n`` independent variates using a seeded generator.
 
-        Sampling is by inverse transform.  For the beta shape the
-        closed-form degree-7 polynomial CDF is inverted with a bracketed
-        Newton iteration (bisection fallback) to residual 1e-12.
+        Sampling is by inverse transform.  For the beta shape the centred
+        CDF is inverted by :meth:`ConformalMap.inverse`, which stops each
+        point at its own residual 1e-14, so a draw does not depend on ``n``.
         """
-        u = np.random.default_rng(seed).random(_count(n, "sample count"))
-        if self.kind == UNIFORM:
-            t = u
-        else:
-            t = _beta33_invert_cdf01(u)
+        t = np.random.default_rng(seed).random(_count(n, "sample count"))
+        if self.kind == BETA33:
+            t = 0.5 * (_BETA33_CDF.inverse(2.0 * t - 1.0) + 1.0)
         return self.lower + self.width * t
 
     def to_canonical(self, y):
@@ -102,10 +119,8 @@ class Distribution:
 
     def from_canonical(self, t):
         """Inverse of :meth:`to_canonical`."""
-        t = np.asarray(t, dtype=float)
-        if not np.all(np.abs(t) <= 1.0 + _EDGE_SLACK):
-            raise DomainError("canonical point outside [-1, 1]")
-        y = self.lower + 0.5 * (np.clip(t, -1.0, 1.0) + 1.0) * self.width
+        t = _check_unit(t, "canonical point")
+        y = self.lower + 0.5 * (t + 1.0) * self.width
         return y if y.ndim else float(y)
 
     def canonical(self) -> "Distribution":
@@ -135,34 +150,6 @@ def beta33(lower, upper) -> Distribution:
 
 def uniform(lower, upper) -> Distribution:
     return Distribution(UNIFORM, lower, upper)
-
-
-def _beta33_cdf01(t):
-    # Antiderivative of 140 t^3 (1-t)^3 on [0, 1].
-    return t ** 4 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
-
-
-def _beta33_invert_cdf01(u):
-    """Solve cdf(t) = u on [0, 1] elementwise, Newton with bisection guard."""
-    u = np.asarray(u, dtype=float)
-    lo = np.zeros_like(u)
-    hi = np.ones_like(u)
-    t = np.full_like(u, 0.5)
-    for _ in range(200):
-        c = _beta33_cdf01(t)
-        resid = c - u
-        if np.max(np.abs(resid)) <= _CDF_TOL:
-            break
-        above = resid > 0.0
-        hi = np.where(above, t, hi)
-        lo = np.where(above, lo, t)
-        d = 140.0 * t ** 3 * (1.0 - t) ** 3
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = resid / d
-        tn = t - step
-        bad = ~np.isfinite(tn) | (tn <= lo) | (tn >= hi)
-        t = np.where(bad, 0.5 * (lo + hi), tn)
-    return t
 
 
 def sample_joint(distributions, n, seed):

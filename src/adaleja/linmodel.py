@@ -342,7 +342,8 @@ def read_material_samples(path):
                 continue  # header line
             if len(row) < 3:
                 raise ValueError(f"expected 3 columns, got {row!r}")
-            rows.append((float(row[0]), float(row[1]), float(row[2])))
+            rows.append(tuple(_number(float(v), f"column {c!r}") for c, v
+                              in zip(("frequency_THz", "n", "kappa"), row)))
     if len(rows) != 3:
         raise ValueError(f"expected exactly 3 data rows, got {len(rows)}")
     n_samples = tuple((f, n) for f, n, _ in rows)

@@ -11,7 +11,7 @@ image under g still fits inside, on a log scale.  The mapped ellipse may
 not reach past the map's own singularities, so each map states the
 Bernstein radius of the nearest one.  :meth:`ConformalMap.inverse`
 starts each point from a table of g^-1, built once per distinct map, and
-stops it at its own residual.
+stops it at its own residual.  The beta law samples through it too.
 """
 from __future__ import annotations
 

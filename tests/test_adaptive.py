@@ -341,6 +341,18 @@ class TestAdjointDriver:
         assert isinstance(single, complex)
         assert_allclose(abs(single - batch[0]), 0.0, atol=1e-15)
 
+    def test_qoi_on_the_core_set(self, run):
+        # a qoi without folded candidates is restricted too, to the same bits
+        model, (qoi, primal, dual, report) = run
+        core = qoi.restrict(primal.indices)
+        pts = np.array([[1.1, 0.3], [0.7, -0.8], [1.4, 0.9]])
+        expected = core.evaluate(pts) + np.array([
+            error_indicator(model, p, c, z)
+            for p, c, z in zip(pts, primal.evaluate(pts), dual.evaluate(pts))])
+        assert core.indices == primal.indices
+        assert np.array_equal(corrected_evaluate(core, primal, dual, model, pts),
+                              expected)
+
     def test_one_map_inversion_per_point(self, monkeypatch):
         # the three surrogates share their preimages: 3 N inverted
         # coordinates per call before, N now, with the same bits

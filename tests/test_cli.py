@@ -336,6 +336,38 @@ class TestUntracedPaths:
         mean_l1, _ = cv_errors(sur, model, dists, 100, 11)
         assert rows[-1][-1] == f"{mean_l1:.17g}"
 
+    def test_gpc_converge_counts_model_calls(self, tmp_path):
+        config = {"model": {"model": "runge", "n_params": 2, "c": 10.0},
+                  "distributions": BUILD_CONFIG["distributions"],
+                  "algorithm": "gpc", "quadrature": "tensor", "sweep": [1, 2, 4],
+                  "cv": {"n": 50, "seed": 5}}
+        path = write_config(tmp_path, config)
+        out = str(tmp_path / "run")
+        assert run_command(["converge", "--config", path, "--out", out]) == 0
+        rows = read_rows(os.path.join(out, "report.csv"))[1:]
+        assert [int(r[0]) for r in rows] == [(p + 1) ** 2 for p in (1, 2, 4)]
+
+    def test_per_dimension_maps(self, tmp_path, capsys):
+        maps = [{"map": "kte", "alpha": 0.5}, {"map": "sausage", "order": 5}]
+        path = write_config(tmp_path, dict(BUILD_CONFIG, maps=maps, budget=10))
+        out = str(tmp_path / "run")
+        assert run_command(["build", "--config", path, "--out", out]) == 0
+        assert read_json(os.path.join(out, "surrogate.json"))["maps"] == maps
+        path = write_config(tmp_path, dict(BUILD_CONFIG, maps=maps[:1]))
+        code = run_command(["build", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert ("invalid field 'maps': expected 2 map entries, got 1"
+                in capsys.readouterr().err)
+
+    def test_sweep_range(self, tmp_path):
+        config = dict(BUILD_CONFIG, sweep={"from": 4, "to": 14, "step": 5},
+                      cv={"n": 50, "seed": 5})
+        path = write_config(tmp_path, config)
+        out = str(tmp_path / "run")
+        assert run_command(["converge", "--config", path, "--out", out]) == 0
+        rows = read_rows(os.path.join(out, "report.csv"))[1:]
+        assert [int(r[0]) for r in rows] == [4, 9, 14]
+
 
 class TestOutput:
     """Only run_command writes, and only what its wrote lines name."""

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import stats as spstats
 
 from adaleja import Distribution, beta33, make_distribution, sample_joint, uniform
+from adaleja.distributions import _BETA33_CDF
 from adaleja.errors import ContractError, DomainError
 
 
@@ -82,6 +83,42 @@ class TestCdfAndSampling:
             assert result.pvalue > 0.01
 
 
+# Sample counts around the inverse's chunk of 8192 points, and anywhere.
+_COUNTS = st.one_of(st.sampled_from([1, 2, 8191, 8192, 8193]), st.integers(1, 20_000))
+_SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+class TestSamplerProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=_SEEDS, lower=st.floats(-1e6, 1e6), width=st.floats(1e-6, 1e6),
+           n=_COUNTS, data=st.data())
+    def test_each_draw_is_inverted_alone(self, seed, lower, width, n, data):
+        d = beta33(lower, lower + width)
+        x = d.sample(n, seed)
+        u = np.random.default_rng(seed).random(n)
+        at = {0, n - 1, min(8191, n - 1), min(8192, n - 1)}.union(
+            data.draw(st.lists(st.integers(0, n - 1), max_size=32)))
+        for i in sorted(at):
+            t = 0.5 * (_BETA33_CDF.inverse(2.0 * u[i] - 1.0) + 1.0)
+            assert x[i] == d.lower + d.width * t
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["beta33", "uniform"]), seed=_SEEDS,
+           lower=st.floats(-1e6, 1e6), width=st.floats(1e-6, 1e6),
+           n=_COUNTS, data=st.data())
+    def test_draws_lie_in_support_and_invert_the_cdf(self, kind, seed, lower, width,
+                                                     n, data):
+        d = Distribution(kind, lower, lower + width)
+        x = d.sample(n, seed)
+        k = data.draw(st.integers(1, n))
+        assert np.array_equal(d.sample(k, seed), x[:k])
+        assert np.all((x >= d.lower) & (x <= d.upper))
+        u = np.random.default_rng(seed).random(n)
+        # an affine round trip through a support far from 0 loses eps * |bound|
+        ulp = np.finfo(float).eps * max(abs(d.lower), abs(d.upper), d.width) / d.width
+        assert np.abs(d.cdf(x) - u).max() <= 1e-14 + 5 * ulp
+
+
 class TestCanonical:
     def test_midpoint(self):
         assert beta33(18.5, 21.5).to_canonical(20.0) == 0.0
@@ -112,10 +149,10 @@ class TestCanonical:
         with pytest.raises(DomainError):
             d.from_canonical(-1.01)
 
-    @pytest.mark.parametrize("method", ["to_canonical", "from_canonical"])
+    @pytest.mark.parametrize("method", ["to_canonical", "from_canonical", "pdf", "cdf"])
     @pytest.mark.parametrize("value", [np.nan, [0.5, np.nan]])
     def test_nan_is_outside_the_support(self, method, value):
-        # nan passed both range checks and came back as nan
+        # nan passed the range checks and came back as nan, or as density 0
         with pytest.raises(DomainError):
             getattr(beta33(0.0, 1.0), method)(value)
 

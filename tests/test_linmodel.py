@@ -300,6 +300,18 @@ class TestMaterial:
         assert n_samples == GOLD_N_SAMPLES
         assert kappa_samples == GOLD_KAPPA_SAMPLES
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_csv_non_finite_value(self, tmp_path, column, value):
+        rows = [["396.55", "0.14", "4.542"], ["425.57", "0.13", "4.103"],
+                ["454.58", "0.14", "3.697"]]
+        rows[column][column] = value
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(",".join(r) + "\n" for r in rows))
+        name = ("frequency_THz", "n", "kappa")[column]
+        with pytest.raises(ContractError, match=f"column '{name}' must be a finite"):
+            read_material_samples(path)
+
     def test_csv_wrong_row_count(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("396.55,0.14,4.542\n425.57,0.13,4.103\n")
