@@ -7,9 +7,8 @@ continuation.  Surrogates post-process into moments, densities, failure
 probabilities, Sobol indices, and resonance statistics.
 """
 
-from .adaptive import (ADJOINT, SURPLUS, AdaptiveConfig, AdaptiveReport,
-                       IterationRecord, corrected_evaluate, run_adaptive,
-                       run_adaptive_adjoint)
+from .adaptive import (AdaptiveConfig, AdaptiveReport, IterationRecord,
+                       corrected_evaluate, run_adaptive, run_adaptive_adjoint)
 from .distributions import (BETA33, UNIFORM, Distribution, beta33,
                             make_distribution, sample_joint, uniform)
 from .errors import (ConfigError, ContractError, DomainError,
@@ -29,9 +28,8 @@ from .surrogate import (Surrogate, deserialize, load_surrogate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ADJOINT", "SURPLUS", "AdaptiveConfig", "AdaptiveReport",
-    "IterationRecord", "corrected_evaluate", "run_adaptive",
-    "run_adaptive_adjoint",
+    "AdaptiveConfig", "AdaptiveReport", "IterationRecord",
+    "corrected_evaluate", "run_adaptive", "run_adaptive_adjoint",
     "BETA33", "UNIFORM", "Distribution", "beta33", "make_distribution",
     "sample_joint", "uniform",
     "ConfigError", "ContractError", "DomainError", "SerializationError",

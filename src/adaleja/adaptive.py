@@ -26,8 +26,7 @@ update; nothing is rebuilt from the whole index set.  A non-finite
 model value, surplus or residual indicator raises a solve error naming
 the index and its point.
 
-The module writes no files: ``AdaptiveReport.to_csv`` returns its CSV
-text, and writes it only to a path or handle its caller passes.
+The module writes no files: ``AdaptiveReport.to_csv`` returns text.
 """
 from __future__ import annotations
 
@@ -43,9 +42,6 @@ from .linmodel import (ParametricLinearModel, _residual_indicator,
                        _solve_assembled, solve_dual)
 from .surrogate import Surrogate, _model_value, _point_batch
 
-SURPLUS = "surplus"
-ADJOINT = "adjoint"
-
 
 @dataclass
 class AdaptiveConfig:
@@ -54,17 +50,15 @@ class AdaptiveConfig:
     The loop stops once the refined set plus its pending candidates
     reaches the budget, so the model-call count never exceeds the budget
     by more than the final candidate layer.  ``tol`` adds an optional
-    early exit when the largest indicator falls below it.
+    early exit when the largest indicator falls below it; the driver
+    called decides which indicator that is.
     """
 
     budget: int
-    indicator: str = SURPLUS
     tol: float | None = None
 
     def __post_init__(self):
         self.budget = _count(self.budget, "budget", 1)
-        if self.indicator not in (SURPLUS, ADJOINT):
-            raise ContractError(f"unknown indicator kind {self.indicator!r}")
         if self.tol is not None:
             self.tol = _number(self.tol, "tol", ge=0)
 
@@ -105,20 +99,13 @@ class AdaptiveReport:
             self.lu_count, self.fb_count, self.res_count))
         return self.records[-1]
 
-    def to_csv(self, target=None):
-        """The records as CSV text, or written to a path or text handle."""
-        text = _csv_text(["iteration", "chosen_index", "indicator", "lu_count",
+    def to_csv(self):
+        """The records as CSV text."""
+        return _csv_text(["iteration", "chosen_index", "indicator", "lu_count",
                           "fb_count", "res_count", "cv_error"],
                          [(r.iteration, " ".join(str(c) for c in r.index),
                            r.indicator, r.lu_count, r.fb_count, r.res_count,
                            r.cv_error) for r in self.records])
-        if target is None:
-            return text
-        if isinstance(target, (str, bytes)):
-            with open(target, "w", newline="") as handle:
-                handle.write(text)
-        else:
-            target.write(text)
 
 
 def _cell(value):
@@ -180,8 +167,6 @@ def run_adaptive(model, config: AdaptiveConfig, distributions, maps=None,
     pending candidates, and the cost report.  ``on_accept(sur, record)``
     is invoked after every accepted index, for convergence tracking.
     """
-    if config.indicator != SURPLUS:
-        raise ContractError("run_adaptive drives the surplus indicator")
     sur = Surrogate(distributions, maps)
     report = AdaptiveReport()
     values: dict[tuple, complex] = {}
@@ -217,8 +202,6 @@ def run_adaptive_adjoint(model: ParametricLinearModel, config: AdaptiveConfig,
     extended by the pending candidates using their indicator values as
     surplus estimates.
     """
-    if config.indicator != ADJOINT:
-        raise ContractError("run_adaptive_adjoint drives the adjoint indicator")
     if not isinstance(model, ParametricLinearModel):
         raise ContractError("the adjoint driver needs a ParametricLinearModel")
     qoi = Surrogate(distributions, maps)

@@ -26,8 +26,8 @@ import sys
 import numpy as np
 import scipy.linalg  # the CLI's studies solve: load LAPACK before any command
 
-from .adaptive import (ADJOINT, SURPLUS, AdaptiveConfig, AdaptiveReport,
-                       _csv_text, run_adaptive, run_adaptive_adjoint)
+from .adaptive import (AdaptiveConfig, AdaptiveReport, _csv_text,
+                       run_adaptive, run_adaptive_adjoint)
 from .distributions import make_distribution, sample_joint
 from .errors import (ConfigError, ContractError, DomainError, SerializationError,
                      SolveError, _flag, _number)
@@ -187,6 +187,8 @@ def _maps(config, n_dim):
     spec = config.get("maps")
     if spec is None:
         return None
+    if config["algorithm"] == "gpc":
+        raise ConfigError("gpc projects without maps", field="maps")
     try:
         if isinstance(spec, list):
             if len(spec) != n_dim:
@@ -267,19 +269,17 @@ def _build_surrogate(config, model, distributions, maps, tracker=None):
         if tracker is not None:
             report.records[-1].cv_error = tracker.measure(sur)[0]
         return sur, report, parts
-    budget = _field(config, "budget", int, ge=1)
-    tol = _field(config, "tol", float, None, ge=0)
+    cfg = AdaptiveConfig(budget=_field(config, "budget", int, ge=1),
+                         tol=_field(config, "tol", float, None, ge=0))
     on_accept = tracker.on_accept if tracker is not None else None
     if algorithm == "adaptive-adjoint":
         if not isinstance(model, ParametricLinearModel):
             raise ConfigError(
                 "adaptive-adjoint requires a linear-system model", field="algorithm")
-        cfg = AdaptiveConfig(budget=budget, indicator=ADJOINT, tol=tol)
         target, primal, dual, report = run_adaptive_adjoint(
             model, cfg, distributions, maps, on_accept=on_accept)
         parts = {"primal.json": primal, "dual.json": dual}
     else:
-        cfg = AdaptiveConfig(budget=budget, indicator=SURPLUS, tol=tol)
         target, report = run_adaptive(
             model, cfg, distributions, maps, on_accept=on_accept)
     if tracker is not None and not tracker.per_iteration:
@@ -322,6 +322,8 @@ def _linspace(spec, field, lo, hi, count, gt=None):
 
 def _cmd_build(config, seed):
     model, distributions, maps = _study(config)
+    if config["algorithm"] == "gpc" and config.get("cv") is not None:
+        raise ConfigError("a gpc build measures no cv error", field="cv")
     tracker = _cv_tracker(config, model, distributions)
     target, report, parts = _build_surrogate(
         config, model, distributions, maps, tracker)

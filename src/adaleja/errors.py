@@ -44,13 +44,7 @@ class SolveError(RuntimeError):
 
 
 class SerializationError(ValueError):
-    """A serialized artifact is malformed.  ``location`` points at the culprit."""
-
-    def __init__(self, message, location=None):
-        if location is not None:
-            message = f"{message} (at {location})"
-        super().__init__(message)
-        self.location = location
+    """A serialized artifact is malformed."""
 
 
 class UnsupportedVersionError(SerializationError):

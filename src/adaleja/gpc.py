@@ -12,6 +12,8 @@ tables of the orthonormal polynomials, over the prefix tree of their
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -147,6 +149,11 @@ class GpcExpansion:
             raise SerializationError(f"inconsistent expansion data: {exc}") from exc
 
 
+def _combination_weight(n_dim, excess):
+    """Σ (-1)^|z| over z in {0,1}^n_dim with |z| <= excess; 0 once excess >= n_dim."""
+    return (-1) ** excess * math.comb(n_dim - 1, excess)
+
+
 def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
     """Pseudo-spectral projection of a model onto the orthonormal basis.
 
@@ -194,10 +201,7 @@ def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
         tensor_contribution((p_max + 1,) * n_dim, 1.0)
     else:
         for ell in index_set:
-            scale = 0
-            for z in np.ndindex(*(2,) * n_dim):
-                if sum(ell) + sum(z) <= p_max:      # ell + z is in the set
-                    scale += (-1) ** int(np.sum(z))
+            scale = _combination_weight(n_dim, p_max - sum(ell))
             if scale:
                 tensor_contribution(tuple(l + 1 for l in ell), float(scale))
     return GpcExpansion(dists, p_max, index_set, coeff)

@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from adaleja import (ADJOINT, AdaptiveConfig, KTEMap, LadderModel,
-                     MultiIndexSet, SausageMap, Surrogate, beta33,
+from adaleja import (AdaptiveConfig, KTEMap, LadderModel, MultiIndexSet,
+                     SausageMap, Surrogate, beta33,
                      corrected_evaluate, cv_errors, kde_pdf,
                      leja_nodes, material_interp, project, run_adaptive,
                      run_adaptive_adjoint, sobol_indices, solve_dual,
@@ -97,7 +97,7 @@ def test_criterion_4_adjoint_double_rate():
     maps = [SausageMap(9)]
     rows = []
     for budget in range(8, 97, 8):
-        cfg = AdaptiveConfig(budget=budget, indicator=ADJOINT)
+        cfg = AdaptiveConfig(budget=budget)
         qoi, primal, dual, report = run_adaptive_adjoint(
             model, cfg, dists, maps)
         plain = qoi.restrict(list(primal.indices))
@@ -127,7 +127,7 @@ def test_criterion_5_adaptive_beats_isotropic():
     model = LadderModel(4, sections=40, damping=0.1, with_frequency=True)
     dists = [uniform(lo, hi) for lo, hi in model.support()]
     qoi, _, _, report = run_adaptive_adjoint(
-        model, AdaptiveConfig(budget=200, indicator=ADJOINT), dists)
+        model, AdaptiveConfig(budget=200), dists)
     adaptive_err, _ = cv_errors(qoi, model.qoi, dists, 300, 7)
     # largest isotropic total-degree grid within the same LU budget
     degree = max(d for d in range(12)
@@ -148,7 +148,7 @@ def test_criterion_6_adjoint_cost_accounting():
     model = LadderModel(1, sections=8, damping=0.1, with_frequency=True)
     dists = [uniform(lo, hi) for lo, hi in model.support()]
     _, _, _, report = run_adaptive_adjoint(
-        model, AdaptiveConfig(budget=60, indicator=ADJOINT), dists)
+        model, AdaptiveConfig(budget=60), dists)
     accepted = len(report.records)
     ok = (report.res_count >= report.lu_count
           and report.fb_count == 2 * accepted)

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from adaleja import (ADJOINT, SURPLUS, AdaptiveConfig, AdaptiveReport,
-                     LadderModel, SausageMap, Surrogate, backward_neighbors,
+from adaleja import (AdaptiveConfig, AdaptiveReport, LadderModel,
+                     SausageMap, Surrogate, backward_neighbors,
                      corrected_evaluate, deserialize, error_indicator,
                      forward_neighbors, run_adaptive, run_adaptive_adjoint,
                      serialize, solve_dual, solve_primal, uniform)
@@ -41,7 +41,6 @@ def workloads():
 class TestConfig:
     def test_defaults(self):
         cfg = AdaptiveConfig(budget=10)
-        assert cfg.indicator == SURPLUS
         assert cfg.tol is None
 
     def test_budget_must_be_positive(self):
@@ -50,10 +49,6 @@ class TestConfig:
             with pytest.raises(ContractError):
                 AdaptiveConfig(budget=budget)
         assert AdaptiveConfig(budget=np.int64(7)).budget == 7
-
-    def test_unknown_indicator(self):
-        with pytest.raises(ContractError):
-            AdaptiveConfig(budget=5, indicator="oracle")
 
     def test_negative_tolerance(self):
         # nan would never stop the loop, since best < nan is always false
@@ -125,11 +120,6 @@ class TestSurplusDriver:
                                  on_accept=lambda s, r: seen.append(r))
         assert seen == report.records
         assert [r.iteration for r in seen] == list(range(len(seen)))
-
-    def test_surplus_config_required(self):
-        with pytest.raises(ContractError):
-            run_adaptive(runge2, AdaptiveConfig(budget=5, indicator=ADJOINT),
-                         UNIT_SQUARE)
 
     def test_model_failure_is_wrapped(self):
         def broken(y):
@@ -262,19 +252,12 @@ class TestReportCsv:
         rows = list(csv.reader(io.StringIO(report.to_csv())))
         assert rows[1][-1] == ""
 
-    def test_writes_to_file_path(self, tmp_path):
-        _, report = run_adaptive(runge2, AdaptiveConfig(budget=20),
-                                 UNIT_SQUARE)
-        target = tmp_path / "report.csv"
-        assert report.to_csv(str(target)) is None
-        assert target.read_text() == report.to_csv()
-
 
 @pytest.fixture(scope="module")
 def run():
     model = LadderModel(1, sections=8, damping=0.1, with_frequency=True)
     dists = [uniform(lo, hi) for lo, hi in model.support()]
-    cfg = AdaptiveConfig(budget=60, indicator=ADJOINT)
+    cfg = AdaptiveConfig(budget=60)
     return model, run_adaptive_adjoint(model, cfg, dists)
 
 
@@ -302,7 +285,7 @@ class TestAdjointDriver:
 
         model = Counting(1, sections=8, damping=0.1, with_frequency=True)
         dists = [uniform(lo, hi) for lo, hi in model.support()]
-        cfg = AdaptiveConfig(budget=60, indicator=ADJOINT)
+        cfg = AdaptiveConfig(budget=60)
         *_, report = run_adaptive_adjoint(model, cfg, dists)
         # only the root is assembled at acceptance; every other index is
         # assembled once, when it is scored
@@ -359,7 +342,7 @@ class TestAdjointDriver:
         model = LadderModel(2, sections=6, damping=0.1, with_frequency=True)
         dists = [uniform(lo, hi) for lo, hi in model.support()]
         qoi, primal, dual, _ = run_adaptive_adjoint(
-            model, AdaptiveConfig(budget=25, indicator=ADJOINT), dists,
+            model, AdaptiveConfig(budget=25), dists,
             maps=SausageMap(9))
         rng = np.random.default_rng(3)
         pts = np.column_stack([rng.uniform(lo, hi, 50) for lo, hi in model.support()])
@@ -402,12 +385,6 @@ class TestAdjointDriver:
             corrected_evaluate(qoi, primal, root_only, model,
                                np.array([1.0, 0.0]))
 
-    def test_adjoint_config_required(self, run):
-        model, _ = run
-        dists = [uniform(lo, hi) for lo, hi in model.support()]
-        with pytest.raises(ContractError):
-            run_adaptive_adjoint(model, AdaptiveConfig(budget=5), dists)
-
     def test_non_finite_indicator_names_index_and_point(self):
         class HoledLadder(LadderModel):
             def assemble(self, y):
@@ -415,7 +392,7 @@ class TestAdjointDriver:
                 return A, (f * np.nan if y[0] < -0.5 else f), j, offset
 
         model = HoledLadder(2, sections=8, damping=0.1)
-        cfg = AdaptiveConfig(budget=10, indicator=ADJOINT)
+        cfg = AdaptiveConfig(budget=10)
         with pytest.raises(SolveError, match=r"non-finite residual indicator .* "
                                              r"index \(1, 0\) at point \(-1\.0, 0\.0\)"):
             run_adaptive_adjoint(model, cfg, UNIT_SQUARE)
@@ -423,7 +400,7 @@ class TestAdjointDriver:
     def test_black_box_model_rejected(self):
         with pytest.raises(ContractError):
             run_adaptive_adjoint(
-                runge2, AdaptiveConfig(budget=5, indicator=ADJOINT),
+                runge2, AdaptiveConfig(budget=5),
                 UNIT_SQUARE)
 
     def test_dimension_mismatch_rejected(self, run):
@@ -431,7 +408,7 @@ class TestAdjointDriver:
         three = [uniform(-1, 1)] * 3
         with pytest.raises(ContractError):
             run_adaptive_adjoint(
-                model, AdaptiveConfig(budget=5, indicator=ADJOINT), three)
+                model, AdaptiveConfig(budget=5), three)
 
 
 def adjoint_oracle(model, dists, maps, budget, tol):
@@ -497,7 +474,7 @@ class TestAdjointOracle:
         dists = [uniform(lo, hi) for lo, hi in model.support()]
         maps = SausageMap(9) if mapped else None
         *surs, report = run_adaptive_adjoint(
-            model, AdaptiveConfig(budget, indicator=ADJOINT, tol=tol), dists, maps)
+            model, AdaptiveConfig(budget, tol=tol), dists, maps)
         refs, records, counts = adjoint_oracle(model, dists, maps, budget, tol)
         assert [(r.index, r.indicator, r.lu_count, r.fb_count, r.res_count)
                 for r in report.records] == records
@@ -548,7 +525,7 @@ class TestIndicesCheckedOnce:
         model = LadderModel(3, sections=40, damping=0.1)
         dists = [uniform(lo, hi) for lo, hi in model.support()]
         qoi, primal, _, _ = run_adaptive_adjoint(
-            model, AdaptiveConfig(80, indicator=ADJOINT), dists, SausageMap(9))
+            model, AdaptiveConfig(80), dists, SausageMap(9))
         assert calls["index"] == 0
         assert calls["levels"] <= len(qoi) + len(primal)
 

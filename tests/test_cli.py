@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaleja.adaptive import ADJOINT, AdaptiveConfig, run_adaptive_adjoint
-from adaleja.cli import make_model, run_command
+from adaleja.adaptive import AdaptiveConfig, run_adaptive_adjoint
+from adaleja.cli import RungeProduct, make_model, run_command
 from adaleja.distributions import make_distribution
 from adaleja.errors import SolveError
 from adaleja.gpc import GpcExpansion
@@ -44,6 +44,9 @@ class Holed:
     def __call__(self, y):
         return complex("nan") if y[0] < -0.5 else 1.0 + y[0] * y[1]
 
+
+# a config value that stands for "leave this field out"
+DROP = object()
 
 BUILD_CONFIG = {
     "model": {"model": "ladder", "sections": 10, "damping": 0.05,
@@ -88,6 +91,15 @@ class TestDispatch:
                             str(tmp_path / "absent.json")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "5", "null"])
+    def test_config_must_be_a_json_object(self, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code = run_command(["build", "--config", str(config),
+                            "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "invalid field 'config'" in capsys.readouterr().err
 
     def test_bad_thread_count(self, tmp_path, capsys):
         config = write_config(tmp_path, BUILD_CONFIG)
@@ -309,7 +321,7 @@ class TestUntracedPaths:
         rows = read_rows(os.path.join(out, "report.csv"))[1:]
         model = make_model(config["model"])
         dists = [make_distribution(d) for d in config["distributions"]]
-        lus = [run_adaptive_adjoint(model, AdaptiveConfig(budget=b, indicator=ADJOINT),
+        lus = [run_adaptive_adjoint(model, AdaptiveConfig(budget=b),
                                     dists)[3].lu_count for b in (5, 12)]
         assert [int(r[0]) for r in rows] == lus
         assert all(np.isfinite(float(v)) for r in rows for v in r[1:])
@@ -346,6 +358,20 @@ class TestUntracedPaths:
         assert run_command(["converge", "--config", path, "--out", out]) == 0
         rows = read_rows(os.path.join(out, "report.csv"))[1:]
         assert [int(r[0]) for r in rows] == [(p + 1) ** 2 for p in (1, 2, 4)]
+
+    def test_gpc_build_calls_each_quadrature_node_once(self, tmp_path, monkeypatch):
+        # a gpc build computes no cv reference, so it calls the model only
+        # at the (p_max + 1)² tensor nodes
+        calls = []
+        call = RungeProduct.__call__
+        monkeypatch.setattr(RungeProduct, "__call__",
+                            lambda self, y: calls.append(1) or call(self, y))
+        config = {"model": {"model": "runge", "n_params": 2, "c": 10.0},
+                  "distributions": BUILD_CONFIG["distributions"],
+                  "algorithm": "gpc", "quadrature": "tensor", "p_max": 4}
+        path = write_config(tmp_path, config)
+        assert run_command(["build", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 25
 
     def test_per_dimension_maps(self, tmp_path, capsys):
         maps = [{"map": "kte", "alpha": 0.5}, {"map": "sausage", "order": 5}]
@@ -531,6 +557,29 @@ class TestPostProcessing:
             {"kind": "uniform", "lower": -1.0, "upper": 1.0}]}),
         ("build", "budget", {"budget": 10 ** 400}),
         ("gain", "gain", {"gain": {"epsilons": [float("nan")]}}),
+        # fields a gpc study would ignore: its projection takes no maps,
+        # and its build reports no cv error
+        ("build", "cv", {"algorithm": "gpc", "p_max": 2, "maps": None}),
+        ("build", "maps", {"algorithm": "gpc", "p_max": 2}),
+        # refusals no other row reaches; DROP removes the field
+        ("build", "algorithm", {"algorithm": DROP}),
+        ("build", "algorithm", {"algorithm": "newton"}),
+        ("build", "model", {"model": 5}),
+        ("build", "distributions", {"distributions": DROP}),
+        ("build", "distributions", {"distributions": {"kind": "uniform"}}),
+        ("build", "cv", {"cv": 5}),
+        ("converge", "sweep", {"sweep": 5}),
+        ("resonance", "resonance", {}),
+        ("resonance", "resonance", {"resonance": {"f_range": [0.5]}}),
+        ("resonance", "resonance", {"resonance": {"f_range": [-2.0, 0.5]}}),
+        ("resonance", "distributions", {
+            "surrogate": None, "algorithm": "gpc", "p_max": 2,
+            "model": {"model": "runge", "n_params": 1},
+            "distributions": [{"kind": "uniform", "lower": -1.0, "upper": 1.0}],
+            "resonance": {"f_range": [-0.5, 0.5]}}),
+        ("gain", "gain", {}),
+        ("gain", "gain", {"gain": {"map": {"map": "conformal"}, "epsilons": [0.5]}}),
+        ("gain", "gain", {"gain": {"epsilons": 5}}),
     ])
     def test_bad_range_exits_two(self, built, tmp_path, capsys, command, field, spec):
         _, out = built
@@ -539,7 +588,9 @@ class TestPostProcessing:
             base = BUILD_CONFIG
         else:
             base = {"surrogate": os.path.join(out, "surrogate.json"), "n_samples": 100}
-        config = write_config(tmp_path, dict(base, **spec))
+        config = write_config(tmp_path, {key: value for key, value
+                                         in dict(base, **spec).items()
+                                         if value is not DROP})
         code = run_command([command, "--config", config,
                             "--out", str(tmp_path / "run"), *flags])
         assert code == 2

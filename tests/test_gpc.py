@@ -1,3 +1,4 @@
+import itertools
 import json
 from unittest import mock
 
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from adaleja import (GpcExpansion, MultiIndexSet, SMOLYAK, TENSOR, beta33,
                      gauss_rule, project, sample_joint, uniform)
-from adaleja import surrogate
+from adaleja import gpc, surrogate
 from adaleja.errors import (ContractError, SerializationError, SolveError,
                             UnsupportedVersionError)
 from adaleja.gpc import ortho_table, recurrence_betas
@@ -84,6 +85,17 @@ class TestProjection:
                 GpcExpansion([uniform(-1, 1)], p_max, [(0,)], [1.0])
         assert project(lambda y: 1.0, [uniform(-1, 1)], 2.0).p_max == 2
 
+    def test_refusals(self):
+        for call, match in (
+                (lambda: project(lambda y: 1.0, [], 2),
+                 "at least one distribution is required"),
+                (lambda: project(lambda y: 1.0, [uniform(-1, 1)], 2, quadrature="clenshaw"),
+                 "unknown quadrature 'clenshaw'"),
+                (lambda: GpcExpansion([uniform(-1, 1)], 1, [(0,), (1,)], [1.0]),
+                 "one coefficient per index is required")):
+            with pytest.raises(ContractError, match=match):
+                call()
+
     def test_constant_model(self):
         exp = project(lambda y: 5.0 - 2.0j, [beta33(-1, 1)], 2)
         assert_allclose(exp.coefficient((0,)), 5.0 - 2.0j, rtol=1e-14)
@@ -127,6 +139,22 @@ class TestProjection:
         sm = project(f, dists, 4, quadrature=SMOLYAK)
         for ix in te.indices:
             assert abs(te.coefficient(ix) - sm.coefficient(ix)) < 1e-12
+
+    def test_combination_weights_match_the_corner_sum(self):
+        # the Smolyak weight of an index is Σ (-1)^|z| over the corners
+        # z in {0,1}^N whose shift ell + z stays in the total-degree set
+        for n_dim in range(1, 9):
+            corners = list(itertools.product((0, 1), repeat=n_dim))
+            for excess in range(11):
+                brute = sum((-1) ** sum(z) for z in corners if sum(z) <= excess)
+                assert gpc._combination_weight(n_dim, excess) == brute
+        for n_dim, p_max in ((1, 4), (2, 5), (3, 4), (4, 3)):
+            index_set = MultiIndexSet.total_degree(n_dim, p_max)
+            for ell in index_set:
+                brute = sum((-1) ** sum(z)
+                            for z in itertools.product((0, 1), repeat=n_dim)
+                            if tuple(l + c for l, c in zip(ell, z)) in index_set)
+                assert gpc._combination_weight(n_dim, p_max - sum(ell)) == brute
 
     def test_quadrature_exactness_for_polynomials(self):
         """Total-degree p_max polynomials project onto themselves."""

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from adaleja import (Distribution, IdentityMap, KTEMap, MultiIndexSet,
-                     SausageMap, Surrogate, beta33, deserialize, load_surrogate,
-                     save_surrogate, sample_joint, serialize, uniform)
+from adaleja import (Distribution, GpcExpansion, IdentityMap, KTEMap,
+                     MultiIndexSet, SausageMap, Surrogate, beta33, deserialize,
+                     load_surrogate, project, save_surrogate, sample_joint,
+                     serialize, uniform)
 from adaleja.errors import (ContractError, DomainError, SerializationError,
                             SolveError, UnsupportedVersionError)
 
@@ -145,6 +146,34 @@ class TestFit:
         with pytest.raises(SolveError, match=r"model evaluation failed at index "
                                              r"\(0, 0\): synthetic at point"):
             Surrogate.fit(broken, self.SQUARE, MultiIndexSet.total_degree(2, 1))
+
+
+    def test_model_solve_error_passes_unwrapped(self):
+        error = SolveError("singular system", point=(0.0, 0.0))
+
+        def failing(y):
+            raise error
+
+        with pytest.raises(SolveError) as info:
+            Surrogate.fit(failing, self.SQUARE, MultiIndexSet.total_degree(2, 1))
+        assert info.value is error
+
+
+class TestContract:
+    def test_refusals(self):
+        sur = fit_1d(lambda y: float(y[0]), 2)
+        for call, match in (
+                (lambda: Surrogate(UNIT * 2, [SausageMap(9)] * 3),
+                 "got 3 maps for 2 dimensions"),
+                (lambda: sur.add_point((2,), [1.0, 2.0]),
+                 r"value shape \(2,\) does not match \(\)"),
+                (lambda: Surrogate(UNIT).predict_node((0,)),
+                 "cannot evaluate an empty surrogate"),
+                (lambda: sur.surplus((5,)), r"index \(5,\) is not in the set"),
+                (lambda: sur.restrict([(0,), (5,)]),
+                 r"indices not in the surrogate: \[\(5,\)\]")):
+            with pytest.raises(ContractError, match=match):
+                call()
 
 
 class TestInterpolation:
@@ -319,6 +348,27 @@ class TestSerialization:
             doc["indices"] = indices
             with pytest.raises(SerializationError):
                 deserialize(json.dumps(doc).encode())
+
+    def test_malformed_documents_rejected(self):
+        s = fit_1d(lambda y: 1.0, 3)
+        doc = json.loads(serialize(s))
+        re, im = doc["surpluses_re"], doc["surpluses_im"]
+        for edit, match in (
+                ({"maps": doc["maps"] * 2}, "'maps' must list 1 entries"),
+                ({"surpluses_re": re[:2], "surpluses_im": im[:2]}, "lengths differ"),
+                ({"distributions": [{"kind": "cauchy"}]}, "bad component spec"),
+                ({"nodes1d": [doc["nodes1d"][0][:2]]}, "has 2 nodes, needs 3"),
+                ({"kind": "spline"}, "unknown document kind 'spline'"),
+                ({"surpluses_re": [[1.0], 0.0, 0.0]}, "ragged surpluses arrays"),
+                ({"surpluses_im": im[:2]}, "'surpluses_re' has shape")):
+            with pytest.raises(SerializationError, match=match):
+                deserialize(json.dumps(dict(doc, **edit)).encode())
+        # each reader refuses the other kind of document
+        expansion = project(lambda y: 1.0, UNIT, 2).to_json()
+        with pytest.raises(SerializationError, match="'gpc' document is not a surrogate"):
+            deserialize(expansion)
+        with pytest.raises(SerializationError, match="not a chaos-expansion document"):
+            GpcExpansion.from_json(serialize(s))
 
     def test_tampered_nodes_are_not_replaced(self):
         f = lambda y: float(np.exp(y[0]))
