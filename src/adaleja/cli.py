@@ -229,18 +229,21 @@ class _CvTracker:
             record.cv_error = self.measure(surrogate)[0]
 
 
-def _cv_tracker(config, model, distributions, require=False):
+def _cv_tracker(config, model, distributions, converge=False):
     spec = config.get("cv")
     if spec is None:
-        if not require:
+        if not converge:
             return None
         spec = {}
     if not isinstance(spec, dict):
         raise ConfigError("must be an object", field="cv")
+    per_iteration = _field(spec, "per_iteration", bool, False, field="cv")
+    # a converge sweep or an isotropic build has no accepted steps to track
+    if per_iteration and (converge or config["algorithm"] == "isotropic-smolyak"):
+        raise ConfigError("per_iteration applies to adaptive builds only", field="cv")
     return _CvTracker(model, distributions,
                       _field(spec, "n", int, 1000, field="cv", ge=1),
-                      _field(spec, "seed", int, 10007, field="cv", ge=0),
-                      _field(spec, "per_iteration", bool, False, field="cv"))
+                      _field(spec, "seed", int, 10007, field="cv", ge=0), per_iteration)
 
 
 def _build_surrogate(config, model, distributions, maps, tracker=None):
@@ -259,29 +262,27 @@ def _build_surrogate(config, model, distributions, maps, tracker=None):
     if algorithm == "isotropic-smolyak":
         level = _field(config, "level", int, ge=1)
         indices = MultiIndexSet.total_degree(len(distributions), level)
-        sur = Surrogate.fit(model, distributions, indices, maps)
+        target = Surrogate.fit(model, distributions, indices, maps)
         # one row per node in absorption order, one model call each
         report = AdaptiveReport()
-        for ix in sur.indices:
+        for ix in target.indices:
             report.lu_count += 1
             report.fb_count += 1
-            report.record(ix, abs(sur.surplus(ix)))
-        if tracker is not None:
-            report.records[-1].cv_error = tracker.measure(sur)[0]
-        return sur, report, parts
-    cfg = AdaptiveConfig(budget=_field(config, "budget", int, ge=1),
-                         tol=_field(config, "tol", float, None, ge=0))
-    on_accept = tracker.on_accept if tracker is not None else None
-    if algorithm == "adaptive-adjoint":
-        if not isinstance(model, ParametricLinearModel):
-            raise ConfigError(
-                "adaptive-adjoint requires a linear-system model", field="algorithm")
-        target, primal, dual, report = run_adaptive_adjoint(
-            model, cfg, distributions, maps, on_accept=on_accept)
-        parts = {"primal.json": primal, "dual.json": dual}
+            report.record(ix, abs(target.surplus(ix)))
     else:
-        target, report = run_adaptive(
-            model, cfg, distributions, maps, on_accept=on_accept)
+        cfg = AdaptiveConfig(budget=_field(config, "budget", int, ge=1),
+                             tol=_field(config, "tol", float, None, ge=0))
+        on_accept = tracker.on_accept if tracker is not None else None
+        if algorithm == "adaptive-adjoint":
+            if not isinstance(model, ParametricLinearModel):
+                raise ConfigError(
+                    "adaptive-adjoint requires a linear-system model", field="algorithm")
+            target, primal, dual, report = run_adaptive_adjoint(
+                model, cfg, distributions, maps, on_accept=on_accept)
+            parts = {"primal.json": primal, "dual.json": dual}
+        else:
+            target, report = run_adaptive(
+                model, cfg, distributions, maps, on_accept=on_accept)
     if tracker is not None and not tracker.per_iteration:
         report.records[-1].cv_error = tracker.measure(target)[0]
     return target, report, parts
@@ -354,7 +355,7 @@ def _sweep_values(config):
 def _cmd_converge(config, seed):
     model, distributions, maps = _study(config)
     values = _sweep_values(config)
-    tracker = _cv_tracker(config, model, distributions, require=True)
+    tracker = _cv_tracker(config, model, distributions, converge=True)
     algorithm = config["algorithm"]
     rows = []
     for value in values:

@@ -76,6 +76,14 @@ class Distribution:
     def pdf(self, y):
         """Probability density at ``y`` (scalar or array), zero off support."""
         y = _points(y)
+        if not y.ndim:      # one point, as Leja searches ask: the same operations unmasked
+            y = float(y)
+            if not self.lower <= y <= self.upper:
+                return 0.0
+            if self.kind == UNIFORM:
+                return 1.0 / self.width
+            a, b = np.power([y - self.lower, self.upper - y], 3)
+            return float(140.0 * a * b / self.width ** 7)
         if self.kind == UNIFORM:
             out = np.where((y >= self.lower) & (y <= self.upper),
                            1.0 / self.width, 0.0)

@@ -37,7 +37,7 @@ class LejaSequence:
         self._grid = np.linspace(-1.0, 1.0, GRID_POINTS)
         with np.errstate(divide="ignore"):
             self._half_log_w = 0.5 * np.log(self._law.pdf(self._grid))
-        self._nodes = [0.0]
+        self._nodes = np.zeros(1)     # grows by one per node
         with np.errstate(divide="ignore"):
             self._log_prod = np.log(np.abs(self._grid))
 
@@ -53,13 +53,14 @@ class LejaSequence:
         w = self._law.pdf(y)
         if w <= 0.0:
             return -np.inf
-        d = np.abs(y - np.array(self._nodes))
-        if np.any(d == 0.0):
+        d = np.abs(y - self._nodes)
+        if not d.all():
             return -np.inf
-        return 0.5 * np.log(w) + float(np.sum(np.log(d)))
+        return 0.5 * np.log(w) + float(np.log(d).sum())
 
-    def next_node(self) -> float:
-        obj = self._half_log_w + self._log_prod
+    def next_node(self, scratch=None) -> float:
+        """Append and return one more node, working in a grid-sized ``scratch`` if given."""
+        obj = np.add(self._half_log_w, self._log_prod, out=scratch)
         top = np.max(obj)
         ties = np.flatnonzero(obj >= top - _TIE_SLACK)
         i = int(ties[0])
@@ -68,15 +69,18 @@ class LejaSequence:
         y = _golden_max(self._objective, lo, hi)
         if self._objective(y) < obj[i]:
             y = float(self._grid[i])
-        self._nodes.append(y)
+        self._nodes = np.append(self._nodes, y)
+        # the grid objective is spent: its array takes log |grid - y|
+        np.abs(np.subtract(self._grid, y, out=obj), out=obj)
         with np.errstate(divide="ignore"):
-            self._log_prod += np.log(np.abs(self._grid - y))
+            self._log_prod += np.log(obj, out=obj)
         return y
 
     def extend_to(self, count: int):
         count = _count(count, "count")
+        scratch = np.empty_like(self._grid)
         while len(self._nodes) < count:
-            self.next_node()
+            self.next_node(scratch)
         return self
 
 

@@ -23,11 +23,11 @@ prefix tree finds an index's surplus in O(1).
 Batch evaluation is ``_prefix_sum``, the one kernel ``gpc`` shares: sum
 factorization over the prefix tree (Orszag 1980) of the hierarchical
 interpolant of Chkifa, Cohen & Schwab (2014).  Points go in cache-sized
-blocks; at each depth, the weight rows of the distinct prefixes are
-their parents' rows times one row of a per-dimension table laid out as
-levels by points.  Node predictions run the same kernel on one column of
-per-dimension node tables, which are built once per node level, so a
-prediction builds no tables.  Both evaluables are read back through
+blocks, whose per-dimension tables (levels by points) are built once per
+chunk of blocks; at each depth, the weight rows of the distinct prefixes
+are their parents' rows times one table row, and the final contraction
+is frozen.  Node predictions run the same kernel on one column of node
+tables built once per node level.  Both evaluables are read back through
 ``_read_evaluable``.  ``corrected_evaluate`` shares one ``_preimages`` pass.
 
 The physical coordinate of every node is tabulated per dimension and
@@ -51,8 +51,9 @@ from .maps import ConformalMap, IdentityMap, make_map
 SCHEMA_VERSION = 1
 
 # Points per block of the batch kernel, so that a block's weight rows
-# stay in cache.
+# stay in cache, and bytes of tables per chunk of whole blocks.
 _BLOCK = 256
+_CHUNK_BYTES = 1 << 20
 
 
 def _prefix_sum(tables, n_pts, plan, coeffs):
@@ -62,7 +63,8 @@ def _prefix_sum(tables, n_pts, plan, coeffs):
     ``rows``, one row per level and one column per point (or, for one
     point, one value per level).  ``plan`` is ``MultiIndexSet.depths()`` of
     the indices, in the order of the rows of the complex ``coeffs``.
-    Points go in blocks of ``_BLOCK``; per depth, a block's weight rows
+    Tables come per chunk of as many whole blocks of ``_BLOCK`` points as
+    ``_CHUNK_BYTES`` holds, at least one; per depth, a block's weight rows
     are one gather of their parents' rows times one gather of table rows
     (sum factorization over the prefix tree of the index set).
     """
@@ -73,9 +75,16 @@ def _prefix_sum(tables, n_pts, plan, coeffs):
     # write straight into them (every row number is in range)
     size = len(plan[-1][1])     # depth N, one row per index, is the widest
     buffers = None
+    chunk = _BLOCK
+    if n_pts > _BLOCK:
+        row_bytes = 8 * sum(int(levels.max()) + 1 for _, levels in plan)
+        chunk *= max(1, _CHUNK_BYTES // (row_bytes * _BLOCK))
     for start in range(0, n_pts, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        first, *rest = tables(rows)
+        rows, offset = slice(start, start + _BLOCK), start % chunk
+        if not offset:
+            chunk_tables = tables(slice(start, start + chunk))
+        first, *rest = (chunk_tables if chunk == _BLOCK else
+                        [table[:, offset:offset + _BLOCK] for table in chunk_tables])
         if buffers is None or buffers[0].shape[1:] != first.shape[1:]:
             buffers = [np.empty((size,) + first.shape[1:]) for _ in range(3)]
         spare, weights, gathered = buffers
@@ -102,12 +111,14 @@ def _basis(tables, index):
 def _newton_table(x, nodes, dens, top):
     """Newton factors Π_{j<l} (x - nodes[j]) / dens[l], l = 0..top.
 
-    One row per level and one column per point of ``x``.
+    One row per level and one column per point of ``x``, by a running product.
     """
     fac = np.empty((top + 1, len(x)))
     fac[0] = 1.0
-    np.cumprod(x - nodes[:top, None], axis=0, out=fac[1:])
-    fac[1:] /= dens[1:top + 1, None]
+    run = np.ones(len(x))
+    for l in range(1, top + 1):
+        run *= x - nodes[l - 1]
+        np.divide(run, dens[l], out=fac[l])
     return fac
 
 

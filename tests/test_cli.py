@@ -62,6 +62,8 @@ BUILD_CONFIG = {
     "seed": 3,
 }
 
+PER_ITERATION = {"n": 50, "seed": 11, "per_iteration": True}
+
 
 @pytest.fixture(scope="module")
 def built(tmp_path_factory):
@@ -348,6 +350,19 @@ class TestUntracedPaths:
         mean_l1, _ = cv_errors(sur, model, dists, 100, 11)
         assert rows[-1][-1] == f"{mean_l1:.17g}"
 
+    @pytest.mark.parametrize("command, spec", [
+        ("converge", {"sweep": [5, 10]}),
+        ("build", {"algorithm": "isotropic-smolyak", "level": 2}),
+    ])
+    def test_per_iteration_false_is_accepted(self, tmp_path, command, spec):
+        reports = []
+        for cv in ({"n": 50, "seed": 11}, {"n": 50, "seed": 11, "per_iteration": False}):
+            path = write_config(tmp_path, dict(BUILD_CONFIG, cv=cv, **spec))
+            out = str(tmp_path / f"run{len(reports)}")
+            assert run_command([command, "--config", path, "--out", out]) == 0
+            reports.append(Path(out, "report.csv").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_gpc_converge_counts_model_calls(self, tmp_path):
         config = {"model": {"model": "runge", "n_params": 2, "c": 10.0},
                   "distributions": BUILD_CONFIG["distributions"],
@@ -580,6 +595,16 @@ class TestPostProcessing:
         ("gain", "gain", {}),
         ("gain", "gain", {"gain": {"map": {"map": "conformal"}, "epsilons": [0.5]}}),
         ("gain", "gain", {"gain": {"epsilons": 5}}),
+        # per_iteration where no accepted step is tracked: it changed nothing
+        ("converge", "cv", {"sweep": [5, 10], "cv": PER_ITERATION}),
+        ("converge", "cv", {"algorithm": "adaptive-adjoint", "sweep": [5, 10],
+                            "cv": PER_ITERATION}),
+        ("converge", "cv", {"algorithm": "gpc", "maps": None, "sweep": [1, 2],
+                            "cv": PER_ITERATION}),
+        ("converge", "cv", {"algorithm": "isotropic-smolyak", "sweep": [1, 2],
+                            "cv": PER_ITERATION}),
+        ("build", "cv", {"algorithm": "isotropic-smolyak", "level": 2,
+                         "cv": PER_ITERATION}),
     ])
     def test_bad_range_exits_two(self, built, tmp_path, capsys, command, field, spec):
         _, out = built

@@ -38,6 +38,20 @@ class TestPdf:
         probe = np.linspace(d.lower - 0.1 * d.width, d.upper + 0.1 * d.width, 300)
         assert_allclose([d.pdf(y) for y in probe], d.pdf(probe), rtol=1e-14, atol=0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from([beta33, uniform]), lower=st.floats(-1e3, 1e3),
+           width=st.floats(1e-3, 1e3), where=st.sampled_from(["in", "out", "edge"]),
+           u=st.floats(0.0, 1.0))
+    def test_one_point_has_the_array_bits(self, kind, lower, width, where, u):
+        d = kind(lower, lower + width)
+        y = {"in": d.lower + u * d.width, "out": d.upper + u * d.width + 1e-3,
+             "edge": d.lower if u < 0.5 else d.upper}[where]
+        want = d.pdf(np.array([y, 0.5 * (d.lower + d.upper)]))[0]
+        for point in (y, np.float64(y), np.array(y)):
+            got = d.pdf(point)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes()
+
     def test_nonnegative(self):
         d = beta33(-2.0, 5.0)
         ys = np.linspace(-3.0, 6.0, 500)

@@ -6,6 +6,7 @@ from adaleja.errors import ContractError
 
 from adaleja import (IdentityMap, LejaSequence, SausageMap, beta33,
                      leja_nodes, uniform)
+from adaleja.leja import _TIE_SLACK, GRID_POINTS, _golden_max
 
 
 class TestGreedySteps:
@@ -113,6 +114,66 @@ class TestSequenceObject:
         s.extend_to(1)
         val = s.next_node()
         assert val == s.nodes[-1] == -1.0
+
+
+class ListLeja:
+    """The greedy step with fresh grid temporaries, a node list and the
+    array density: a reference for the sequence's own bookkeeping."""
+
+    def __init__(self, law):
+        self._law = law.canonical()
+        self._grid = np.linspace(-1.0, 1.0, GRID_POINTS)
+        with np.errstate(divide="ignore"):
+            self._half_log_w = 0.5 * np.log(self._law.pdf(self._grid))
+        self._nodes = [0.0]
+        with np.errstate(divide="ignore"):
+            self._log_prod = np.log(np.abs(self._grid))
+
+    def _objective(self, y):
+        w = self._law.pdf(np.array([y]))[0]
+        if w <= 0.0:
+            return -np.inf
+        d = np.abs(y - np.array(self._nodes))
+        if np.any(d == 0.0):
+            return -np.inf
+        return 0.5 * np.log(w) + float(np.sum(np.log(d)))
+
+    def next_node(self):
+        obj = self._half_log_w + self._log_prod
+        top = np.max(obj)
+        ties = np.flatnonzero(obj >= top - _TIE_SLACK)
+        i = int(ties[0])
+        lo = self._grid[max(i - 1, 0)]
+        hi = self._grid[min(i + 1, GRID_POINTS - 1)]
+        y = _golden_max(self._objective, lo, hi)
+        if self._objective(y) < obj[i]:
+            y = float(self._grid[i])
+        self._nodes.append(y)
+        with np.errstate(divide="ignore"):
+            self._log_prod += np.log(np.abs(self._grid - y))
+        return y
+
+
+class TestAgainstListOracle:
+    @pytest.mark.parametrize("law", [uniform(-1, 1), beta33(-1, 1)],
+                             ids=["uniform", "beta33"])
+    def test_sixty_nodes_bit_for_bit(self, law):
+        oracle = ListLeja(law)
+        for _ in range(59):
+            oracle.next_node()
+        want = np.array(oracle._nodes)
+        assert np.array_equal(LejaSequence(law).extend_to(60).nodes, want)
+        # node by node, each step in a fresh array, gives the same bits
+        seq = LejaSequence(law)
+        for _ in range(59):
+            seq.next_node()
+        assert np.array_equal(seq.nodes, want)
+
+    def test_no_grid_scratch_is_kept(self):
+        seq = LejaSequence(beta33(-1, 1)).extend_to(12)
+        grid_sized = {name for name, value in vars(seq).items()
+                      if isinstance(value, np.ndarray) and value.size == GRID_POINTS}
+        assert grid_sized == {"_grid", "_half_log_w", "_log_prod"}
 
 
 class TestLebesgueGrowth:

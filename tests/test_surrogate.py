@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from numpy.testing import assert_allclose
 
 from adaleja import (Distribution, GpcExpansion, IdentityMap, KTEMap,
                      MultiIndexSet, SausageMap, Surrogate, beta33, deserialize,
-                     load_surrogate, project, save_surrogate, sample_joint,
-                     serialize, uniform)
+                     leja_nodes, load_surrogate, project, save_surrogate,
+                     sample_joint, serialize, uniform)
+from adaleja import surrogate
 from adaleja.errors import (ContractError, DomainError, SerializationError,
                             SolveError, UnsupportedVersionError)
 
@@ -560,6 +562,100 @@ class TestPrefixKernel:
                 raw = [[target.nodes1d(d)[lev] for d, lev in enumerate(ix)]]
                 want = target._evaluate_pre(np.array(raw))[0]
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def cumprod_newton_table(x, nodes, dens, top):
+    """Newton factor table as a cumprod down the levels, then one divide."""
+    fac = np.empty((top + 1, len(x)))
+    fac[0] = 1.0
+    np.cumprod(x - nodes[:top, None], axis=0, out=fac[1:])
+    fac[1:] /= dens[1:top + 1, None]
+    return fac
+
+
+class TestNewtonTable:
+    @settings(max_examples=60, deadline=None)
+    @given(law=st.sampled_from([uniform(-1, 1), beta33(-1, 1)]),
+           top=st.sampled_from([0, 1, 40]) | st.integers(0, 40),
+           n_on=st.integers(0, 20), n_off=st.integers(0, 20),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_cumprod_oracle_bit_for_bit(self, law, top, n_on, n_off, seed):
+        nodes = leja_nodes(law, 41)
+        dens = np.array([np.prod(nodes[l] - nodes[:l]) for l in range(len(nodes))])
+        rng = np.random.default_rng(seed)
+        # points on the nodes, where factors vanish, and between them
+        x = np.concatenate([nodes[rng.integers(0, 41, n_on)],
+                            rng.uniform(-1, 1, n_off), [-1.0, 1.0]])
+        got = surrogate._newton_table(x, nodes, dens, top)
+        want = cumprod_newton_table(x, nodes, dens, top)
+        assert got.shape == want.shape == (top + 1, len(x))
+        assert got.tobytes() == want.tobytes()
+
+
+def chunked_cases(draw, tops):
+    """A block size, a chunk budget, the chunk's points and a point count
+    near their edges, for tables of levels 0..tops[d]."""
+    block = draw(st.sampled_from([1, 2, 3, 4, surrogate._BLOCK]))
+    block_bytes = 8 * sum(t + 1 for t in tops) * block
+    budget = draw(st.sampled_from([block_bytes, 2 * block_bytes, surrogate._CHUNK_BYTES]))
+    chunk = block * max(1, budget // block_bytes)
+    # the one-block oracle with a tiny block runs one table call per block
+    cap = 20_000 if block == surrogate._BLOCK else 300
+    sizes = [p for p in (1, 255, 256, 257, block - 1, block, block + 1,
+                         chunk - 1, chunk, chunk + 1) if 1 <= p <= cap]
+    n_pts = draw(st.sampled_from(sizes) | st.integers(1, min(cap, 2 * chunk + 3)))
+    return block, budget, chunk, n_pts
+
+
+def chunked_evaluate(target, pts, block, budget):
+    with mock.patch.object(surrogate, "_BLOCK", block), \
+            mock.patch.object(surrogate, "_CHUNK_BYTES", budget):
+        return target.evaluate(pts)
+
+
+class TestChunkedTables:
+    """Tables built per chunk of blocks give the bits of one-block chunks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_surrogate_matches_one_block_chunks(self, data):
+        dists, maps, order, coeffs = data.draw(coefficient_sets().filter(
+            lambda case: len(case[0]) <= 5))
+        sur = Surrogate(dists, maps)
+        for ix, c in zip(order, coeffs):
+            sur.add_restricted(ix, c)
+        tops = sur.index_set.max_level()
+        block, budget, chunk, n_pts = chunked_cases(data.draw, tops)
+        pts = sample_joint(dists, n_pts, data.draw(st.integers(0, 99)))
+        calls = []
+        tables = Surrogate._newton_tables
+
+        def counted(self, S, top):
+            calls.append(len(S))
+            return tables(self, S, top)
+
+        with mock.patch.object(Surrogate, "_newton_tables", counted):
+            got = chunked_evaluate(sur, pts, block, budget)
+        # one table call per chunk, each over the chunk's points
+        assert calls == [min(chunk, n_pts - k) for k in range(0, n_pts, chunk)]
+        want = chunked_evaluate(sur, pts, block, 0)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_gpc_matches_one_block_chunks(self, data):
+        dists = data.draw(st.lists(st.sampled_from([uniform(-1, 1), beta33(0, 2)]),
+                                   min_size=1, max_size=3))
+        p_max = data.draw(st.integers(0, 5))
+        indices = sorted(MultiIndexSet.total_degree(len(dists), p_max))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        coeffs = rng.normal(size=len(indices)) + 1j * rng.normal(size=len(indices))
+        exp = GpcExpansion(dists, p_max, indices, coeffs)
+        block, budget, _, n_pts = chunked_cases(data.draw, [p_max] * len(dists))
+        pts = sample_joint(dists, n_pts, data.draw(st.integers(0, 99)))
+        got = chunked_evaluate(exp, pts, block, budget)
+        assert np.array_equal(got, chunked_evaluate(exp, pts, block, 0))
 
 
 def scalar_point(sur, index):
