@@ -237,13 +237,13 @@ def _cv_tracker(config, model, distributions, converge=False):
         spec = {}
     if not isinstance(spec, dict):
         raise ConfigError("must be an object", field="cv")
+    n_cv = _field(spec, "n", int, 1000, field="cv", ge=1)
+    seed = _field(spec, "seed", int, 10007, field="cv", ge=0)
     per_iteration = _field(spec, "per_iteration", bool, False, field="cv")
     # a converge sweep or an isotropic build has no accepted steps to track
     if per_iteration and (converge or config["algorithm"] == "isotropic-smolyak"):
         raise ConfigError("per_iteration applies to adaptive builds only", field="cv")
-    return _CvTracker(model, distributions,
-                      _field(spec, "n", int, 1000, field="cv", ge=1),
-                      _field(spec, "seed", int, 10007, field="cv", ge=0), per_iteration)
+    return _CvTracker(model, distributions, n_cv, seed, per_iteration)
 
 
 def _build_surrogate(config, model, distributions, maps, tracker=None):

@@ -58,9 +58,8 @@ class LejaSequence:
             return -np.inf
         return 0.5 * np.log(w) + float(np.log(d).sum())
 
-    def next_node(self, scratch=None) -> float:
-        """Append and return one more node, working in a grid-sized ``scratch`` if given."""
-        obj = np.add(self._half_log_w, self._log_prod, out=scratch)
+    def next_node(self) -> float:
+        obj = self._half_log_w + self._log_prod
         top = np.max(obj)
         ties = np.flatnonzero(obj >= top - _TIE_SLACK)
         i = int(ties[0])
@@ -78,9 +77,8 @@ class LejaSequence:
 
     def extend_to(self, count: int):
         count = _count(count, "count")
-        scratch = np.empty_like(self._grid)
         while len(self._nodes) < count:
-            self.next_node(scratch)
+            self.next_node()
         return self
 
 

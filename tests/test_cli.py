@@ -363,6 +363,16 @@ class TestUntracedPaths:
             reports.append(Path(out, "report.csv").read_bytes())
         assert reports[0] == reports[1]
 
+    def test_cv_fields_are_refused_in_reading_order(self, tmp_path, capsys):
+        # n and seed are read before per_iteration, so their message comes first
+        for cv, message in (({"n": 0, "per_iteration": True}, "n must be >= 1"),
+                            ({"seed": -1, "per_iteration": True}, "seed must be >= 0"),
+                            ({"n": 50, "per_iteration": True}, "per_iteration applies")):
+            path = write_config(tmp_path, dict(BUILD_CONFIG, sweep=[5, 10], cv=cv))
+            assert run_command(["converge", "--config", path,
+                                "--out", str(tmp_path / "run")]) == 2
+            assert f"invalid field 'cv': {message}" in capsys.readouterr().err
+
     def test_gpc_converge_counts_model_calls(self, tmp_path):
         config = {"model": {"model": "runge", "n_params": 2, "c": 10.0},
                   "distributions": BUILD_CONFIG["distributions"],
