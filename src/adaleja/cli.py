@@ -35,8 +35,8 @@ from .gpc import SMOLYAK, TENSOR, GpcExpansion, project
 from .grid import MultiIndexSet
 from .linmodel import LadderModel, ParametricLinearModel
 from .maps import make_map
-from .stats import (_deviation, extract_resonance, failure_probability,
-                    kde_pdf, mc_moments, sobol_indices)
+from .stats import (_deviation, _modulus, extract_resonance,
+                    failure_probability, kde_pdf, mc_moments, sobol_indices)
 from .surrogate import Surrogate, _read_evaluable, serialize
 
 SUBCOMMANDS = ("build", "converge", "stats", "sobol", "kde", "resonance", "gain")
@@ -399,8 +399,7 @@ def _cmd_kde(config, seed):
     n_samples = _field(config, "n_samples", int, 100_000, ge=1)
     bandwidth = _field(config, "bandwidth", float, None, gt=0)
     target, distributions = _target(config)
-    points = sample_joint(distributions, n_samples, seed)
-    samples = np.abs(np.asarray(target.evaluate(points)))
+    samples = _modulus(target, sample_joint(distributions, n_samples, seed))
     if bandwidth is None:
         sigma = float(samples.std(ddof=1)) if n_samples > 1 else 1.0
         bandwidth = 1.06 * max(sigma, 1e-12) * n_samples ** (-0.2)

@@ -25,10 +25,13 @@ factorization over the prefix tree (Orszag 1980) of the hierarchical
 interpolant of Chkifa, Cohen & Schwab (2014).  Points go in cache-sized
 blocks, whose per-dimension tables (levels by points) are built once per
 chunk of blocks; at each depth, the weight rows of the distinct prefixes
-are their parents' rows times one table row, and the final contraction
-is frozen.  Node predictions run the same kernel on one column of node
-tables built once per node level.  Both evaluables are read back through
-``_read_evaluable``.  ``corrected_evaluate`` shares one ``_preimages`` pass.
+are their parents' rows times one table row.  Scalar batches contract the
+last dimension with one dense matmul; for one point or vector values the
+final contraction is frozen, so a point's value can differ in its last
+bits between a one-point call and a batch.  Node predictions run the same
+kernel on one column of node tables built once per node level.  Both
+evaluables are read back through ``_read_evaluable``.
+``corrected_evaluate`` shares one ``_preimages`` pass.
 
 The physical coordinate of every node is tabulated per dimension and
 level and filled lazily by ``node_point``, so a corrupt stored node
@@ -66,19 +69,27 @@ def _prefix_sum(tables, n_pts, plan, coeffs):
     Tables come per chunk of as many whole blocks of ``_BLOCK`` points as
     ``_CHUNK_BYTES`` holds, at least one; per depth, a block's weight rows
     are one gather of their parents' rows times one gather of table rows
-    (sum factorization over the prefix tree of the index set).
+    (sum factorization over the prefix tree of the index set).  With more
+    than one point, scalar ``coeffs`` and two or more depths, the last depth
+    is instead one matmul of its coefficients, dense by parent and level,
+    with the last table, and one product with the parents' rows.
     """
     out = np.empty((n_pts, coeffs.shape[1]), dtype=complex)
     re, im = coeffs.real, coeffs.imag
-    # three weight buffers reused by every block and depth, since fresh
-    # arrays of this size are often fresh pages; mode "clip" lets take
-    # write straight into them (every row number is in range)
-    size = len(plan[-1][1])     # depth N, one row per index, is the widest
     buffers = None
     chunk = _BLOCK
     if n_pts > _BLOCK:
         row_bytes = 8 * sum(int(levels.max()) + 1 for _, levels in plan)
         chunk *= max(1, _CHUNK_BYTES // (row_bytes * _BLOCK))
+    dense = None    # or the real and imaginary last-depth coefficients
+    if n_pts > 1 and coeffs.shape[1] == 1 and len(plan) > 1:
+        (parents, levels), plan = plan[-1], plan[:-1]
+        dense = np.zeros((2, len(plan[-1][1]), int(levels.max()) + 1))
+        dense[:, parents, levels] = re[:, 0], im[:, 0]
+    # three weight buffers reused by every block and depth, since fresh
+    # arrays of this size are often fresh pages; mode "clip" lets take
+    # write straight into them (every row number is in range)
+    size = len(plan[-1][1])     # the last depth gathered is the widest
     for start in range(0, n_pts, _BLOCK):
         rows, offset = slice(start, start + _BLOCK), start % chunk
         if not offset:
@@ -94,9 +105,13 @@ def _prefix_sum(tables, n_pts, plan, coeffs):
             spare, weights = weights, spare
             w = w.take(parents, 0, weights[:len(parents)], "clip")
             w *= table.take(levels, 0, gathered[:len(levels)], "clip")
-        # frozen: node predictions round through these two products, whose
-        # last bits break exact surplus ties and so decide the accepted order
-        out[rows] = w.T @ re + 1j * (w.T @ im)
+        if dense is not None:   # zip left out the last table and depth
+            last = dense @ rest[-1]
+            out.real[rows, 0], out.imag[rows, 0] = np.einsum("pb,cpb->cb", w, last)
+        else:
+            # frozen: node predictions round through these two products, whose
+            # last bits break exact surplus ties and so decide the accepted order
+            out[rows] = w.T @ re + 1j * (w.T @ im)
     return out
 
 

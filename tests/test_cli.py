@@ -75,6 +75,18 @@ def built(tmp_path_factory):
     return root, out
 
 
+@pytest.fixture(scope="module")
+def adjoint_built(tmp_path_factory):
+    """One adjoint build, whose primal.json is a solution-field surrogate."""
+    root = tmp_path_factory.mktemp("adjoint")
+    config = dict(BUILD_CONFIG, algorithm="adaptive-adjoint", budget=15)
+    del config["maps"]
+    out = str(root / "run")
+    assert run_command(["build", "--config", write_config(root, config),
+                        "--out", out]) == 0
+    return out
+
+
 class TestDispatch:
     def test_no_arguments_prints_usage(self, capsys):
         assert run_command([]) == 0
@@ -153,14 +165,9 @@ class TestBuild:
         assert (Path(out, "surrogate.json").read_bytes()
                 == Path(replay, "surrogate.json").read_bytes())
 
-    def test_adjoint_stores_vector_surrogates(self, tmp_path):
-        config = dict(BUILD_CONFIG, algorithm="adaptive-adjoint", budget=15)
-        del config["maps"]
-        path = write_config(tmp_path, config)
-        out = str(tmp_path / "run")
-        assert run_command(["build", "--config", path, "--out", out]) == 0
+    def test_adjoint_stores_vector_surrogates(self, adjoint_built):
         for name in ("surrogate.json", "primal.json", "dual.json"):
-            assert os.path.exists(os.path.join(out, name))
+            assert os.path.exists(os.path.join(adjoint_built, name))
 
     def test_gpc_writes_decay_table(self, tmp_path):
         config = {
@@ -676,6 +683,19 @@ class TestPostProcessing:
         assert rows[0] == ["T", "density"]
         assert len(rows) == 1 + 32
         assert all(float(r[1]) >= 0.0 for r in rows[1:])
+
+    @pytest.mark.parametrize("command", ["stats", "sobol", "kde"])
+    def test_vector_surrogate_exits_one(self, adjoint_built, tmp_path, capsys, command):
+        # a solution-field surrogate has one vector per point: every
+        # sampling command refuses it the same way
+        primal = os.path.join(adjoint_built, "primal.json")
+        width = len(read_json(primal)["surpluses_re"][0])
+        path = write_config(tmp_path, {"surrogate": primal, "n_samples": 100,
+                                       "n_base": 100})
+        code = run_command([command, "--config", path, "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert (f"evaluable returned shape (100, {width}) for 100 points"
+                in capsys.readouterr().err)
 
     def test_resonance_slices(self, tmp_path):
         config = {

@@ -14,6 +14,7 @@ from adaleja import (Distribution, GpcExpansion, IdentityMap, KTEMap,
 from adaleja import surrogate
 from adaleja.errors import (ContractError, DomainError, SerializationError,
                             SolveError, UnsupportedVersionError)
+from adaleja.gpc import ortho_table
 
 UNIT = [uniform(-1.0, 1.0)]
 
@@ -241,6 +242,19 @@ class TestInterpolation:
         batch = s.evaluate(pts)
         singles = [s.evaluate(pts[0]), s.evaluate(pts[1])]
         assert_allclose(singles, batch, rtol=1e-13)
+
+    @pytest.mark.parametrize("cmap", [None, SausageMap(9)], ids=["unmapped", "mapped"])
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_single_point_and_batch_agree_in_several_dimensions(self, dim, cmap):
+        # one point sums its last depth by the frozen products, a batch by
+        # the dense matmul: they agree up to the rounding of the terms
+        dists = [uniform(-1, 1), beta33(0, 2)] * 2 + [uniform(-2, 1)]
+        s = Surrogate.fit(smooth, dists[:dim], MultiIndexSet.total_degree(dim, 4), cmap)
+        pts = sample_joint(s.distributions, 300, 4)
+        batch = s.evaluate(pts)
+        _, size = oracle_sum(s, s.indices, [s.surplus(ix) for ix in s.indices], pts)
+        for k, pt in enumerate(pts):
+            assert abs(s.evaluate(pt) - batch[k]) <= 1e-13 * size[k]
 
     def test_vector_valued(self):
         f = lambda y: np.array([y[0], y[0] ** 2, 1.0])
@@ -562,6 +576,95 @@ class TestPrefixKernel:
                 raw = [[target.nodes1d(d)[lev] for d, lev in enumerate(ix)]]
                 want = target._evaluate_pre(np.array(raw))[0]
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@st.composite
+def tail_cases(draw):
+    """Laws and maps in 1-8 dimensions, an absorption order shaped at the
+    edges of the last depth, and random complex surpluses (scalar or vector)."""
+    dim = draw(st.integers(1, 8))
+    dists = draw(st.lists(st.sampled_from([uniform(-1, 1), beta33(0, 2)]),
+                          min_size=dim, max_size=dim))
+    maps = draw(st.lists(st.sampled_from([IdentityMap(), SausageMap(9)]),
+                         min_size=dim, max_size=dim))
+    size = draw(st.integers(1, 40))
+    edge = draw(st.sampled_from(["any", "one parent", "flat last"]))
+    if edge == "one parent":    # indices vary only in the last dimension
+        order = [(0,) * (dim - 1) + (lev,) for lev in range(size)]
+    else:
+        grid = MultiIndexSet(dim)
+        while len(grid) < size:
+            fronts = [ix for ix in grid.admissible_neighbors()
+                      if edge == "any" or ix[-1] == 0]
+            if not fronts:      # a flat 1-D set stops at (0,)
+                break
+            grid.add(draw(st.sampled_from(fronts)))
+        order = list(grid)
+    shape = draw(st.sampled_from([(), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    coeffs = (rng.normal(size=(len(order),) + shape)
+              + 1j * rng.normal(size=(len(order),) + shape))
+    return dists, maps, order, coeffs
+
+
+def edge_counts(draw, tops):
+    """A point count at the edges of the blocks and chunks of the kernel,
+    for tables of levels 0..tops[d]."""
+    block_bytes = 8 * sum(t + 1 for t in tops) * surrogate._BLOCK
+    chunk = surrogate._BLOCK * max(1, surrogate._CHUNK_BYTES // block_bytes)
+    return draw(st.sampled_from([2, 255, 256, 257, chunk - 1, chunk + 1]))
+
+
+def counted_evaluate(target, pts):
+    """``target.evaluate(pts)`` and the number of blocks that took the dense tail."""
+    with mock.patch.object(np, "einsum", wraps=np.einsum) as einsum:
+        out = target.evaluate(pts)
+    return out, einsum.call_count
+
+
+class TestDenseTail:
+    """Scalar batches in two or more dimensions sum the last depth by a
+    dense matmul; everything else keeps the frozen products."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=tail_cases(), data=st.data())
+    def test_evaluate_matches_oracle(self, case, data):
+        dists, maps, order, coeffs = case
+        sur = Surrogate(dists, maps)
+        for ix, c in zip(order, coeffs):
+            sur.add_restricted(ix, c)
+        n_pts = edge_counts(data.draw, sur.index_set.max_level())
+        pts = sample_joint(dists, n_pts, data.draw(st.integers(0, 99)))
+        want, size = oracle_sum(sur, order, coeffs, pts)
+        got, dense_blocks = counted_evaluate(sur, pts)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * size + 1e-300)
+        dense = coeffs.ndim == 1 and len(dists) > 1
+        assert dense_blocks == (-(-n_pts // surrogate._BLOCK) if dense else 0)
+        # one point, as node predictions have, never takes the dense tail
+        assert counted_evaluate(sur, pts[0])[1] == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_gpc_matches_direct_sum(self, data):
+        dists = data.draw(st.lists(st.sampled_from([uniform(-1, 1), beta33(0, 2)]),
+                                   min_size=1, max_size=8))
+        p_max = data.draw(st.integers(0, 3))
+        indices = sorted(MultiIndexSet.total_degree(len(dists), p_max))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        coeffs = rng.normal(size=len(indices)) + 1j * rng.normal(size=len(indices))
+        exp = GpcExpansion(dists, p_max, indices, coeffs)
+        n_pts = edge_counts(data.draw, [p_max] * len(dists))
+        pts = sample_joint(dists, n_pts, data.draw(st.integers(0, 99)))
+        tables = [ortho_table(d.kind, d.to_canonical(pts[:, k]), p_max)
+                  for k, d in enumerate(dists)]
+        want, size = 0.0, 0.0
+        for c, ix in zip(coeffs, indices):
+            basis = np.prod([t[:, lev] for t, lev in zip(tables, ix)], axis=0)
+            want, size = want + c * basis, size + abs(c) * np.abs(basis)
+        got, dense_blocks = counted_evaluate(exp, pts)
+        assert np.all(np.abs(got - want) <= 1e-12 * size + 1e-300)
+        assert dense_blocks == (-(-n_pts // surrogate._BLOCK) if len(dists) > 1 else 0)
 
 
 def cumprod_newton_table(x, nodes, dens, top):
