@@ -304,6 +304,9 @@ def _target(config):
     path = _field(config, "surrogate", str, None)
     if path is not None:
         target = _load_artifact(path)
+        if getattr(target, "value_shape", ()) != ():    # gpc expansions are scalar
+            raise ConfigError(f"{path} holds values of shape {target.value_shape}, "
+                              "not one scalar per point", field="surrogate")
         return target, list(target.distributions)
     model, distributions, maps = _study(config)
     return _build_surrogate(config, model, distributions, maps)[0], distributions

@@ -10,8 +10,9 @@ ellipse inscribed in the neighbourhood against the largest ellipse whose
 image under g still fits inside, on a log scale.  The mapped ellipse may
 not reach past the map's own singularities, so each map states the
 Bernstein radius of the nearest one.  :meth:`ConformalMap.inverse`
-starts each point from a table of g^-1, built once per distinct map, and
-stops it at its own residual.  The beta law samples through it too.
+starts each point from a cubic Hermite table of g^-1, built once per
+distinct map, and stops it at its own residual.  The beta law samples
+through it too; surrogates call the unchecked ``_inverse``.
 """
 from __future__ import annotations
 
@@ -79,28 +80,52 @@ class ConformalMap:
     def inverse(self, t):
         """Solve g(y) = t on [-1, 1] elementwise.
 
-        Safeguarded Newton with the analytic derivative from a tabulated
-        start, with bisection on each point's bracket when a step leaves
-        it.  Points go in cache-sized chunks, and each stops at its own
-        |g(y) - t| <= 1e-14, so the batch never changes a result.
+        Safeguarded Newton with the analytic derivative from a Hermite
+        start clipped into its table interval (linear where a slope 1/g'
+        is not finite), with bisection on each point's bracket when a
+        step leaves it.  Points go in cache-sized chunks, and each stops
+        at its own |g(y) - t| <= 1e-14, so the batch never changes a result.
         """
         t = _check_unit(t, "t")
+        y = self._inverse(t)
+        return y if t.ndim else y[()]
+
+    def _inverse(self, t):
+        """``inverse`` of a float array already checked and clipped to [-1, 1]."""
         flat = t.reshape(-1)
         y = np.empty_like(flat)
-        y0, dy = self._start_table()
         for start in range(0, flat.size, _INV_CHUNK):
             rows = slice(start, start + _INV_CHUNK)
-            u = (flat[rows] + 1.0) * (0.5 * _INV_KNOTS)
-            k = u.astype(np.intp)
-            y[rows] = self._newton(flat[rows], y0[k] + (u - k) * dy[k])
-        return y.reshape(t.shape) if t.ndim else y[0]
+            y[rows] = self._newton(flat[rows], self._start(flat[rows]))
+        return y.reshape(t.shape)
+
+    def _start(self, t):
+        """Hermite start for the 1-D ``t``, clipped into its table interval."""
+        y0, y1, c1, c2, c3 = self._start_table()
+        u = (t + 1.0) * (0.5 * _INV_KNOTS)
+        k = u.astype(np.intp)
+        s = u - k
+        y = y0[k] + s * (c1[k] + s * (c2[k] + s * c3[k]))
+        return np.clip(y, y0[k], y1[k], out=y)
 
     @lru_cache(64)      # equal maps hash alike (by spec) and share a table
     def _start_table(self):
-        """g^-1 at ``_INV_KNOTS`` + 1 equispaced knots and the steps after them."""
+        """Read-only, per knot t_k: g^-1 at t_k and t_k+1, and the Hermite
+        coefficients of s, s^2, s^3 after t_k, for s = (t - t_k) / step."""
         knots = np.linspace(-1.0, 1.0, _INV_KNOTS + 1)
         y = self._newton(knots, knots.copy())
-        return y, np.append(np.diff(y), 0.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            slope = (2.0 / _INV_KNOTS) / self._raw_derivative(y)
+        d = np.diff(y)
+        # a slope that is not finite: the secant at both ends, a straight line
+        ok = np.isfinite(slope[:-1]) & np.isfinite(slope[1:])
+        m0, m1 = np.where(ok, slope[:-1], d), np.where(ok, slope[1:], d)
+        a, b = d - m0, d - m1
+        table = (y, np.append(y[1:], y[-1]),
+                 *(np.append(c, 0.0) for c in (m0, 2.0 * a + b, -(a + b))))
+        for column in table:
+            column.setflags(write=False)
+        return table
 
     def _newton(self, t, y):
         """``inverse`` of the 1-D ``t`` from the start ``y``, which it overwrites."""
@@ -203,6 +228,9 @@ class IdentityMap(ConformalMap):
     def inverse(self, t):
         t = _check_unit(t, "t")
         return t if t.ndim else float(t)
+
+    def _inverse(self, t):
+        return t
 
     def estimate_gain(self, epsilon, n_samples=GAIN_SAMPLES):
         if _number(epsilon, "epsilon") <= 0.0:

@@ -88,15 +88,16 @@ def kde_pdf(samples, bandwidth, grid):
     [-1, 1], evaluated for every grid point T.  Samples, grid points and
     the bandwidth must be finite.
 
-    Only the sample-grid pairs inside the kernel support are evaluated:
-    the grid is sorted once and each sample finds its window by binary
-    search, so the cost is O(n log G + pairs within h) for G grid points.
+    The sorted grid is cut into 4 G equal cells; a sample's window runs
+    from the cell of x - h to that of x + h, two lookups in a table of
+    the grid rank at each cell.  Cells never decrease with the value, so
+    windows cover the support and the cost is O(n + G + pairs in them).
     Samples go in blocks of ``_KDE_BLOCK // G``; a block holds at most
     ``_KDE_BLOCK`` pairs (G when the grid is larger), stored as one rank
     and one term each.  The summation order is fixed: every grid point
     adds its terms in sample order within a block, and the block sums in
     block order.  That is the order of the dense samples × grid sum, and
-    the pairs left out add exact zeros there, so the result does not
+    the pairs outside the support add exact zeros, so the bits do not
     depend on the window.
     """
     samples = np.asarray(samples, dtype=float).reshape(-1)
@@ -108,19 +109,33 @@ def kde_pdf(samples, bandwidth, grid):
     flat = _finite(grid.reshape(-1), "grid points")
     order = np.argsort(flat, kind="stable")
     ordered = flat[order]
+    if not ordered.size:
+        return np.zeros(grid.shape)
+    cells = 4 * ordered.size
+    span = float(ordered[-1]) - float(ordered[0])
+    # any positive finite scale keeps cells monotone, so clamp the extremes
+    scale = min(max(cells / span, 1e-300), 1e300) if span > 0.0 else 1.0
+
+    def cell(values):
+        with np.errstate(over="ignore"):
+            z = (values - ordered[0]) * scale
+        return np.clip(z, 0.0, cells, out=z).astype(np.intp)
+
+    first = np.searchsorted(cell(ordered), np.arange(cells + 2))  # points below cell j
     out = np.zeros(flat.size)
-    step = max(1, _KDE_BLOCK // max(flat.size, 1))
+    step = max(1, _KDE_BLOCK // flat.size)
     for start in range(0, samples.size, step):
-        out[order] += _kde_block(samples[start:start + step], bandwidth, ordered)
+        out[order] += _kde_block(samples[start:start + step], bandwidth, ordered,
+                                 cell, first)
     return (out / (bandwidth * samples.size)).reshape(grid.shape)
 
 
-def _kde_block(block, bandwidth, ordered):
+def _kde_block(block, bandwidth, ordered, cell, first):
     """Kernel sums of one sample block at each point of the sorted grid."""
     # pairs just outside the support add exact zeros, so the reach may be generous
     reach = bandwidth * (1.0 + 1e-9)
-    lo = np.searchsorted(ordered, block - reach, side="left")
-    counts = np.searchsorted(ordered, block + reach, side="right") - lo
+    lo = first[cell(block - reach)]
+    counts = first[cell(block + reach) + 1] - lo
     ends = np.cumsum(counts)
     # grid ranks lo_i, ..., lo_i + counts_i - 1 for each sample i in turn
     rank = np.repeat(lo - ends + counts, counts)
@@ -129,9 +144,10 @@ def _kde_block(block, bandwidth, ordered):
     terms = np.repeat(block, counts)
     for a in range(0, terms.size, _KDE_CHUNK):
         t = terms[a:a + _KDE_CHUNK]
-        np.subtract(ordered[rank[a:a + _KDE_CHUNK]], t, out=t)
-        t /= bandwidth
-        np.maximum(0.75 * (1.0 - t * t), 0.0, out=t)
+        with np.errstate(over="ignore"):    # a far pair's inf clips to +0.0
+            np.subtract(ordered[rank[a:a + _KDE_CHUNK]], t, out=t)
+            t /= bandwidth
+            np.maximum(0.75 * (1.0 - t * t), 0.0, out=t)
     if ordered.size == 1:
         # numpy sums a lone grid column pairwise, not sample by sample
         column = np.zeros(block.size)

@@ -31,7 +31,8 @@ final contraction is frozen, so a point's value can differ in its last
 bits between a one-point call and a batch.  Node predictions run the same
 kernel on one column of node tables built once per node level.  Both
 evaluables are read back through ``_read_evaluable``.
-``corrected_evaluate`` shares one ``_preimages`` pass.
+``corrected_evaluate`` shares one ``_preimages`` pass: ``to_canonical``
+checks the points, then one unchecked ``_inverse`` call per distinct map.
 
 The physical coordinate of every node is tabulated per dimension and
 level and filled lazily by ``node_point``, so a corrupt stored node
@@ -299,7 +300,7 @@ class Surrogate:
                              for d, dist in enumerate(self.distributions)])
         for g in dict.fromkeys(self.maps):
             cols = [d for d, m in enumerate(self.maps) if m == g]
-            S[:, cols] = g.inverse(S[:, cols])
+            S[:, cols] = g._inverse(S[:, cols])
         return S
 
     def _surplus_values(self):

@@ -351,13 +351,13 @@ class TestAdjointDriver:
             error_indicator(model, p, c, z)
             for p, c, z in zip(pts, primal.evaluate(pts), dual.evaluate(pts))])
         inverted = []
-        inverse = SausageMap.inverse
+        inverse = SausageMap._inverse
 
         def counting(self, t):
             inverted.append(np.size(t))
             return inverse(self, t)
 
-        monkeypatch.setattr(SausageMap, "inverse", counting)
+        monkeypatch.setattr(SausageMap, "_inverse", counting)
         got = corrected_evaluate(qoi, primal, dual, model, pts)
         assert sum(inverted) == pts.size
         assert np.array_equal(got, expected)

@@ -685,17 +685,18 @@ class TestPostProcessing:
         assert all(float(r[1]) >= 0.0 for r in rows[1:])
 
     @pytest.mark.parametrize("command", ["stats", "sobol", "kde"])
-    def test_vector_surrogate_exits_one(self, adjoint_built, tmp_path, capsys, command):
+    def test_vector_surrogate_exits_two(self, adjoint_built, tmp_path, capsys, command):
         # a solution-field surrogate has one vector per point: every
-        # sampling command refuses it the same way
+        # sampling command refuses it as a bad config, before sampling
         primal = os.path.join(adjoint_built, "primal.json")
         width = len(read_json(primal)["surpluses_re"][0])
         path = write_config(tmp_path, {"surrogate": primal, "n_samples": 100,
                                        "n_base": 100})
         code = run_command([command, "--config", path, "--out", str(tmp_path / "run")])
-        assert code == 1
-        assert (f"evaluable returned shape (100, {width}) for 100 points"
-                in capsys.readouterr().err)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid field 'surrogate'" in err
+        assert f"holds values of shape ({width},), not one scalar" in err
 
     def test_resonance_slices(self, tmp_path):
         config = {

@@ -1,4 +1,6 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from numpy.testing import assert_allclose
 
 from adaleja import (IdentityMap, KTEMap, SausageMap, Surrogate, beta33,
                      make_map, uniform)
+from adaleja.distributions import _BETA33_CDF
 from adaleja.errors import ContractError, DomainError
-from adaleja.maps import _INV_CHUNK, _INV_KNOTS
+from adaleja.maps import _INV_CHUNK, _INV_KNOTS, ConformalMap
 
 ALL_MAPS = [
     IdentityMap(),
@@ -176,6 +179,43 @@ class TestInverseProperties:
     def test_equal_maps_share_their_table(self):
         assert SausageMap(9)._start_table() is SausageMap(9)._start_table()
         assert KTEMap(0.5)._start_table() is not KTEMap(0.25)._start_table()
+
+    @pytest.mark.parametrize("m", [SausageMap(9), KTEMap(0.5), _BETA33_CDF])
+    def test_shared_table_is_read_only(self, m):
+        # every equal map reads the same arrays: a write would corrupt them all
+        for column in m._start_table():
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.one_of(MAPS, st.just(_BETA33_CDF)),
+           k=st.sampled_from([0, _INV_KNOTS - 1]) | st.integers(0, _INV_KNOTS - 1),
+           s=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    def test_hermite_start_stays_in_its_interval(self, m, k, s):
+        # both end intervals included: the beta33 CDF has g' = 0 at +-1,
+        # so its end slopes are infinite and those intervals start linearly
+        t = np.array([min(-1.0 + (k + s) * (2.0 / _INV_KNOTS), 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = ConformalMap._start_table.__wrapped__(m)
+            start = m._start(t)
+            exact_points(m, t)
+        at = int((t[0] + 1.0) * (0.5 * _INV_KNOTS))
+        y0 = table[0]
+        assert y0[at] <= start[0] <= y0[min(at + 1, _INV_KNOTS)]
+        assert all(np.array_equal(a, b) for a, b in zip(table, m._start_table()))
+
+    @pytest.mark.parametrize("m", [SausageMap(9), KTEMap(0.5)])
+    def test_uniform_points_close_on_the_first_check(self, m):
+        # the Hermite start is within 1e-14 of g^-1, so no point takes a
+        # Newton step; the table's own build takes them, once per map
+        t = np.random.default_rng(11).uniform(-1.0, 1.0, 3 * _INV_CHUNK)
+        m._start_table()
+        raw = type(m)._raw_derivative
+        with mock.patch.object(type(m), "_raw_derivative", autospec=True,
+                               side_effect=raw) as derivative:
+            exact_points(m, t)
+        assert derivative.call_count == 0
 
     @settings(max_examples=40, deadline=None)
     @given(maps=st.lists(st.one_of(MAPS, st.just(IdentityMap())), min_size=1,

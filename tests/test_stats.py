@@ -159,6 +159,11 @@ class TestKde:
         out = kde_pdf([0.0], 0.5, [0.51, -0.51, 10.0])
         assert np.all(out == 0.0)
 
+    def test_far_pairs_add_zeros_without_warnings(self):
+        # a sample left of the grid still reaches the grid's first cell:
+        # (1 - 0) / 1e-160 squared overflows and must clip to +0.0 quietly
+        assert np.all(kde_pdf([0.0, 3.0], 1e-160, [1.0, 2.0]) == 0.0)
+
     def test_density_integrates_to_one(self):
         rng = np.random.default_rng(21)
         samples = rng.normal(5.0, 1.0, 4_000)
@@ -198,6 +203,17 @@ class TestKde:
     # one grid point: numpy sums the dense column pairwise
     @example(case=(list(np.linspace(-1.0, 1.0, 40) ** 3), 0.7, np.array([0.1]),
                    "default"))
+    # a grid of one repeated value: its lattice spans nothing
+    @example(case=([-0.3, 0.2, 0.25, 0.3, 2.0], 0.05, np.full(7, 0.25), "default"))
+    # a geometric grid: most of its points crowd into the first lattice cell
+    @example(case=(list(np.geomspace(1e-7, 2.5, 30)) + [-0.1, 0.0, 3.0], 0.01,
+                   np.geomspace(1e-6, 3.0, 40), "G+1"))
+    # 5 points on [-1, 1] make 20 cells of 0.1: samples on cell edges, on
+    # edges +- h, and at every grid point +- h
+    @example(case=([-1.0 + 0.1 * j for j in range(21)]
+                   + [-0.9 + 0.1 * j + s for j in range(19) for s in (-0.3, 0.3)]
+                   + [g + s for g in np.linspace(-1.0, 1.0, 5) for s in (-0.3, 0.3)],
+                   0.3, np.linspace(-1.0, 1.0, 5), "default"))
     def test_matches_dense_sum_bit_for_bit(self, case):
         samples, bandwidth, grid, block = case
         size = grid.size
