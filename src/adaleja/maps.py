@@ -10,9 +10,10 @@ ellipse inscribed in the neighbourhood against the largest ellipse whose
 image under g still fits inside, on a log scale.  The mapped ellipse may
 not reach past the map's own singularities, so each map states the
 Bernstein radius of the nearest one.  :meth:`ConformalMap.inverse`
-starts each point from a cubic Hermite table of g^-1, built once per
-distinct map, and stops it at its own residual.  The beta law samples
-through it too; surrogates call the unchecked ``_inverse``.
+starts each point from a cubic Hermite table of g^-1 (linear where a
+slope is infinite), built once per distinct map and clipped into the
+point's interval, and stops it at its own residual.  The beta law
+samples through it too; surrogates call the unchecked ``_inverse``.
 """
 from __future__ import annotations
 
