@@ -24,7 +24,8 @@ import platform
 import sys
 
 import numpy as np
-import scipy.linalg  # the CLI's studies solve: load LAPACK before any command
+import numpy.random  # lazy in numpy: load it here, as every study samples
+import scipy  # for the manifest's versions; the band routines bind below
 
 from .adaptive import (AdaptiveConfig, AdaptiveReport, _csv_text,
                        run_adaptive, run_adaptive_adjoint)
@@ -33,11 +34,15 @@ from .errors import (ConfigError, ContractError, DomainError, SerializationError
                      SolveError, _flag, _number)
 from .gpc import SMOLYAK, TENSOR, GpcExpansion, project
 from .grid import MultiIndexSet
-from .linmodel import LadderModel, ParametricLinearModel
+from .linmodel import LadderModel, ParametricLinearModel, _lapack
 from .maps import make_map
 from .stats import (_deviation, _modulus, extract_resonance,
                     failure_probability, kde_pdf, mc_moments, sobol_indices)
 from .surrogate import Surrogate, _read_evaluable, serialize
+
+# the CLI's studies solve: bind the band LU routines before any command
+for _routine in ("gbtrf", "gbtrs", "gbmv"):
+    _lapack(_routine)
 
 SUBCOMMANDS = ("build", "converge", "stats", "sobol", "kde", "resonance", "gain")
 

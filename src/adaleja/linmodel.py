@@ -8,11 +8,11 @@ z̃ᴴ(f − A c̃) needs assembly only, never a factorization.
 
 Every system is factorized in LAPACK band storage: ``gbtrf`` once per
 solve, ``gbtrs`` per substitution, ``gbmv`` for the residual checks
-(Anderson et al., *LAPACK Users' Guide*), all bound at the first solve
-so that black-box use never loads scipy.linalg.  The ladder assembles
-its tridiagonal band directly in O(n); a dense matrix from any other
-model is packed as a full band (kl = ku = n − 1): one factorization
-path, no size switch.
+(Anderson et al., *LAPACK Users' Guide*), scipy's routines loaded at
+the first solve from its extension files, not via scipy.linalg's costly
+import unless they fail to load.  The ladder assembles its tridiagonal
+band in O(n); a dense matrix from any other model is packed as a full
+band (kl = ku = n − 1): one factorization path, no size switch.
 
 The resonant ladder is a desk-scale stand-in for large frequency-domain
 models: a damped spring chain driven at one end and observed at the
@@ -22,9 +22,11 @@ parameter as dimension 0.
 from __future__ import annotations
 
 import csv
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cache
+from importlib import import_module, machinery, util
 
 import numpy as np
 
@@ -35,9 +37,15 @@ _RESIDUAL_TOL = 1e-10
 
 @cache
 def _lapack(name):
-    """The complex LAPACK or BLAS routine ``name``, bound at its first use."""
-    from scipy.linalg import blas, lapack
-    return getattr(blas if name == "gbmv" else lapack, "z" + name)
+    """``z<name>`` from scipy's ``_flapack``/``_fblas`` file, else through scipy.linalg."""
+    module = "scipy.linalg." + ("_fblas" if name == "gbmv" else "_flapack")
+    try:
+        (root,) = util.find_spec("scipy").submodule_search_locations
+        spec = machinery.PathFinder.find_spec(module, [os.path.join(root, "linalg")])
+        spec.loader.exec_module(lib := util.module_from_spec(spec))
+        return getattr(lib, "z" + name)
+    except (AttributeError, ImportError, TypeError, ValueError):
+        return getattr(import_module(module), "z" + name)
 
 
 class _Band:

@@ -85,8 +85,8 @@ def kde_pdf(samples, bandwidth, grid):
     """Epanechnikov kernel density estimate on a query grid.
 
     Returns (1/(h n)) Σ K((T - x_i)/h) with K(T) = 0.75 (1 - T²) on
-    [-1, 1], evaluated for every grid point T.  Samples, grid points and
-    the bandwidth must be finite.
+    [-1, 1], evaluated for every grid point T.  Samples, grid points,
+    the bandwidth and the resulting densities must be finite.
 
     The sorted grid is cut into 4 G equal cells; a sample's window runs
     from the cell of x - h to that of x + h, two lookups in a table of
@@ -127,7 +127,9 @@ def kde_pdf(samples, bandwidth, grid):
     for start in range(0, samples.size, step):
         out[order] += _kde_block(samples[start:start + step], bandwidth, ordered,
                                  cell, first)
-    return (out / (bandwidth * samples.size)).reshape(grid.shape)
+    with np.errstate(over="ignore"):    # a subnormal bandwidth overflows: refused here
+        out /= bandwidth * samples.size
+    return _finite(out, f"densities at bandwidth {bandwidth!r}").reshape(grid.shape)
 
 
 def _kde_block(block, bandwidth, ordered, cell, first):

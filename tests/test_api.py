@@ -5,6 +5,7 @@ an edit to ``PUBLIC``.  The traced benchmark run wraps further library
 names by name, so renaming one of those is checked here too.
 """
 import dataclasses
+import json
 import re
 import subprocess
 import sys
@@ -101,8 +102,8 @@ def test_import_leaves_optimize_and_special_unloaded():
 
 
 def test_import_leaves_linalg_unloaded():
-    # the band LU routines are bound at the first solve; a black-box
-    # study never solves a system and so never pays for scipy.linalg
+    # the band LU routines are bound at the first solve, from scipy's
+    # extension files: not even a solve pays for importing scipy.linalg
     root = Path(__file__).resolve().parents[1]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import adaleja; "
             "print('scipy.linalg' in sys.modules); "
@@ -111,4 +112,30 @@ def test_import_leaves_linalg_unloaded():
     proc = subprocess.run([sys.executable, "-c", code, str(root / "src")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "False"]
+
+
+def test_cli_build_leaves_linalg_and_array_api_unloaded(tmp_path):
+    # a ladder study through the command solves systems; its cold start
+    # loads neither scipy.linalg nor scipy's array-API layer, and the
+    # command itself imports nothing the CLI did not load with itself
+    root = Path(__file__).resolve().parents[1]
+    study = {"model": {"model": "ladder", "sections": 10, "damping": 0.05, "n_params": 2},
+             "distributions": [{"kind": "uniform", "lower": -1.0, "upper": 1.0}] * 2,
+             "maps": {"map": "sausage", "order": 3}, "algorithm": "adaptive",
+             "budget": 25, "cv": {"n": 100, "seed": 11}, "seed": 3}
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps(study))
+    out = tmp_path / "run"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from adaleja.cli import run_command; loaded = set(sys.modules); "
+            "print(run_command(['build', '--config', sys.argv[2], '--out', sys.argv[3]])); "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy._lib._array_api') "
+            "if m in sys.modules)); "
+            "print(sorted(set(sys.modules) - loaded))")
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "src"), str(config),
+                           str(out)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-3:] == ["0", "[]", "[]"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["versions"]["scipy"]

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 from adaleja import (LadderModel, ParametricLinearModel, error_indicator,
                      material_interp, permittivity, read_material_samples,
                      solve_dual, solve_primal)
+from adaleja import linmodel
 from adaleja.errors import ContractError, SolveError
 from adaleja.linmodel import (GOLD_KAPPA_SAMPLES, GOLD_N_SAMPLES,
                               MATERIAL_FREQUENCIES_THZ, SILVER_KAPPA_SAMPLES,
@@ -241,6 +244,60 @@ class TestBandPath:
         with pytest.raises(SolveError, match="square") as exc_info:
             _as_band(np.ones((3, 2)), np.array([0.25]))
         assert exc_info.value.point == (0.25,)
+
+
+def _band_cases():
+    rng = np.random.default_rng(5)
+    dense = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) + 4.0 * np.eye(6)
+    for sections in (40, 400):
+        yield LadderModel(2, sections=sections).assemble(np.array([0.3, -0.4]))[0]
+    yield _as_band(dense, [0.0])
+
+
+def _routine_outputs(routine):
+    """Every output of gbtrf, gbtrs and gbmv on each case, as bytes."""
+    outputs = []
+    for A in _band_cases():
+        n = A.shape[0]
+        b = np.exp(1j * np.arange(n)) + np.arange(n)
+        lu, piv, info = routine("gbtrf")(A.ab, A.kl, A.ku)
+        outputs += [lu.tobytes(), piv.tobytes(), info]
+        for trans in (0, 2):
+            x, info = routine("gbtrs")(lu, A.kl, A.ku, b, piv, trans=trans)
+            outputs += [x.tobytes(), info]
+            rows = max(n, A.ab.shape[0])
+            v = np.concatenate([b, np.zeros(rows - n)]) if trans else b
+            outputs.append(routine("gbmv")(rows, n, A.kl, A.kl + A.ku, 1.0, A.ab, v,
+                                           trans=trans).tobytes())
+    return outputs
+
+
+class TestLapackBinding:
+    """The band routines bound from scipy's extension files are scipy.linalg's."""
+
+    @staticmethod
+    def scipy_routine(name):
+        from scipy.linalg import blas, lapack
+        return getattr(blas if name == "gbmv" else lapack, "z" + name)
+
+    @pytest.fixture
+    def rebind(self):
+        linmodel._lapack.cache_clear()
+        yield
+        linmodel._lapack.cache_clear()
+
+    def test_bytes_match_scipy_linalg(self, rebind):
+        assert _routine_outputs(linmodel._lapack) == _routine_outputs(self.scipy_routine)
+
+    def test_fallback_binds_the_same_routines(self, rebind, monkeypatch):
+        located = []
+
+        def find_spec(name):
+            located.append(name)   # scipy cannot be located: the direct load fails
+
+        monkeypatch.setattr(linmodel, "util", SimpleNamespace(find_spec=find_spec))
+        assert _routine_outputs(linmodel._lapack) == _routine_outputs(self.scipy_routine)
+        assert located == ["scipy"] * 3
 
 
 class TestMaterial:

@@ -186,6 +186,14 @@ class TestKde:
         with pytest.raises(ContractError):
             kde_pdf([0.0], h, [0.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_bandwidth_whose_densities_overflow(self):
+        # 0.75 / 5e-324 is beyond any float: an error naming the bandwidth, no warning
+        with pytest.raises(ContractError, match="densities at bandwidth 5e-324"):
+            kde_pdf([0.0], 5e-324, [0.0])
+        # the same bandwidth is fine where every density is zero
+        assert kde_pdf([0.0], 5e-324, [1.0]) == [0.0]
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_samples(self, bad):
         with pytest.raises(ContractError, match="1 of 3 samples"):
