@@ -411,7 +411,8 @@ def _cmd_kde(config, seed):
     if bandwidth is None:
         sigma = float(samples.std(ddof=1)) if n_samples > 1 else 1.0
         bandwidth = 1.06 * max(sigma, 1e-12) * n_samples ** (-0.2)
-    grid = _linspace(config.get("kde_grid") or {}, "kde_grid",
+    spec = config.get("kde_grid")
+    grid = _linspace({} if spec is None else spec, "kde_grid",
                      samples.min() - bandwidth, samples.max() + bandwidth, 512)
     density = kde_pdf(samples, bandwidth, grid)
     return {"kde.csv": _csv_text(["T", "density"], zip(grid, density)).encode()}

@@ -2,10 +2,12 @@
 
 Coefficients of the expansion J ≈ Σ s_p Ψ_p are computed with Gauss
 quadrature matched to each input law: Gauss-Legendre for the uniform
-weight and Gauss-Jacobi(3,3) for the symmetric cubic beta weight, with
-weights normalized to probability weights.  The basis is orthonormal
-under the joint law, so the projection denominator is one and the decay
-of max |s_p| over total degree doubles as a regularity diagnostic.
+weight and Gauss-Jacobi(3,3) for the symmetric cubic beta weight, both
+from the law's three-term recurrence (Golub & Welsch, Math. Comp. 23,
+1969).  The basis is orthonormal under the joint law, so the projection
+denominator is one and the decay of max |s_p| over total degree doubles
+as a regularity diagnostic.  Each tensor rule projects by sum
+factorization (Orszag, J. Comput. Phys. 37, 1980).
 Expansions evaluate through the surrogates' prefix-product kernel, on
 tables of the orthonormal polynomials, over the prefix tree of their
 ``MultiIndexSet``, which also finds a coefficient in O(1).
@@ -15,13 +17,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .distributions import BETA33, UNIFORM, make_distribution
 from .errors import ContractError, SerializationError, _count, _finite, _number
 from .grid import MultiIndexSet
-from .surrogate import (_basis, _model_value, _point_batch, _prefix_sum,
-                        _read_evaluable, _write_evaluable)
+from .surrogate import (_model_value, _point_batch, _prefix_sum, _read_evaluable,
+                        _write_evaluable)
 
 TENSOR = "tensor"
 SMOLYAK = "smolyak"
@@ -57,16 +58,16 @@ def ortho_table(kind, y, degree):
 
 
 def gauss_rule(kind, order):
-    """Canonical Gauss nodes and probability weights for a law kind."""
+    """Canonical Gauss nodes and probability weights for a law kind.
+
+    Nodes are the Jacobi matrix's eigenvalues, weights the Christoffel
+    numbers 1 / Σ_{k<order} ψ_k(y)², both symmetrized: odd orders share 0.0."""
     order = _count(order, "quadrature order", 1)
-    if kind == UNIFORM:
-        nodes, weights = leggauss(order)
-    elif kind == BETA33:
-        # imported here, as its only caller: uniform-only studies skip it
-        from scipy.special import roots_jacobi
-        nodes, weights = roots_jacobi(order, 3.0, 3.0)
-    else:
-        raise ContractError(f"no Gauss rule for kind {kind!r}")
+    off = np.sqrt(recurrence_betas(kind, order - 1))
+    nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    nodes = 0.5 * (nodes - nodes[::-1])
+    weights = 1.0 / np.sum(ortho_table(kind, nodes, order - 1) ** 2, axis=1)
+    weights = 0.5 * (weights + weights[::-1])
     return nodes, weights / np.sum(weights)
 
 
@@ -171,17 +172,14 @@ def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
         raise ContractError(f"unknown quadrature {quadrature!r}")
     n_dim = len(dists)
     index_set = MultiIndexSet.total_degree(n_dim, p_max)    # in lex order
-    coeff = np.zeros(len(index_set), dtype=complex)
+    levels = tuple(np.array(list(index_set)).T)
     cache: dict[tuple, complex] = {}
 
-    def tensor_contribution(orders, scale):
-        """Add scale * (projection using the per-dimension Gauss orders)."""
+    def tensor_projection(orders):
+        """Coefficients by the tensor rule of the per-dimension Gauss orders."""
         rules = [gauss_rule(d.kind, o) for d, o in zip(dists, orders)]
         grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-        ys = np.column_stack([g.reshape(-1) for g in grids])
-        weight = np.ones(ys.shape[0])
-        for g in np.meshgrid(*[r[1] for r in rules], indexing="ij"):
-            weight = weight * g.reshape(-1)
+        ys = np.stack(grids, -1).reshape(-1, n_dim)
         xs = np.column_stack([d.from_canonical(ys[:, k]) for k, d in enumerate(dists)])
         values = np.empty(ys.shape[0], dtype=complex)
         for q in range(ys.shape[0]):
@@ -190,18 +188,17 @@ def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
                 cache[key] = complex(_model_value(model, xs[q], "a quadrature node",
                                                   scalar=True))
             values[q] = cache[key]
-        tables = [ortho_table(d.kind, ys[:, k], p_max).T
-                  for k, d in enumerate(dists)]
-        weighted = weight * values
-        # one basis function at a time: the full matrix can outgrow memory
-        for m, ix in enumerate(index_set):
-            coeff[m] += scale * np.sum(weighted * _basis(tables, ix))
+        # sum factorization: one contraction per dimension, in axis order
+        values = values.reshape(orders)
+        for (nodes, weights), d in zip(rules, dists):
+            weighted = weights[:, None] * ortho_table(d.kind, nodes, p_max)
+            values = np.tensordot(values, weighted, axes=(0, 0))
+        return values[levels]
 
     if quadrature == TENSOR:
-        tensor_contribution((p_max + 1,) * n_dim, 1.0)
+        coeff = tensor_projection((p_max + 1,) * n_dim)
     else:
-        for ell in index_set:
-            scale = _combination_weight(n_dim, p_max - sum(ell))
-            if scale:
-                tensor_contribution(tuple(l + 1 for l in ell), float(scale))
+        scales = [_combination_weight(n_dim, p_max - sum(ell)) for ell in index_set]
+        coeff = sum(scale * tensor_projection(tuple(l + 1 for l in ell))
+                    for ell, scale in zip(index_set, scales) if scale)
     return GpcExpansion(dists, p_max, index_set, coeff)

@@ -139,3 +139,27 @@ def test_cli_build_leaves_linalg_and_array_api_unloaded(tmp_path):
     assert proc.stdout.splitlines()[-3:] == ["0", "[]", "[]"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["versions"]["scipy"]
+
+
+def test_cli_beta33_gpc_build_loads_no_module(tmp_path):
+    # the Gauss-Jacobi rules come from the law's own recurrence: a beta33
+    # projection loads neither scipy.special nor scipy's array-API layer,
+    # and the command imports nothing the CLI did not load with itself
+    root = Path(__file__).resolve().parents[1]
+    study = {"model": {"model": "runge", "n_params": 2},
+             "distributions": [{"kind": "beta33", "lower": -1.0, "upper": 1.0}] * 2,
+             "algorithm": "gpc", "p_max": 8, "quadrature": "smolyak", "seed": 3}
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps(study))
+    out = tmp_path / "run"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from adaleja.cli import run_command; loaded = set(sys.modules); "
+            "print(run_command(['build', '--config', sys.argv[2], '--out', sys.argv[3]])); "
+            "print(sorted(m for m in ('scipy.special', 'scipy._lib._array_api') "
+            "if m in sys.modules)); "
+            "print(sorted(set(sys.modules) - loaded))")
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "src"), str(config),
+                           str(out)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-3:] == ["0", "[]", "[]"]
+    assert (out / "decay.csv").read_text().count("\n") == 10

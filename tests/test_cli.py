@@ -622,6 +622,11 @@ class TestPostProcessing:
                             "cv": PER_ITERATION}),
         ("build", "cv", {"algorithm": "isotropic-smolyak", "level": 2,
                          "cv": PER_ITERATION}),
+        # falsy grids that gave the default grid; only absent or null does
+        ("kde", "kde_grid", {"kde_grid": False}),
+        ("kde", "kde_grid", {"kde_grid": 0}),
+        ("kde", "kde_grid", {"kde_grid": []}),
+        ("kde", "kde_grid", {"kde_grid": ""}),
     ])
     def test_bad_range_exits_two(self, built, tmp_path, capsys, command, field, spec):
         _, out = built
@@ -683,6 +688,13 @@ class TestPostProcessing:
         assert rows[0] == ["T", "density"]
         assert len(rows) == 1 + 32
         assert all(float(r[1]) >= 0.0 for r in rows[1:])
+        # null, like an absent field, means the default grid
+        config = write_config(tmp_path, {
+            "surrogate": os.path.join(out, "surrogate.json"),
+            "n_samples": 2000, "seed": 7, "kde_grid": None,
+        })
+        assert run_command(["kde", "--config", config, "--out", run]) == 0
+        assert len(read_rows(os.path.join(run, "kde.csv"))) == 1 + 512
 
     @pytest.mark.parametrize("command", ["stats", "sobol", "kde"])
     def test_vector_surrogate_exits_two(self, adjoint_built, tmp_path, capsys, command):

@@ -1,11 +1,13 @@
 import itertools
 import json
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
 from adaleja import (GpcExpansion, MultiIndexSet, SMOLYAK, TENSOR, beta33,
@@ -52,7 +54,116 @@ class TestOrthonormalBasis:
         assert len(gauss_rule("uniform", np.int64(3))[0]) == 3
 
 
+def _moment(kind, k):
+    """E[y**k] under the canonical law, exactly."""
+    if k % 2:
+        return Fraction(0)
+    if kind == "uniform":
+        return Fraction(1, k + 1)
+    # density 35/32 (1 - y²)³ on [-1, 1]
+    return Fraction(35, 16) * (Fraction(1, k + 1) - Fraction(3, k + 3)
+                               + Fraction(3, k + 5) - Fraction(1, k + 7))
+
+
+class TestGaussRule:
+    ORDERS = range(1, 41)
+
+    @pytest.mark.parametrize("kind", ["uniform", "beta33"])
+    def test_rules_are_symmetric(self, kind):
+        for order in self.ORDERS:
+            nodes, weights = gauss_rule(kind, order)
+            assert len(nodes) == len(weights) == order
+            assert np.all(np.diff(nodes) > 0)
+            # bitwise, so odd orders of every kind share an exact 0.0 node
+            assert np.array_equal(nodes, -nodes[::-1])
+            assert np.array_equal(weights, weights[::-1])
+            if order % 2:
+                assert nodes[order // 2] == 0.0
+
+    def test_uniform_rule_matches_leggauss(self):
+        for order in self.ORDERS:
+            nodes, weights = gauss_rule("uniform", order)
+            ref_nodes, ref_weights = leggauss(order)
+            assert_allclose(nodes, ref_nodes, rtol=0, atol=2e-15)
+            assert_allclose(weights, ref_weights / np.sum(ref_weights), rtol=2e-12)
+
+    @pytest.mark.parametrize("kind", ["uniform", "beta33"])
+    def test_rule_integrates_monomials_to_degree_2n_minus_1(self, kind):
+        # |y| <= 1 and the weights sum to one, so Σ |w y^k| <= 1 and an
+        # absolute bound of a few ulp fits every degree
+        assert _moment("beta33", 2) == Fraction(1, 9)
+        for order in self.ORDERS:
+            nodes, weights = gauss_rule(kind, order)
+            for k in range(2 * order):
+                assert abs(np.sum(weights * nodes ** k) - float(_moment(kind, k))) < 4e-15
+
+    def test_unknown_kind_is_refused(self):
+        for order in (1, 3):
+            with pytest.raises(ContractError, match="kind 'normal'"):
+                gauss_rule("normal", order)
+
+
+def _brute_projection(model, dists, p_max, quadrature):
+    """Coefficients as a sum over the tensor points, one basis function
+    at a time: product weights times every basis function's values."""
+    n_dim = len(dists)
+    index_set = list(MultiIndexSet.total_degree(n_dim, p_max))
+    if quadrature == TENSOR:
+        parts = [((p_max + 1,) * n_dim, 1)]
+    else:
+        parts = [(tuple(l + 1 for l in ell), gpc._combination_weight(n_dim, p_max - sum(ell)))
+                 for ell in index_set]
+    coeff = dict.fromkeys(index_set, 0.0)
+    for orders, scale in parts:
+        rules = [gauss_rule(d.kind, o) for d, o in zip(dists, orders)]
+        ys = np.column_stack([g.reshape(-1) for g in
+                              np.meshgrid(*[r[0] for r in rules], indexing="ij")])
+        weight = np.prod([g.reshape(-1) for g in
+                          np.meshgrid(*[r[1] for r in rules], indexing="ij")], axis=0)
+        xs = np.column_stack([d.from_canonical(ys[:, k]) for k, d in enumerate(dists)])
+        weighted = weight * np.array([model(x) for x in xs])
+        tables = [ortho_table(d.kind, ys[:, k], p_max).T for k, d in enumerate(dists)]
+        for ix in index_set:
+            coeff[ix] += scale * np.sum(weighted * surrogate._basis(tables, ix))
+    return coeff
+
+
 class TestProjection:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_basis_sum(self, data):
+        dists = data.draw(st.lists(
+            st.sampled_from([uniform(-1, 2), beta33(0, 2)]), min_size=1, max_size=3))
+        p_max = data.draw(st.integers(0, 5))
+        quadrature = data.draw(st.sampled_from([TENSOR, SMOLYAK]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        a, b = rng.normal(size=(2, len(dists)))
+
+        def model(x):
+            return complex(np.exp(a @ x / 3.0) * (1.0 + 1j * np.sin(b @ x)))
+
+        exp = project(model, dists, p_max, quadrature=quadrature)
+        want = _brute_projection(model, dists, p_max, quadrature)
+        scale = max(abs(c) for c in want.values())
+        assert exp.indices == list(want)
+        for ix, c in want.items():
+            assert abs(exp.coefficient(ix) - c) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("law, n_dim, p_max, calls", [
+        (uniform, 2, 3, 29), (uniform, 2, 6, 137), (uniform, 2, 8, 281),
+        (beta33, 3, 6, 681), (uniform, 4, 6, 2145)])
+    def test_smolyak_model_calls(self, law, n_dim, p_max, calls):
+        # odd Gauss orders share their 0.0 node, so the node cache saves
+        # exactly these calls
+        seen = []
+
+        def model(x):
+            seen.append(x)
+            return float(np.sum(x))
+
+        project(model, [law(-1, 1)] * n_dim, p_max, quadrature=SMOLYAK)
+        assert len(seen) == calls
+
     def test_reproduces_basis_coefficient(self):
         """Projecting Psi_(2,0) returns a lone unit coefficient."""
         dists = [uniform(-1, 1)] * 2
