@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ContractError, SolveError, _count, _number
 from .linmodel import (ParametricLinearModel, _residual_indicator,
-                       _solve_assembled, solve_dual)
+                       _solve_assembled, _stacks, solve_dual)
 from .surrogate import Surrogate, _model_value, _point_batch
 
 
@@ -248,8 +248,9 @@ def corrected_evaluate(qoi_sur: Surrogate, primal_sur: Surrogate,
 
     The quantity-of-interest surrogate is restricted to the index set the
     primal and dual surrogates share, so an indicator-extended surrogate
-    is never double-corrected.  Each point costs one assembly and one map
-    inversion, which surrogates with equal maps share; no system is solved.
+    is never double-corrected.  Points are assembled as stacked bands, one
+    ``gbmv`` per stack giving A c̃; each point costs one map inversion,
+    which surrogates with equal maps share; no system is solved.
     """
     core_set = primal_sur.indices
     if dual_sur.indices != core_set:
@@ -261,7 +262,7 @@ def corrected_evaluate(qoi_sur: Surrogate, primal_sur: Surrogate,
         s._evaluate_pre(S if (s.distributions, s.maps) == frame else s._preimages(pts))
         for s in (core, primal_sur, dual_sur))
     out = np.empty(pts.shape[0], dtype=complex)
-    for p in range(pts.shape[0]):
-        A, f, _, _ = model.assemble(pts[p])
-        out[p] = base[p] + _residual_indicator(A, f, c_tilde[p], z_tilde[p])
+    for rows in _stacks(model, pts.shape[0]):
+        A, f, _, _ = model._assemble_stack(pts[rows])
+        out[rows] = base[rows] + _residual_indicator(A, f, c_tilde[rows], z_tilde[rows])
     return complex(out[0]) if single else out

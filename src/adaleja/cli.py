@@ -36,7 +36,7 @@ from .gpc import SMOLYAK, TENSOR, GpcExpansion, project
 from .grid import MultiIndexSet
 from .linmodel import LadderModel, ParametricLinearModel, _lapack
 from .maps import make_map
-from .stats import (_deviation, _modulus, extract_resonance,
+from .stats import (_deviation, _modulus, _reference_values, extract_resonance,
                     failure_probability, kde_pdf, mc_moments, sobol_indices)
 from .surrogate import Surrogate, _read_evaluable, serialize
 
@@ -224,7 +224,7 @@ class _CvTracker:
     def __init__(self, model, distributions, n_cv, seed, per_iteration):
         self.per_iteration = per_iteration
         self.points = sample_joint(distributions, n_cv, seed)
-        self.reference = np.array([complex(model(p)) for p in self.points])
+        self.reference = _reference_values(model, self.points)
 
     def measure(self, surrogate):
         return _deviation(surrogate, self.points, self.reference)

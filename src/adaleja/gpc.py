@@ -21,7 +21,7 @@ import numpy as np
 from .distributions import BETA33, UNIFORM, make_distribution
 from .errors import ContractError, SerializationError, _count, _finite, _number
 from .grid import MultiIndexSet
-from .surrogate import (_model_value, _point_batch, _prefix_sum, _read_evaluable,
+from .surrogate import (_model_values, _point_batch, _prefix_sum, _read_evaluable,
                         _write_evaluable)
 
 TENSOR = "tensor"
@@ -163,6 +163,9 @@ def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
     index set of level p_max, with per-dimension Gauss orders ℓ + 1; it
     integrates total-degree 2 p_max + 1 polynomials exactly, which covers
     every product J Ψ_p of interest when J itself lies in the basis span.
+    A rule's new nodes go through one checked batch call (stacked band
+    solves for a linear-system model), and its contraction keeps only
+    the degree prefixes whose sum stays within p_max.
     """
     dists = [make_distribution(d) for d in distributions]
     if not dists:
@@ -172,7 +175,6 @@ def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
         raise ContractError(f"unknown quadrature {quadrature!r}")
     n_dim = len(dists)
     index_set = MultiIndexSet.total_degree(n_dim, p_max)    # in lex order
-    levels = tuple(np.array(list(index_set)).T)
     cache: dict[tuple, complex] = {}
 
     def tensor_projection(orders):
@@ -181,19 +183,22 @@ def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
         grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
         ys = np.stack(grids, -1).reshape(-1, n_dim)
         xs = np.column_stack([d.from_canonical(ys[:, k]) for k, d in enumerate(dists)])
-        values = np.empty(ys.shape[0], dtype=complex)
-        for q in range(ys.shape[0]):
-            key = tuple(ys[q])
-            if key not in cache:
-                cache[key] = complex(_model_value(model, xs[q], "a quadrature node",
-                                                  scalar=True))
-            values[q] = cache[key]
-        # sum factorization: one contraction per dimension, in axis order
-        values = values.reshape(orders)
+        keys = [tuple(y) for y in ys]
+        new = [q for q, key in enumerate(keys) if key not in cache]
+        for q, value in zip(new, _model_values(model, xs[new], lambda p: "a quadrature node",
+                                               scalar=True)):
+            cache[keys[q]] = complex(value)
+        # sum factorization: one contraction per dimension, in axis order,
+        # over a trailing axis of degree prefixes, kept in lex order
+        values = np.array([cache[key] for key in keys]).reshape(orders + (1,))
+        degrees = np.zeros(1, dtype=int)
         for (nodes, weights), d in zip(rules, dists):
             weighted = weights[:, None] * ortho_table(d.kind, nodes, p_max)
             values = np.tensordot(values, weighted, axes=(0, 0))
-        return values[levels]
+            sums = (degrees[:, None] + np.arange(p_max + 1)).reshape(-1)
+            values = values.reshape(values.shape[:-2] + (-1,))[..., sums <= p_max]
+            degrees = sums[sums <= p_max]
+        return values
 
     if quadrature == TENSOR:
         coeff = tensor_projection((p_max + 1,) * n_dim)

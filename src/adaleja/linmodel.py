@@ -7,12 +7,17 @@ conjugate-transposed substitution, and the residual-based indicator
 z̃ᴴ(f − A c̃) needs assembly only, never a factorization.
 
 Every system is factorized in LAPACK band storage: ``gbtrf`` once per
-solve, ``gbtrs`` per substitution, ``gbmv`` for the residual checks
-(Anderson et al., *LAPACK Users' Guide*), scipy's routines loaded at
-the first solve from its extension files, not via scipy.linalg's costly
-import unless they fail to load.  The ladder assembles its tridiagonal
-band in O(n); a dense matrix from any other model is packed as a full
-band (kl = ku = n − 1): one factorization path, no size switch.
+solve, ``gbtrs`` per substitution, ``gbmv`` for the residual checks,
+``gbcon`` for the condition estimate of a failure (Anderson et al.,
+*LAPACK Users' Guide*), scipy's routines loaded at the first solve from
+its extension files, not via scipy.linalg's costly import unless they
+fail to load.  The ladder assembles its tridiagonal band in O(n); a
+dense matrix from any other model is packed as a full band
+(kl = ku = n − 1): one factorization path, no size switch.  A point set
+is solved as one stack, a block-diagonal band of one block per point
+(batched BLAS, Dongarra et al. 2017), checked per block; a one-point
+solve is the one-block case.  Overrides win: only a ladder type keeping
+``assemble`` assembles a stack at once.
 
 The resonant ladder is a desk-scale stand-in for large frequency-domain
 models: a damped spring chain driven at one end and observed at the
@@ -30,9 +35,11 @@ from importlib import import_module, machinery, util
 
 import numpy as np
 
-from .errors import SolveError, _flag, _number
+from .errors import ContractError, SolveError, _flag, _number
 
 _RESIDUAL_TOL = 1e-10
+# Unknowns per stacked band, which bounds a point-set solve's memory.
+_STACK_UNKNOWNS = 1 << 14
 
 
 @cache
@@ -53,8 +60,8 @@ class _Band:
 
     ``ab`` is (2·kl + ku + 1) × n, Fortran-ordered, with A[i, j] at
     ``ab[kl + ku + i − j, j]``; its top kl rows stay zero, as room for
-    the fill-in of ``gbtrf``.  Supports ``A @ x``, ``A.matvec(x,
-    adjoint=True)`` and ``np.asarray(A)`` (the dense matrix).
+    the fill-in of ``gbtrf``, as do its corners outside the matrix.
+    Supports ``A @ x``, ``A.matvec(x, adjoint=True)`` and ``np.asarray(A)``.
     """
 
     def __init__(self, ab, kl, ku):
@@ -137,6 +144,29 @@ class ParametricLinearModel:
     def __call__(self, y):
         return self.qoi(y)
 
+    def _assemble_stack(self, points):
+        """The systems at the rows of ``points`` side by side: (A, f, j, offsets)."""
+        systems = [self.assemble(y) for y in points]
+        bands = [_as_band(s[0], y) for s, y in zip(systems, points)]
+        if len({(b.shape, b.kl, b.ku) for b in bands}) > 1:
+            raise ContractError("the bands of a stack differ in size or width")
+        f, j = (np.concatenate([s[i] for s in systems]).astype(complex) for i in (1, 2))
+        ab = np.asfortranarray(np.hstack([b.ab for b in bands]))
+        return _Band(ab, bands[0].kl, bands[0].ku), f, j, [s[3] for s in systems]
+
+    def _qois(self, points):
+        """``qoi`` at the rows of ``points`` by one stacked solve, bit for bit."""
+        A, f, j, offsets = self._assemble_stack(points)
+        c = substitute(factorize(A, points), A, f, points)
+        return [complex(np.vdot(jk, ck) + o) for jk, ck, o
+                in zip(j.reshape(len(points), -1), c.reshape(len(points), -1), offsets)]
+
+
+def _stacks(model, count):
+    """Row slices of ``count`` points, at most ``_STACK_UNKNOWNS`` unknowns each."""
+    step = max(1, _STACK_UNKNOWNS // model.n)
+    return [slice(s, s + step) for s in range(0, count, step)]
+
 
 @dataclass
 class Factorization:
@@ -153,16 +183,17 @@ class Factorization:
 def factorize(A, y):
     """Band LU with partial pivoting (``gbtrf``) of a band matrix ``A``.
 
-    Returns (lu, piv).  Non-finite entries and an exactly singular U
-    raise a solve error carrying the point and a condition estimate.
+    ``A`` may stack one block per row of a 2-D ``y``.  Returns (lu, piv).
+    Non-finite entries and an exactly singular U raise a solve error
+    naming the failing block's point and condition estimate.
     """
     if not np.isfinite(A.ab).all():
-        raise SolveError("factorization failed: the matrix has non-finite entries",
-                         point=y, cond=_cond_estimate(A))
+        raise _block_error("factorization failed: the matrix has non-finite entries",
+                           A, y, np.argmin(np.isfinite(A.ab).all(axis=0)))
     lu, piv, info = _lapack("gbtrf")(A.ab, A.kl, A.ku)
     if info != 0:
-        raise SolveError(f"factorization failed: U is exactly singular "
-                         f"(gbtrf info {info})", point=y, cond=_cond_estimate(A))
+        raise _block_error(f"factorization failed: U is exactly singular "
+                           f"(gbtrf info {info})", A, y, info - 1, lu, piv)
     return lu, piv
 
 
@@ -170,20 +201,41 @@ def substitute(factors, A, b, y, adjoint=False):
     """One forward-backward substitution (``gbtrs``), with a residual check.
 
     With ``adjoint`` the conjugate-transposed system Aᴴ x = b is solved
-    on the same factors.
+    on the same factors.  Each block's residual is checked; a non-finite
+    right-hand side spreads to every block, so its own block is blamed.
     """
     lu, piv = factors
     x, _ = _lapack("gbtrs")(lu, A.kl, A.ku, b, piv, trans=2 if adjoint else 0)
-    resid = _norm(A.matvec(x, adjoint) - b) / max(_norm(b), 1e-300)
-    if not np.isfinite(resid) or resid > _RESIDUAL_TOL:
-        raise SolveError(f"{'dual' if adjoint else 'primal'} residual {resid:.3e}",
-                         point=y, cond=_cond_estimate(A))
+    m = len(y) if np.ndim(y) == 2 else 1
+    resid = _residuals(A.matvec(x, adjoint) - b, b, m)
+    bad = [k for k, r in enumerate(resid) if not r <= _RESIDUAL_TOL]
+    if bad:
+        rhs = ~np.isfinite(np.reshape(b, (m, -1))).all(axis=1)
+        k = np.argmax(rhs) if rhs.any() else bad[0]
+        raise _block_error(f"{'dual' if adjoint else 'primal'} residual {resid[k]:.3e}",
+                           A, y, k * (A.shape[0] // m), lu, piv)
     return x
 
 
-def _norm(v):
-    """Euclidean norm of a vector; one BLAS call, cheaper than np.linalg.norm."""
-    return np.vdot(v, v).real ** 0.5
+def _residuals(r, b, m):
+    """|r| / |b| for each of m equal blocks; for one, a BLAS dot per norm, as
+    np.linalg.norm is slow."""
+    if m == 1:
+        return [np.vdot(r, r).real ** 0.5 / max(np.vdot(b, b).real ** 0.5, 1e-300)]
+    rn, bn = (np.einsum("ij,ij->i", v.conj(), v).real ** 0.5
+              for v in (r.reshape(m, -1), np.reshape(b, (m, -1))))
+    return (rn / np.maximum(bn, 1e-300)).tolist()
+
+
+def _block_error(message, A, y, column, lu=None, piv=None):
+    """Solve error naming the point and condition estimate of ``column``'s block."""
+    ys = np.atleast_2d(y)
+    n = A.shape[0] // len(ys)
+    k = int(column) // n
+    cols = slice(k * n, (k + 1) * n)
+    cond = float("inf") if lu is None else _cond_estimate(
+        _Band(A.ab[:, cols], A.kl, A.ku), lu[:, cols], piv[cols] - k * n)
+    return SolveError(message, point=ys[k], cond=cond)
 
 
 def solve_primal(model: ParametricLinearModel, y):
@@ -212,14 +264,10 @@ def solve_dual(model: ParametricLinearModel, y, factorization: Factorization):
     return substitute((fac.lu, fac.piv), fac.A, fac.j, y, adjoint=True)
 
 
-def _cond_estimate(A):
-    """1-norm condition number of the dense matrix; error path only."""
-    try:
-        # cond of a complex matrix carries a complex dtype with zero
-        # imaginary part; fold it before converting
-        return float(abs(np.linalg.cond(np.asarray(A), 1)))
-    except np.linalg.LinAlgError:
-        return float("inf")
+def _cond_estimate(A, lu, piv):
+    """1-norm condition estimate (``gbcon``, O(n·kl)); inf if U is singular."""
+    rcond, _ = _lapack("gbcon")(A.kl, A.ku, lu, piv, np.abs(A.ab).sum(axis=0).max())
+    return 1.0 / rcond if rcond > 0 else float("inf")
 
 
 def error_indicator(model: ParametricLinearModel, y, primal_approx, dual_approx):
@@ -229,8 +277,9 @@ def error_indicator(model: ParametricLinearModel, y, primal_approx, dual_approx)
 
 
 def _residual_indicator(A, f, c, z):
-    """z̃ᴴ(f − A c̃) for an assembled A and f: the one residual formula."""
-    return complex(np.vdot(z, f - A @ c))
+    """z̃ᴴ(f − A c̃), the one residual formula; a list for stacked rows c̃, z̃."""
+    r = (f - A @ np.reshape(c, -1)).reshape(np.shape(z))
+    return complex(np.vdot(z, r)) if r.ndim == 1 else [np.vdot(*zr) for zr in zip(z, r)]
 
 
 class LadderModel(ParametricLinearModel):
@@ -291,6 +340,35 @@ class LadderModel(ParametricLinearModel):
         j = np.zeros(self.n, dtype=complex)
         j[-1] = 1.0
         return _Band(ab, 1, 1), f, j, 0.0 + 0.0j
+
+    def _assemble_stack(self, points):
+        """``assemble`` at the rows of ``points`` with the same operations
+        elementwise, one block of columns per point; a type overriding
+        ``assemble`` is stacked from its own results.  One point keeps
+        ``assemble``, which is faster than a one-row stack.
+        """
+        if type(self).assemble is not LadderModel.assemble:
+            return super()._assemble_stack(points)
+        points = np.asarray(points, dtype=float)
+        if points.shape[1:] != (self.n_params,):
+            raise ValueError(
+                f"expected {self.n_params} parameters, got shape {points.shape[1:]}")
+        m, n = len(points), self.n
+        if self.with_frequency:     # scalar ω ** 2: an array's can differ in its last bit
+            t = points[:, 1:]
+            shift = np.array([[-w ** 2 + 1j * self.damping * w] for w in points[:, 0]])
+        else:
+            t, shift = points, -self.omega ** 2 + 1j * self.damping * self.omega
+        springs = np.ones((m, n + 2))
+        springs[:, 1:self.n_stiff + 1] = 1.0 + 0.1 * t
+        springs[:, n + 1] = 0.0
+        off = -springs[:, 2:n + 1]
+        ab = np.zeros((m, n, 4), dtype=complex)
+        ab[:, 1:, 1] = ab[:, :-1, 3] = off
+        ab[:, :, 2] = springs[:, 1:n + 1] + springs[:, 2:n + 2] + shift
+        f, j = np.zeros((2, m * n), dtype=complex)
+        f[::n] = j[n - 1::n] = 1.0
+        return _Band(ab.reshape(m * n, 4).T, 1, 1), f, j, [0.0 + 0.0j] * m
 
 
 def material_interp(samples, omega):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .distributions import make_distribution, sample_joint
 from .errors import ContractError, _count, _finite, _number
+from .surrogate import _model_values
 
 # Epanechnikov block size, in sample-grid pairs: a block holds
 # _KDE_BLOCK // G samples.  It fixes the summation grouping, not just the
@@ -237,16 +238,22 @@ def extract_resonance(target, parameters, f_range, n_starts=3):
 def cv_errors(target, reference, distributions, n_cv, seed):
     """Mean and maximum absolute deviation from a reference model.
 
-    The reference is called point by point; the target is evaluated in
-    one batch.  Returns (mean L¹ error, max error) over PDF-distributed
-    cross-validation samples; a non-finite target or reference value
-    raises a contract error.
+    The reference goes through the checked batch call, which solves a
+    linear-system model as stacked bands; the target is evaluated in one
+    batch.  Returns (mean L¹ error, max error) over PDF-distributed
+    cross-validation samples.  A reference that raises or returns a vector
+    raises an error naming the point; non-finite values a contract error.
     """
     n_cv = _count(n_cv, "n_cv", 1)
     dists = [make_distribution(d) for d in distributions]
     points = sample_joint(dists, n_cv, seed)
-    exact = np.array([complex(reference(p)) for p in points])
-    return _deviation(target, points, exact)
+    return _deviation(target, points, _reference_values(reference, points))
+
+
+def _reference_values(reference, points):
+    """Scalar reference values at ``points``; non-finite ones are left to count."""
+    return np.array(_model_values(reference, points, lambda p: "a cross-validation point",
+                                  scalar=True, finite=False), dtype=complex)
 
 
 def _deviation(target, points, exact):

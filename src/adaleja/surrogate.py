@@ -50,6 +50,7 @@ from .errors import (ContractError, SerializationError, SolveError,
                      UnsupportedVersionError, _count, _finite)
 from .grid import _INITIAL_CAPACITY, MultiIndexSet, _as_index
 from .leja import leja_nodes
+from .linmodel import ParametricLinearModel, _stacks
 from .maps import ConformalMap, IdentityMap, make_map
 
 SCHEMA_VERSION = 1
@@ -159,12 +160,12 @@ def _as_map_list(maps, n_dim):
     return out
 
 
-def _model_value(model, x, label, scalar=False):
+def _model_value(model, x, label, scalar=False, finite=True):
     """Model value at the point ``x``, as a complex array: the one checked call.
 
-    A model exception, or a non-finite value (scalar or any vector
-    entry), raises a solve error naming ``label`` and the point; with
-    ``scalar``, a vector value raises a contract error.
+    A model exception, or unless ``finite`` is false a non-finite value
+    (scalar or any vector entry), raises a solve error naming ``label``
+    and the point; with ``scalar``, a vector value raises a contract error.
     """
     try:
         value = np.asarray(model(x), dtype=complex)
@@ -173,12 +174,38 @@ def _model_value(model, x, label, scalar=False):
     except Exception as exc:
         raise SolveError(f"model evaluation failed at {label}: {exc}",
                          point=x) from exc
-    if not np.isfinite(value).all():
+    if finite and not np.isfinite(value).all():
         raise SolveError(f"non-finite model value {value} at {label}", point=x)
     if scalar and value.ndim:
         raise ContractError(f"expected a scalar model, got shape {value.shape} "
-                            f"at {label}")
+                            f"at {label}, point {tuple(float(c) for c in x)}")
     return value
+
+
+def _model_values(model, points, label, scalar=False, finite=True):
+    """``_model_value`` at each row of ``points``; ``label(p)`` names row p.
+
+    A ``ParametricLinearModel`` type overriding neither ``__call__`` nor
+    ``qoi`` is solved in stacks; any other model goes point by point, as
+    does a stack failing other than by a solve error, or holding a value
+    ``finite`` refuses, so that the error names its point.
+    """
+    plain, kind = ParametricLinearModel, type(model)
+    stacked = (isinstance(model, plain) and kind.qoi is plain.qoi
+               and kind.__call__ is plain.__call__)
+    values = []
+    for rows in _stacks(model, len(points)) if stacked else [slice(0, len(points))]:
+        try:
+            stack = model._qois(points[rows]) if stacked else None
+        except SolveError:
+            raise
+        except Exception:
+            stack = None
+        if stack is None or (finite and not np.isfinite(stack).all()):
+            stack = [_model_value(model, x, label(p), scalar, finite)
+                     for p, x in enumerate(points[rows], rows.start)]
+        values += stack
+    return values
 
 
 class Surrogate:
@@ -427,12 +454,15 @@ class Surrogate:
 
         Indices are absorbed in lexicographic order, which refines the
         componentwise partial order, so every parent precedes its children.
-        A failing model call or a non-finite value raises a solve error
+        A linear-system model's nodes are solved as stacked bands.  A
+        failing model call or a non-finite value raises a solve error
         naming the index and its point.
         """
         sur = cls(distributions, maps)
-        for ix in MultiIndexSet(sur.n_dim, list(index_set)).sorted_indices():
-            sur._add(ix, _model_value(model, sur._node_point(ix), f"index {ix}"))
+        order = MultiIndexSet(sur.n_dim, list(index_set)).sorted_indices()
+        points = np.array([sur._node_point(ix) for ix in order]).reshape(-1, sur.n_dim)
+        for ix, value in zip(order, _model_values(model, points, lambda p: f"index {order[p]}")):
+            sur._add(ix, value)
         return sur
 
     def restrict(self, indices):

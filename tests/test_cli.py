@@ -1,7 +1,9 @@
 """End-to-end tests of the command line driver."""
 import csv
 import json
+import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +272,70 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "numerical failure: 1 of 100 reference values are not finite" in err
         assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("first, message", [
+        (lambda y: 1.0 / 0.0, "model evaluation failed at a cross-validation point: "
+                              ".*division by zero at point"),
+        (lambda y: np.array([1.0, 2.0]), r"expected a scalar model, got shape \(2,\) "
+                                         r"at a cross-validation point, point"),
+    ], ids=["raises", "vector"])
+    def test_bad_cv_reference_names_the_point(self, tmp_path, capsys, monkeypatch,
+                                              first, message):
+        class FirstCallBad:
+            """A black box whose first call, the first CV point, is bad."""
+
+            n_params = 2
+
+            def __init__(self):
+                self.calls = []
+
+            def __call__(self, y):
+                self.calls.append(tuple(y))
+                return first(y) if len(self.calls) == 1 else 1.0 + y[0] * y[1]
+
+        model = FirstCallBad()
+        monkeypatch.setattr("adaleja.cli.make_model", lambda spec: model)
+        path = write_config(tmp_path, BUILD_CONFIG)
+        code = run_command(["build", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.search("numerical failure: " + message, err)
+        assert str(tuple(float(c) for c in model.calls[0])) in err
+
+    def test_cv_reference_is_solved_in_stacks(self, tmp_path, monkeypatch):
+        """One gbtrf per adaptive model call, plus one per stack of CV points."""
+        from adaleja import cli, linmodel
+        bind, factorizations, reports = linmodel._lapack, [], []
+
+        def counting(name):
+            routine = bind(name)
+            if name != "gbtrf":
+                return routine
+
+            def gbtrf(*args, **kwargs):
+                factorizations.append(args[0].shape[1])
+                return routine(*args, **kwargs)
+            return gbtrf
+
+        inner = cli.run_adaptive
+
+        def recording(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            reports.append(result[1])
+            return result
+
+        monkeypatch.setattr(linmodel, "_lapack", counting)
+        monkeypatch.setattr(cli, "run_adaptive", recording)
+        sections, n_cv = 40, 1000
+        config = dict(BUILD_CONFIG, budget=40, cv={"n": n_cv, "seed": 11},
+                      model=dict(BUILD_CONFIG["model"], sections=sections))
+        path = write_config(tmp_path, config)
+        assert run_command(["build", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        (report,) = reports
+        stacks = math.ceil(n_cv * sections / linmodel._STACK_UNKNOWNS)
+        assert stacks == math.ceil(n_cv / (linmodel._STACK_UNKNOWNS // sections)) == 3
+        assert len(factorizations) == report.lu_count + stacks
+        assert factorizations.count(sections) == report.lu_count
 
     def test_isotropic_report_matches_fit(self, tmp_path):
         config = {

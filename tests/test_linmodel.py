@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from adaleja import (LadderModel, ParametricLinearModel, error_indicator,
-                     material_interp, permittivity, read_material_samples,
-                     solve_dual, solve_primal)
+from adaleja import (LadderModel, ParametricLinearModel, Surrogate, cv_errors,
+                     error_indicator, material_interp, permittivity, project,
+                     read_material_samples, solve_dual, solve_primal, uniform)
 from adaleja import linmodel
 from adaleja.errors import ContractError, SolveError
+from adaleja.grid import MultiIndexSet
 from adaleja.linmodel import (GOLD_KAPPA_SAMPLES, GOLD_N_SAMPLES,
                               MATERIAL_FREQUENCIES_THZ, SILVER_KAPPA_SAMPLES,
-                              SILVER_N_SAMPLES, _as_band, _Band, factorize,
-                              substitute)
+                              SILVER_N_SAMPLES, _as_band, _Band, _residual_indicator,
+                              factorize, substitute)
+from adaleja.surrogate import _model_values
 
 
 class TestLadderAssembly:
@@ -246,6 +248,193 @@ class TestBandPath:
         assert exc_info.value.point == (0.25,)
 
 
+class AssembleOverride(LadderModel):
+    """A ladder driven twice as hard: its own assembly doubles every QoI."""
+
+    def assemble(self, y):
+        A, f, j, offset = super().assemble(y)
+        return A, 2.0 * f, j, offset
+
+
+class QoiOverride(LadderModel):
+    """A ladder whose own ``qoi`` adds one."""
+
+    def qoi(self, y):
+        return super().qoi(y) + 1.0
+
+
+class DenseModel(ParametricLinearModel):
+    """A random dense two-parameter system, packed as a full band."""
+
+    n_params = 2
+
+    def __init__(self, n, seed):
+        rng = np.random.default_rng(seed)
+        self.n = n
+        self.terms = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+        self.f = rng.normal(size=n) + 1j * rng.normal(size=n)
+        self.j = rng.normal(size=n) + 0j
+
+    def assemble(self, y):
+        A = self.terms[0] + y[0] * self.terms[1] + y[1] * self.terms[2]
+        return A + 3.0 * self.n * np.eye(self.n), self.f, self.j, 0.5 + 0.0j
+
+
+def _stack_failure(monkeypatch, fault, k):
+    """Solve 300 ladder systems as one stack with ``fault`` put in block k.
+
+    Returns the error, the points, the block size and the (band, lu, piv)
+    shapes each condition estimate was given.
+    """
+    n = 12
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, (300, 2))
+    A, f, _, _ = LadderModel(2, sections=n, damping=0.05)._assemble_stack(points)
+    if fault == "nan entry":
+        A.ab[2, k * n + 5] = np.nan
+    elif fault == "zero column":
+        A.ab[:, k * n + 5] = 0.0
+    elif fault == "nan right-hand side":
+        f[k * n + 3] = np.nan
+    else:
+        bind = linmodel._lapack
+
+        def gbtrs(*args, **kwargs):
+            x, info = bind("gbtrs")(*args, **kwargs)
+            x[k * n + 4] += 1e-6
+            return x, info
+
+        monkeypatch.setattr(linmodel, "_lapack",
+                            lambda name: gbtrs if name == "gbtrs" else bind(name))
+    seen, estimate = [], linmodel._cond_estimate
+
+    def spy(band, lu, piv):
+        seen.append((band.ab.shape, lu.shape, piv.shape))
+        return estimate(band, lu, piv)
+
+    monkeypatch.setattr(linmodel, "_cond_estimate", spy)
+    with pytest.raises(SolveError) as exc_info:
+        substitute(factorize(A, points), A, f, points)
+    return exc_info.value, points, n, seen
+
+
+class TestStackedSolves:
+    """A point set's systems solved side by side as one block-diagonal band."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), sections=st.integers(1, 60), n_stiff=st.integers(0, 3),
+           with_frequency=st.booleans(), damping=st.floats(0.005, 0.2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_stacks_are_bitwise_one_point_solves(self, data, sections, n_stiff,
+                                                 with_frequency, damping, seed):
+        """qoi, solve_primal, A @ c and the residual formula, block by block."""
+        n_stiff = min(n_stiff, sections)
+        model = LadderModel(n_stiff, sections, damping, with_frequency or not n_stiff)
+        chunk = linmodel._STACK_UNKNOWNS // sections
+        m = data.draw(st.sampled_from([1, 2, chunk - 1, chunk, chunk + 1])
+                      | st.integers(1, 300), label="m")
+        rng = np.random.default_rng(seed)
+        lo, hi = np.array(model.support()).T
+        points = lo + (hi - lo) * rng.random((m, model.n_params))
+        qois = _model_values(model, points, str)
+        assert qois == [model.qoi(y) for y in points]
+        A, f, j, offsets = model._assemble_stack(points)
+        c = substitute(factorize(A, points), A, f, points)
+        Ac = A @ c
+        z = rng.normal(size=c.size) + 1j * rng.normal(size=c.size)
+        etas = _residual_indicator(A, f, c.reshape(m, -1), z.reshape(m, -1))
+        n = sections
+        for k, y in enumerate(points):
+            block = slice(k * n, (k + 1) * n)
+            ck, fac = solve_primal(model, y)
+            assert c[block].tobytes() == ck.tobytes()
+            assert Ac[block].tobytes() == (fac.A @ ck).tobytes()
+            assert etas[k] == _residual_indicator(fac.A, fac.f, c[block], z[block])
+            assert (f[block].tobytes(), j[block].tobytes(), offsets[k]) == (
+                fac.f.tobytes(), fac.j.tobytes(), fac.offset)
+
+    @pytest.mark.parametrize("fault", ["nan entry", "zero column",
+                                       "nan right-hand side", "residual"])
+    def test_failure_names_its_block(self, monkeypatch, fault):
+        k = 217
+        err, points, n, seen = _stack_failure(monkeypatch, fault, k)
+        assert err.point == tuple(points[k])
+        # the estimate reads the failing block's n columns, never the stack
+        assert seen == ([] if fault == "nan entry" else [((4, n), (4, n), (n,))])
+        model = LadderModel(2, sections=n, damping=0.05)
+        if fault in ("nan entry", "zero column"):
+            assert err.cond == float("inf")
+        else:
+            A = model.assemble(points[k])[0]
+            assert err.cond == linmodel._cond_estimate(A, *factorize(A, points[k]))
+
+    @pytest.mark.parametrize("k", [0, 149, 299])
+    def test_nan_block_is_named_wherever_it_sits(self, monkeypatch, k):
+        err, points, _, _ = _stack_failure(monkeypatch, "nan right-hand side", k)
+        assert err.point == tuple(points[k])
+        assert "primal residual nan" in str(err)
+
+    def test_batch_call_names_the_failing_point(self):
+        class Holed(LadderModel):
+            def assemble(self, y):
+                A, f, j, offset = super().assemble(y)
+                if y[0] < -0.9:
+                    A.ab[2, 0] = np.nan
+                return A, f, j, offset
+
+        points = np.random.default_rng(4).uniform(-1.0, 1.0, (200, 2))
+        first = int(np.argmax(points[:, 0] < -0.9))
+        with pytest.raises(SolveError, match="non-finite entries") as exc_info:
+            _model_values(Holed(2, sections=6), points, str)
+        assert exc_info.value.point == tuple(points[first])
+
+    @pytest.mark.parametrize("cls", [AssembleOverride, QoiOverride])
+    def test_overrides_win(self, cls):
+        """cv_errors, Surrogate.fit and project use the subclass's values."""
+        model = cls(2, sections=9, damping=0.05)
+        unit = [uniform(-1.0, 1.0)] * 2
+
+        def per_point(y):
+            return model(y)
+
+        def batch(points):
+            return np.array([model(y) for y in points])
+
+        assert cv_errors(batch, model, unit, 50, 0) == (0.0, 0.0)
+        index_set = MultiIndexSet.total_degree(2, 3)
+        fits = [Surrogate.fit(m, unit, index_set) for m in (model, per_point)]
+        assert [fits[0].surplus(ix) for ix in index_set] == [
+            fits[1].surplus(ix) for ix in index_set]
+        gpc = [project(m, unit, 3, quadrature="smolyak") for m in (model, per_point)]
+        assert [gpc[0].coefficient(ix) for ix in gpc[0].indices] == [
+            gpc[1].coefficient(ix) for ix in gpc[1].indices]
+
+    def test_dense_blocks_agree_within_a_stated_tolerance(self):
+        """Full bands up to 6 × 6 stack bit for bit; larger ones within 1e-14."""
+        for n in range(1, 13):
+            model = DenseModel(n, seed=n)
+            points = np.random.default_rng(n).uniform(-1.0, 1.0, (120, 2))
+            stacked = np.array(_model_values(model, points, str))
+            one = np.array([model.qoi(y) for y in points])
+            if n <= 6:
+                assert stacked.tobytes() == one.tobytes()
+            assert np.max(np.abs(stacked - one) / np.abs(one)) <= 1e-14
+
+    def test_condition_estimate_bounds_the_dense_one(self):
+        rng = np.random.default_rng(8)
+        for n, kl, ku in ((1, 0, 0), (7, 1, 2), (12, 3, 1), (20, 19, 19)):
+            D = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            i, j = np.indices((n, n))
+            D[(i - j > kl) | (j - i > ku)] = 0.0
+            A = _Band.pack(D, kl, ku)
+            exact = np.linalg.cond(D, 1).real
+            estimate = linmodel._cond_estimate(A, *factorize(A, [0.0]))
+            assert exact / 3.0 <= estimate <= exact * (1.0 + 1e-10)
+        singular = _Band.pack(np.diag([1.0, 0.0, 2.0]).astype(complex), 1, 1)
+        lu, piv, info = linmodel._lapack("gbtrf")(singular.ab, 1, 1)
+        assert info == 2
+        assert linmodel._cond_estimate(singular, lu, piv) == float("inf")
+
+
 def _band_cases():
     rng = np.random.default_rng(5)
     dense = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) + 4.0 * np.eye(6)
@@ -288,6 +477,25 @@ class TestLapackBinding:
 
     def test_bytes_match_scipy_linalg(self, rebind):
         assert _routine_outputs(linmodel._lapack) == _routine_outputs(self.scipy_routine)
+
+    def test_gbcon_matches_scipy_linalg(self, rebind, monkeypatch):
+        """Condition estimates bound directly and through the fallback are scipy's."""
+        def estimates(routine):
+            out = []
+            for A in _band_cases():
+                lu, piv, _ = routine("gbtrf")(A.ab, A.kl, A.ku)
+                rcond, info = routine("gbcon")(A.kl, A.ku, lu, piv,
+                                               np.abs(A.ab).sum(axis=0).max())
+                out.append((np.float64(rcond).tobytes(), info))
+            return out
+
+        reference = estimates(self.scipy_routine)
+        assert estimates(linmodel._lapack) == reference
+        linmodel._lapack.cache_clear()
+        located = []
+        monkeypatch.setattr(linmodel, "util", SimpleNamespace(find_spec=located.append))
+        assert estimates(linmodel._lapack) == reference
+        assert located == ["scipy"] * 2
 
     def test_fallback_binds_the_same_routines(self, rebind, monkeypatch):
         located = []

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from adaleja import (cv_errors, extract_resonance, failure_probability,
                      kde_pdf, mc_moments, sobol_indices, stats, uniform)
-from adaleja.errors import ContractError
+from adaleja.errors import ContractError, SolveError
 
 UNIT = [uniform(0.0, 1.0)]
 
@@ -369,3 +369,16 @@ class TestCvErrors:
     def test_non_finite_reference_rejected(self):
         with pytest.raises(ContractError, match="100 of 100 reference values"):
             cv_errors(lambda pts: pts[:, 0], lambda p: complex("nan"), UNIT, 100, 3)
+
+    def test_bad_reference_names_the_point(self):
+        """A raising or vector-valued reference is checked, naming its point."""
+        def raising(p):
+            return 1.0 / float(p[0] > 0.5)    # ZeroDivisionError at or below 0.5
+
+        with pytest.raises(SolveError, match="model evaluation failed at a "
+                                             "cross-validation point") as exc_info:
+            cv_errors(lambda pts: pts[:, 0], raising, UNIT, 100, 3)
+        assert exc_info.value.point[0] <= 0.5
+        with pytest.raises(ContractError, match=r"scalar model, got shape \(2,\) at a "
+                                                r"cross-validation point, point \(0\."):
+            cv_errors(lambda pts: pts[:, 0], lambda p: np.array([p[0], 1.0]), UNIT, 100, 3)
