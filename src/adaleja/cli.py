@@ -33,7 +33,7 @@ from .distributions import make_distribution, sample_joint
 from .errors import (ConfigError, ContractError, DomainError, SerializationError,
                      SolveError, _flag, _number)
 from .gpc import SMOLYAK, TENSOR, GpcExpansion, project
-from .grid import MultiIndexSet
+from .grid import MAX_TOTAL_DEGREE_SIZE, MultiIndexSet
 from .linmodel import LadderModel, ParametricLinearModel, _lapack
 from .maps import make_map
 from .stats import (_deviation, _modulus, _reference_values, extract_resonance,
@@ -259,14 +259,18 @@ def _build_surrogate(config, model, distributions, maps, tracker=None):
     """
     algorithm = config["algorithm"]
     parts = {}
+    if algorithm in ("gpc", "isotropic-smolyak"):
+        key = ALGORITHMS[algorithm]
+        degree = _field(config, key, int, ge=1)
+        if MultiIndexSet.total_degree_size(len(distributions), degree) > MAX_TOTAL_DEGREE_SIZE:
+            raise ConfigError(f"{key} {config[key]!r} gives more than "
+                              f"{MAX_TOTAL_DEGREE_SIZE} total-degree indices", field=key)
     if algorithm == "gpc":
-        p_max = _field(config, "p_max", int, ge=1)
         quadrature = _field(config, "quadrature", str, TENSOR, choices=(TENSOR, SMOLYAK))
-        expansion = project(model, distributions, p_max, quadrature=quadrature)
+        expansion = project(model, distributions, degree, quadrature=quadrature)
         return expansion, None, parts
     if algorithm == "isotropic-smolyak":
-        level = _field(config, "level", int, ge=1)
-        indices = MultiIndexSet.total_degree(len(distributions), level)
+        indices = MultiIndexSet.total_degree(len(distributions), degree)
         target = Surrogate.fit(model, distributions, indices, maps)
         # one row per node in absorption order, one model call each
         report = AdaptiveReport()

@@ -34,6 +34,8 @@ from .errors import ContractError, _count
 
 # Rows allocated by the first append; the arrays double from there.
 _INITIAL_CAPACITY = 16
+# Most indices ``total_degree`` enumerates: about 50 MB and 1 s of set.
+MAX_TOTAL_DEGREE_SIZE = 100_000
 
 
 def _as_index(index, dim=None):
@@ -99,8 +101,11 @@ class MultiIndexSet:
 
     @classmethod
     def total_degree(cls, dim, degree):
-        """All indices with level sum at most ``degree``."""
-        dim, degree = _count(dim, "dimension", 1), _count(degree, "degree")
+        """All indices with level sum at most ``degree``; a set of more than
+        ``MAX_TOTAL_DEGREE_SIZE`` indices is refused before it is built."""
+        if cls.total_degree_size(dim, degree) > MAX_TOTAL_DEGREE_SIZE:
+            raise ContractError(f"degree {degree} in {dim} dimensions gives more than "
+                                f"{MAX_TOTAL_DEGREE_SIZE} total-degree indices")
 
         def rec(prefix, remaining, budget):
             if remaining == 1:

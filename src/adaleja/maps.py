@@ -22,7 +22,7 @@ from math import asin, factorial, inf, sqrt
 
 import numpy as np
 
-from .errors import DomainError, _count, _number
+from .errors import ContractError, DomainError, _count, _number
 
 _EDGE_SLACK = 1e-12
 
@@ -292,7 +292,8 @@ class KTEMap(ConformalMap):
     """Arcsine-based stretch map with strength ``alpha`` in (0, 1).
 
     Its branch points at ±1/alpha lie on the Bernstein ellipse of radius
-    1/alpha + sqrt(1/alpha² - 1).
+    (1 + sqrt(1 - alpha²)) / alpha, written so that no square of alpha
+    underflows; an alpha whose radius overflows is refused.
     """
 
     kind = "kte"
@@ -300,7 +301,10 @@ class KTEMap(ConformalMap):
     def __init__(self, alpha):
         self.alpha = alpha = _number(alpha, "kte alpha", gt=0, lt=1)
         self._norm = asin(alpha)
-        self.singularity_radius = 1.0 / alpha + sqrt(1.0 / alpha ** 2 - 1.0)
+        self.singularity_radius = (1.0 + sqrt((1.0 - alpha) * (1.0 + alpha))) / alpha
+        if self.singularity_radius == inf:
+            raise ContractError(f"kte alpha {alpha!r} is too small: its singularity "
+                                "radius is not finite")
 
     def _raw(self, y):
         y = np.asarray(y)

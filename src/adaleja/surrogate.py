@@ -34,10 +34,9 @@ evaluables are read back through ``_read_evaluable``.
 ``corrected_evaluate`` shares one ``_preimages`` pass: ``to_canonical``
 checks the points, then one unchecked ``_inverse`` call per distinct map.
 
-The physical coordinate of every node is tabulated per dimension and
-level and filled lazily by ``node_point``, so a corrupt stored node
-raises when its point is asked for, never while a surrogate is loaded or
-restricted.
+Installing a dimension's nodes also tabulates their physical
+coordinates, so a stored node that is not finite, repeats another or
+lies outside [-1, 1] fails ``deserialize``.
 """
 from __future__ import annotations
 
@@ -231,8 +230,7 @@ class Surrogate:
         self._dens = [np.empty(0) for _ in dists]
         # per dimension, Newton factor of level l at node j in [l, j]
         self._node_tables = [np.empty((0, 0)) for _ in dists]
-        # per dimension, physical coordinate of the node of level l at [l];
-        # filled by node_point, emptied by _set_nodes
+        # per dimension, physical coordinate of the node of level l at [l]
         self._coords = [np.empty(0) for _ in dists]
 
     @property
@@ -262,12 +260,16 @@ class Surrogate:
 
     def _set_nodes(self, dim, nodes):
         """Install canonical nodes of one dimension, their Newton
-        denominators and the table of Newton factors at the nodes, and
-        mark its coordinate table stale."""
+        denominators, the table of Newton factors at the nodes and their
+        physical coordinates.  A node that is not finite or lies outside
+        [-1, 1] raises a domain error, a repeated node (a zero denominator)
+        a contract error, and either leaves the dimension as it was."""
+        coords = self.distributions[dim].from_canonical(self.maps[dim].forward(nodes))
         dens = np.array([np.prod(nodes[l] - nodes[:l]) for l in range(len(nodes))])
-        self._nodes1d[dim], self._dens[dim] = nodes, dens
+        if not dens.all():
+            raise ContractError("a node repeats an earlier one")
+        self._nodes1d[dim], self._dens[dim], self._coords[dim] = nodes, dens, coords
         self._node_tables[dim] = _newton_table(nodes, nodes, dens, len(nodes) - 1)
-        self._coords[dim] = np.empty(0)
 
     def _ensure_levels(self, index):
         for d, lev in enumerate(index):
@@ -281,43 +283,22 @@ class Surrogate:
                         f"extend them to level {lev}")
                 self._set_nodes(d, nodes)
 
-    def _coordinates(self, dim, lev):
-        """Coordinate table of one dimension, filled up to level ``lev``.
-
-        The missing levels are mapped in one call; a node outside
-        [-1, 1] raises a domain error and leaves the table as it was.
-        """
-        table = self._coords[dim]
-        if lev >= len(table):
-            mapped = self.maps[dim].forward(self._nodes1d[dim][len(table):lev + 1])
-            table = self._coords[dim] = np.concatenate(
-                [table, self.distributions[dim].from_canonical(mapped)])
-        return table
-
     def node_point(self, index):
-        """Physical-coordinate grid point owned by a multi-index.
-
-        Reads the per-dimension coordinate tables, extending a table over
-        the levels up to ``index`` that it lacks.  Filling them here rather
-        than when nodes are installed keeps a corrupt stored node from
-        failing ``deserialize`` or ``restrict``: it raises a domain error
-        here, once its level or a higher one is asked for.
-        """
+        """Physical-coordinate grid point owned by a multi-index, read from
+        the per-dimension coordinate tables."""
         return self._node_point(_as_index(index, self.n_dim))
 
     def _node_point(self, index):
         """``node_point`` of an index tuple; installs its node levels."""
         self._ensure_levels(index)
-        return np.array([self._coordinates(d, lev)[lev]
-                         for d, lev in enumerate(index)])
+        return np.array([self._coords[d][lev] for d, lev in enumerate(index)])
 
     def node_points(self):
         """All grid points in absorption order, shape (len(self), N)."""
         if not len(self):
             return np.empty((0, self.n_dim))
         levels = np.array(self.indices)
-        return np.column_stack([self._coordinates(d, top)[levels[:, d]]
-                                for d, top in enumerate(self._indices.max_level())])
+        return np.column_stack([self._coords[d][levels[:, d]] for d in range(self.n_dim)])
 
     # -- evaluation ------------------------------------------------------
 
@@ -520,7 +501,10 @@ class Surrogate:
                 if len(nodes1d[d]) <= top:
                     raise ContractError(f"'nodes1d' dimension {d} has "
                                         f"{len(nodes1d[d])} nodes, needs {top + 1}")
-                sur._set_nodes(d, nodes1d[d])
+                try:
+                    sur._set_nodes(d, nodes1d[d])
+                except ValueError as exc:
+                    raise ContractError(f"'nodes1d' dimension {d}: {exc}") from exc
         except (ValueError, TypeError) as exc:
             raise SerializationError(f"inconsistent surrogate data: {exc}") from exc
         return sur

@@ -90,6 +90,51 @@ def test_criterion_3_gain_curve_shape():
                            f"max increase {increase:.4f}, {elapsed:.1f}s")
 
 
+def _worst_pole(cmap, radius, n_samples=4096):
+    """Image of the point of the ``radius`` Bernstein ellipse that the map
+    sends farthest from [-1, 1]."""
+    w = radius * np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
+    g = cmap.forward_complex(0.5 * (w + 1.0 / w))
+    return g[np.argmax(np.hypot(np.maximum(np.abs(g.real) - 1.0, 0.0), g.imag))]
+
+
+def _pole_rate(cmap, pole, n_max=70):
+    """Geometric rate of the 1D Leja interpolant of 1/(x - pole), fitted
+    over the dense-grid errors above 1e-12."""
+    sur = Surrogate([uniform(-1, 1)], [cmap] if cmap is not None else None)
+    grid = np.linspace(-1.0, 1.0, 1001)
+    exact = 1.0 / (grid - pole)
+    errors = []
+    for k in range(n_max):
+        sur.add_point((k,), 1.0 / (sur.node_point((k,))[0] - pole))
+        errors.append(np.max(np.abs(sur.evaluate(grid[:, None]) - exact)))
+    errors, counts = np.array(errors), np.arange(1, n_max + 1)
+    keep = errors > 1e-12
+    return np.exp(-np.polyfit(counts[keep], np.log(errors[keep]), 1)[0])
+
+
+def test_criterion_3_estimate_matches_measured_rates():
+    """The gain estimate against interpolants of each method's worst pole:
+    the mapped one on the estimate's radius, the unmapped one at i eps."""
+    start = time.perf_counter()
+    cmap = SausageMap(9)
+    rows = []
+    for eps in (0.24, 0.5, 0.7, 1.0):
+        estimate = cmap.estimate_gain(eps)
+        r_max = eps + np.hypot(1.0, eps)
+        mapped = _pole_rate(cmap, _worst_pole(cmap, r_max ** (1.0 + estimate)))
+        plain = _pole_rate(None, 1j * eps)
+        rows.append((eps, estimate, np.log(mapped) / np.log(plain) - 1.0))
+    elapsed = time.perf_counter() - start
+    gap = max(abs(measured - estimate) for _, estimate, measured in rows)
+    signs = {eps: np.sign([estimate, measured]) for eps, estimate, measured in rows}
+    ok = (gap <= 0.1 and (signs[0.5] == 1).all() and (signs[1.0] == -1).all()
+          and elapsed < 5.0)
+    assert _verdict(3, ok, "estimate/measured " + ", ".join(
+        f"eps {eps}: {estimate:+.3f}/{measured:+.3f}" for eps, estimate, measured in rows)
+        + f", max gap {gap:.3f}, {elapsed:.1f}s")
+
+
 def test_criterion_4_adjoint_double_rate():
     start = time.perf_counter()
     model = LadderModel(0, sections=40, damping=0.1, with_frequency=True)

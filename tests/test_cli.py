@@ -693,6 +693,17 @@ class TestPostProcessing:
         ("kde", "kde_grid", {"kde_grid": 0}),
         ("kde", "kde_grid", {"kde_grid": []}),
         ("kde", "kde_grid", {"kde_grid": ""}),
+        # a kte strength whose singularity radius overflows (alpha ** 2
+        # underflowed to a bare ZeroDivisionError)
+        ("build", "maps", {"maps": {"map": "kte", "alpha": 1e-320}}),
+        ("gain", "gain", {"gain": {"map": {"map": "kte", "alpha": 1e-320},
+                                   "epsilons": [0.5]}}),
+        # total-degree sets past the size bound, refused before they are built
+        ("build", "p_max", {"algorithm": "gpc", "p_max": 1e308, "maps": None, "cv": None}),
+        ("build", "p_max", {"algorithm": "gpc", "p_max": 10 ** 20, "maps": None,
+                            "cv": None}),
+        ("build", "level", {"algorithm": "isotropic-smolyak", "level": 10 ** 6}),
+        ("converge", "p_max", {"algorithm": "gpc", "maps": None, "sweep": [1, 10 ** 9]}),
     ])
     def test_bad_range_exits_two(self, built, tmp_path, capsys, command, field, spec):
         _, out = built

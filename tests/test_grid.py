@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaleja import MultiIndexSet, backward_neighbors, forward_neighbors
-from adaleja.errors import ContractError
+from adaleja import (GpcExpansion, MultiIndexSet, backward_neighbors, forward_neighbors,
+                     grid, project, uniform)
+from adaleja.errors import ContractError, SerializationError
+from adaleja.grid import MAX_TOTAL_DEGREE_SIZE
 
 
 class TestNeighbors:
@@ -81,6 +83,22 @@ class TestTotalDegree:
         for ix in s:
             for b in backward_neighbors(ix):
                 assert b in s
+
+    def test_size_bound_is_checked_before_building(self, monkeypatch):
+        # 1e308 and 10**20 are integral: the set was enumerated without end
+        for dim, degree in ((2, 10 ** 20), (1, 10 ** 308), (40, 10), (2, 446)):
+            assert MultiIndexSet.total_degree_size(dim, degree) > MAX_TOTAL_DEGREE_SIZE
+            with pytest.raises(ContractError, match="more than 100000 total-degree"):
+                MultiIndexSet.total_degree(dim, degree)
+        expansion = project(lambda y: 1.0, [uniform(-1, 1)] * 2, 3).to_json()
+        monkeypatch.setattr(grid, "MAX_TOTAL_DEGREE_SIZE", 6)
+        assert len(MultiIndexSet.total_degree(2, 2)) == 6
+        with pytest.raises(ContractError):
+            MultiIndexSet.total_degree(2, 3)
+        with pytest.raises(ContractError):
+            project(lambda y: pytest.fail("the model was called"), [uniform(-1, 1)] * 2, 3)
+        with pytest.raises(SerializationError, match="more than 6 total-degree"):
+            GpcExpansion.from_json(expansion)
 
 
 class TestAdmissibility:

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 
 from adaleja import (LadderModel, ParametricLinearModel, Surrogate, cv_errors,
                      error_indicator, material_interp, permittivity, project,
-                     read_material_samples, solve_dual, solve_primal, uniform)
+                     read_material_samples, sample_joint, solve_dual, solve_primal,
+                     uniform)
 from adaleja import linmodel
 from adaleja.errors import ContractError, SolveError
 from adaleja.grid import MultiIndexSet
@@ -386,6 +387,38 @@ class TestStackedSolves:
         with pytest.raises(SolveError, match="non-finite entries") as exc_info:
             _model_values(Holed(2, sections=6), points, str)
         assert exc_info.value.point == tuple(points[first])
+
+    def test_stack_failing_other_than_by_a_solve_goes_point_by_point(self):
+        """A stack whose assembly raises a ValueError is retried per point,
+        so the error names the one point that raises."""
+        unit = [uniform(-1.0, 1.0)] * 2
+        points = sample_joint(unit, 60, 5)
+        bad = points[np.argmin(points[:, 0])]
+
+        class Refusing(LadderModel):
+            def assemble(self, y):
+                if np.array_equal(y, bad):
+                    raise ValueError("no system here")
+                return super().assemble(y)
+
+        with pytest.raises(SolveError, match="cross-validation point: no system") as exc_info:
+            cv_errors(lambda pts: pts[:, 0], Refusing(2, sections=7), unit, 60, 5)
+        assert exc_info.value.point == tuple(bad)
+
+    def test_bands_of_different_widths_go_point_by_point(self):
+        """A model whose band width depends on the point cannot stack."""
+        class Widening(LadderModel):
+            def assemble(self, y):
+                A, f, j, offset = super().assemble(y)
+                return (np.asarray(A) if y[0] > 0.0 else A), f, j, offset
+
+        model = Widening(2, sections=8, damping=0.05)
+        points = np.random.default_rng(9).uniform(-1.0, 1.0, (40, 2))
+        with pytest.raises(ContractError, match="differ in size or width"):
+            model._assemble_stack(points)
+        values = _model_values(model, points, str)
+        assert np.array(values).tobytes() == np.array(
+            [model.qoi(y) for y in points]).tobytes()
 
     @pytest.mark.parametrize("cls", [AssembleOverride, QoiOverride])
     def test_overrides_win(self, cls):

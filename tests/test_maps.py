@@ -64,6 +64,16 @@ class TestForward:
         with pytest.raises(ValueError):
             KTEMap(1.0)
 
+    def test_tiny_kte_alpha(self):
+        # 1/alpha**2 raised ZeroDivisionError at 1e-200 and was inf at 1e-160
+        for alpha in (1e-160, 1e-200, 1e-300):
+            assert KTEMap(alpha).singularity_radius == 2.0 / alpha
+        for alpha in (1e-308, 5e-324):
+            with pytest.raises(ContractError, match="singularity radius is not finite"):
+                KTEMap(alpha)
+        with pytest.raises(ContractError):
+            make_map({"map": "kte", "alpha": 1e-320})
+
 
 class TestMapProperties:
     @pytest.mark.parametrize("m", ALL_MAPS)

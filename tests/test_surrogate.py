@@ -389,17 +389,28 @@ class TestSerialization:
     def test_tampered_nodes_are_not_replaced(self):
         f = lambda y: float(np.exp(y[0]))
         doc = json.loads(serialize(fit_1d(f, 3)))
-        doc["nodes1d"][0][2] += 1e-3
+        doc["nodes1d"][0][1] += 1e-3
         loaded = deserialize(json.dumps(doc).encode())
-        assert loaded.nodes1d(0)[2] == doc["nodes1d"][0][2]
+        assert loaded.nodes1d(0)[1] == doc["nodes1d"][0][1]
         with pytest.raises(ContractError, match="dimension 0"):
             loaded.add_point((3,), 0.0)
-        assert loaded.nodes1d(0)[2] == doc["nodes1d"][0][2]
-        # nodes are numbers, in one flat list per dimension
-        for nodes in (["a", 0.0, 1.0], [0.0, [1.0], 2.0], {"0": 0.0}):
+        assert loaded.nodes1d(0)[1] == doc["nodes1d"][0][1]
+        # nodes are numbers in [-1, 1], in one flat list per dimension
+        for nodes in (["a", 0.0, 1.0], [0.0, [1.0], 2.0], {"0": 0.0}, [0.0, -1.0, 1.001]):
             doc["nodes1d"][0] = nodes
             with pytest.raises(SerializationError, match="inconsistent surrogate"):
                 deserialize(json.dumps(doc).encode())
+
+    def test_tiny_kte_strength(self):
+        doc = json.loads(serialize(fit_1d(lambda y: float(y[0]), 3, KTEMap(0.5))))
+        # 1e-200 raised a bare ZeroDivisionError; it is a near-identity map
+        doc["maps"] = [{"map": "kte", "alpha": 1e-200}]
+        loaded = deserialize(json.dumps(doc).encode())
+        assert_allclose(loaded.node_points()[:, 0], doc["nodes1d"][0], rtol=1e-15)
+        assert np.isfinite(loaded.evaluate(np.linspace(-1.0, 1.0, 9)[:, None])).all()
+        doc["maps"] = [{"map": "kte", "alpha": 1e-320}]
+        with pytest.raises(SerializationError, match="bad component spec: kte alpha"):
+            deserialize(json.dumps(doc).encode())
 
     def test_loaded_nodes_extend(self):
         f = lambda y: float(np.exp(y[0]))
@@ -837,7 +848,7 @@ class TestNodeCoordinates:
         sur.add_point((1, 0), 1.0)
         sur.node_points()
         assert calls == {"forward": 2, "from_canonical": 2}
-        # only the missing levels are mapped
+        # a new level maps the nodes of its dimension in one call
         sur.node_point((8, 3))
         assert calls == {"forward": 3, "from_canonical": 3}
 
@@ -848,15 +859,64 @@ class TestNodeCoordinates:
         for lev in range(4):
             assert np.array_equal(sur.node_point((lev,)), scalar_point(sur, (lev,)))
 
-    def test_out_of_range_node_raises_at_its_level(self):
+    def test_out_of_range_node_is_refused_at_load(self):
         doc = json.loads(serialize(fit_1d(lambda y: float(np.exp(y[0])), 4)))
         doc["nodes1d"][0][2] = 1.5
-        loaded = deserialize(json.dumps(doc).encode())
-        cut = loaded.restrict([(0,), (1,), (2,)])
-        for sur in (loaded, cut):
-            assert np.array_equal(sur.node_point((1,)), scalar_point(sur, (1,)))
-            for lev in (2, 3):
-                with pytest.raises(DomainError, match=r"outside \[-1, 1\]"):
-                    sur.node_point((lev,))
-            # a failed fill leaves the levels below it in place
-            assert np.array_equal(sur.node_point((0,)), scalar_point(sur, (0,)))
+        with pytest.raises(SerializationError,
+                           match=r"'nodes1d' dimension 0: y outside \[-1, 1\]"):
+            deserialize(json.dumps(doc).encode())
+
+    def test_refused_nodes_leave_the_dimension_as_it_was(self):
+        sur = fit_1d(lambda y: float(y[0]), 4, SausageMap(9))
+        before = sur.nodes1d(0), sur.node_points()
+        for nodes, error in (([0.0, -1.0, 1.0, 0.0], ContractError),
+                             ([0.0, -1.0, 1.5, 0.5], DomainError),
+                             ([0.0, -1.0, np.nan, 0.5], DomainError)):
+            with pytest.raises(error):
+                sur._set_nodes(0, np.array(nodes))
+            assert np.array_equal(sur.nodes1d(0), before[0])
+            assert np.array_equal(sur.node_points(), before[1])
+
+
+STORED_LAWS = [uniform(-1.0, 1.0), beta33(0.0, 2.0)]
+STORED_MAPS = [IdentityMap(), SausageMap(9), KTEMap(0.9)]
+
+
+@st.composite
+def tampered_documents(draw):
+    """A valid 2-D document with one ``nodes1d`` entry replaced by NaN,
+    ±inf, a copy of another node, a value at least 1e-3 outside [-1, 1],
+    or a distinct value in [-1, 1] at least 1e-3 from the one it replaces."""
+    dists = [draw(st.sampled_from(STORED_LAWS)) for _ in range(2)]
+    maps = [draw(st.sampled_from(STORED_MAPS)) for _ in range(2)]
+    sur = Surrogate.fit(smooth, dists, MultiIndexSet.total_degree(2, 4), maps)
+    doc = json.loads(serialize(sur))
+    dim = draw(st.integers(0, 1))
+    nodes = doc["nodes1d"][dim]
+    at = draw(st.integers(0, len(nodes) - 1))
+    others = nodes[:at] + nodes[at + 1:]
+    nodes[at] = draw(st.one_of(
+        st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        st.sampled_from(others),
+        st.floats(1.001, 1e300) | st.floats(-1e300, -1.001),
+        st.floats(-1.0, 1.0).filter(
+            lambda v: abs(v - nodes[at]) >= 1e-3 and v not in others)))
+    return json.dumps(doc).encode(), dim
+
+
+class TestStoredNodes:
+    @settings(max_examples=80, deadline=None)
+    @given(case=tampered_documents(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_tampered_node_loads_finite_or_is_refused(self, case, seed):
+        data, dim = case
+        try:
+            loaded = deserialize(data)
+        except SerializationError as exc:
+            assert f"'nodes1d' dimension {dim}" in str(exc)
+            return
+        points = sample_joint(loaded.distributions, 50, seed)
+        corners = [[d.lower if k & (1 << i) else d.upper
+                    for i, d in enumerate(loaded.distributions)] for k in range(4)]
+        values = loaded.evaluate(np.vstack([points, corners]))
+        assert np.isfinite(values).all()
+        assert np.isfinite(loaded.node_points()).all()
