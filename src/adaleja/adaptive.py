@@ -11,9 +11,10 @@ The drivers differ only in the closures they pass it:
   its indicator is the hierarchical surplus; pending candidates are
   folded in with their model values.
 * adjoint (parametric linear systems): a candidate costs one assembly,
-  and its indicator is the residual z̃ᴴ(f − A c̃); an accepted index
-  reuses that assembly for one LU serving the primal and the dual solve,
-  and pending candidates are folded in with their indicators as surpluses.
+  and its indicator is the residual z̃ᴴ(f − A c̃) of one field surrogate
+  of pairs (c̃, z̃); an accepted index reuses that assembly for one LU
+  serving the primal and the dual solve, and pending candidates are folded
+  in with their indicators as surpluses.
 
 Two admissible neighbors of a downward-closed set are never
 componentwise comparable, so the basis polynomial an acceptance adds
@@ -197,16 +198,16 @@ def run_adaptive_adjoint(model: ParametricLinearModel, config: AdaptiveConfig,
                          distributions, maps=None, on_accept=None):
     """Adjoint-steered adaptive interpolation of a parametric system.
 
-    Returns (qoi, primal, dual, report).  The primal and dual vector
-    surrogates live on the refined index set; the QoI surrogate is
-    extended by the pending candidates using their indicator values as
-    surplus estimates.
+    Returns (qoi, field, report).  The field surrogate, whose value at a
+    node is the primal–dual pair (c, z) of shape (2, model.n), lives on the
+    refined index set; the QoI surrogate is extended by the pending
+    candidates using their indicator values as surplus estimates.
     """
     if not isinstance(model, ParametricLinearModel):
         raise ContractError("the adjoint driver needs a ParametricLinearModel")
     qoi = Surrogate(distributions, maps)
-    # empty copies sharing the node tables that qoi._node_point fills
-    primal, dual = qoi.restrict([]), qoi.restrict([])
+    # an empty copy sharing the node tables that qoi._node_point fills
+    field = qoi.restrict([])
     if qoi.n_dim != model.n_params:
         raise ContractError(
             f"model has {model.n_params} parameters, got {qoi.n_dim} distributions")
@@ -216,10 +217,9 @@ def run_adaptive_adjoint(model: ParametricLinearModel, config: AdaptiveConfig,
 
     def score(ix):
         x = qoi._node_point(ix)
-        assemblies[ix] = model.assemble(x)
-        A, f, _, _ = assemblies[ix]
+        A, f, _, _ = assemblies[ix] = model.assemble(x)
         report.res_count += 1
-        eta = _residual_indicator(A, f, primal._node_value(ix), dual._node_value(ix))
+        eta = _residual_indicator(A, f, *field._node_value(ix))
         if not np.isfinite(eta):
             raise SolveError(f"non-finite residual indicator {eta} at index {ix}",
                              point=x)
@@ -227,42 +227,38 @@ def run_adaptive_adjoint(model: ParametricLinearModel, config: AdaptiveConfig,
 
     def accept(ix):
         x = qoi._node_point(ix)
-        system = assemblies.pop(ix) if ix in assemblies else model.assemble(x)
-        c, fac = _solve_assembled(system, x)
-        z = solve_dual(model, x, fac)
+        c, fac = _solve_assembled(assemblies.pop(ix, None) or model.assemble(x), x)
         report.lu_count += 1
         report.fb_count += 2
         qoi._add(ix, np.vdot(fac.j, c) + fac.offset)
-        primal._add(ix, c)
-        dual._add(ix, z)
+        field._add(ix, (c, solve_dual(model, x, fac)))
 
     _refine(qoi, config, report, score, accept,
             lambda ix, v: qoi._append(ix, qoi._as_value(v)), on_accept)
-    return qoi, primal, dual, report
+    return qoi, field, report
 
 
-def corrected_evaluate(qoi_sur: Surrogate, primal_sur: Surrogate,
-                       dual_sur: Surrogate, model: ParametricLinearModel,
-                       points):
+def corrected_evaluate(qoi_sur: Surrogate, field_sur: Surrogate,
+                       model: ParametricLinearModel, points):
     """Surrogate value plus the residual error indicator, per point.
 
-    The quantity-of-interest surrogate is restricted to the index set the
-    primal and dual surrogates share, so an indicator-extended surrogate
-    is never double-corrected.  Points are assembled as stacked bands, one
-    ``gbmv`` per stack giving A c̃; each point costs one map inversion,
-    which surrogates with equal maps share; no system is solved.
+    The quantity-of-interest surrogate is restricted to the index set of
+    the field of pairs (c̃, z̃), value shape (2, model.n), so an
+    indicator-extended surrogate is never double-corrected.  Points are
+    assembled as stacked bands, one ``gbmv`` per stack giving A c̃; each
+    point costs one map inversion, which surrogates with equal maps share.
     """
-    core_set = primal_sur.indices
-    if dual_sur.indices != core_set:
-        raise ContractError("primal and dual surrogates must share an index set")
-    core = qoi_sur.restrict(core_set)
+    if field_sur.value_shape not in (None, (2, model.n)):
+        raise ContractError(f"field values have shape {field_sur.value_shape}, "
+                            f"expected the pair shape {(2, model.n)}")
+    core = qoi_sur.restrict(field_sur.indices)
     pts, single = _point_batch(points, core.n_dim)
     S, frame = core._preimages(pts), (core.distributions, core.maps)
-    base, c_tilde, z_tilde = (
+    base, cz = (
         s._evaluate_pre(S if (s.distributions, s.maps) == frame else s._preimages(pts))
-        for s in (core, primal_sur, dual_sur))
+        for s in (core, field_sur))
     out = np.empty(pts.shape[0], dtype=complex)
     for rows in _stacks(model, pts.shape[0]):
         A, f, _, _ = model._assemble_stack(pts[rows])
-        out[rows] = base[rows] + _residual_indicator(A, f, c_tilde[rows], z_tilde[rows])
+        out[rows] = base[rows] + _residual_indicator(A, f, cz[rows, 0], cz[rows, 1])
     return complex(out[0]) if single else out

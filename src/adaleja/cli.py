@@ -255,10 +255,9 @@ def _build_surrogate(config, model, distributions, maps, tracker=None):
     """Run the configured algorithm; returns (target, report_or_None, parts).
 
     ``parts`` maps a file name to a further surrogate only ``build``
-    writes: the primal and dual surrogates of an adjoint build.
+    writes: the primal–dual field surrogate of an adjoint build.
     """
-    algorithm = config["algorithm"]
-    parts = {}
+    algorithm, parts = config["algorithm"], {}
     if algorithm in ("gpc", "isotropic-smolyak"):
         key = ALGORITHMS[algorithm]
         degree = _field(config, key, int, ge=1)
@@ -286,9 +285,8 @@ def _build_surrogate(config, model, distributions, maps, tracker=None):
             if not isinstance(model, ParametricLinearModel):
                 raise ConfigError(
                     "adaptive-adjoint requires a linear-system model", field="algorithm")
-            target, primal, dual, report = run_adaptive_adjoint(
+            target, parts["field.json"], report = run_adaptive_adjoint(
                 model, cfg, distributions, maps, on_accept=on_accept)
-            parts = {"primal.json": primal, "dual.json": dual}
         else:
             target, report = run_adaptive(
                 model, cfg, distributions, maps, on_accept=on_accept)

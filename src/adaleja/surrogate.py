@@ -7,9 +7,9 @@ preimage of the canonical coordinate, so the interpolant is a polynomial
 composed with the inverse map.  With one new node per level, every
 multi-index owns exactly one grid point and one surplus.
 
-Surpluses may be complex scalars (quantity-of-interest surrogates) or
-complex vectors (solution-field surrogates); both share the same code
-path.  Finished surrogates serialize to a self-contained JSON document.
+Surpluses are complex scalars (QoI surrogates) or arrays, such as the
+(2, n) primal–dual pairs of an adjoint field; all share one code path.
+Finished surrogates serialize to a self-contained JSON document.
 
 Each public method checks its index once; ``add_point`` and
 ``add_restricted`` also check admissibility and refuse a non-finite

@@ -143,13 +143,12 @@ def test_criterion_4_adjoint_double_rate():
     rows = []
     for budget in range(8, 97, 8):
         cfg = AdaptiveConfig(budget=budget)
-        qoi, primal, dual, report = run_adaptive_adjoint(
+        qoi, field, report = run_adaptive_adjoint(
             model, cfg, dists, maps)
-        plain = qoi.restrict(list(primal.indices))
+        plain = qoi.restrict(list(field.indices))
         plain_err, _ = cv_errors(plain, model.qoi, dists, 300, 7)
         corrected = _Evaluable(
-            lambda pts, q=qoi, p=primal, d=dual:
-            corrected_evaluate(q, p, d, model, pts))
+            lambda pts, q=qoi, cz=field: corrected_evaluate(q, cz, model, pts))
         corr_err, _ = cv_errors(corrected, model.qoi, dists, 300, 7)
         rows.append((report.lu_count, plain_err, corr_err))
     # fit each decay on its pre-plateau range only
@@ -171,7 +170,7 @@ def test_criterion_5_adaptive_beats_isotropic():
     start = time.perf_counter()
     model = LadderModel(4, sections=40, damping=0.1, with_frequency=True)
     dists = [uniform(lo, hi) for lo, hi in model.support()]
-    qoi, _, _, report = run_adaptive_adjoint(
+    qoi, _, report = run_adaptive_adjoint(
         model, AdaptiveConfig(budget=200), dists)
     adaptive_err, _ = cv_errors(qoi, model.qoi, dists, 300, 7)
     # largest isotropic total-degree grid within the same LU budget
@@ -192,7 +191,7 @@ def test_criterion_5_adaptive_beats_isotropic():
 def test_criterion_6_adjoint_cost_accounting():
     model = LadderModel(1, sections=8, damping=0.1, with_frequency=True)
     dists = [uniform(lo, hi) for lo, hi in model.support()]
-    _, _, _, report = run_adaptive_adjoint(
+    *_, report = run_adaptive_adjoint(
         model, AdaptiveConfig(budget=60), dists)
     accepted = len(report.records)
     ok = (report.res_count >= report.lu_count

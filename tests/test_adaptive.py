@@ -263,7 +263,7 @@ def run():
 
 class TestAdjointDriver:
     def test_counter_relations(self, run):
-        _, (qoi, primal, dual, report) = run
+        _, (qoi, field, report) = run
         # one factorization per accepted index, two substitutions per
         # factorization, and at least one residual scoring per candidate
         assert report.lu_count == len(report.records)
@@ -271,8 +271,8 @@ class TestAdjointDriver:
         assert report.res_count >= report.lu_count
 
     def test_frozen_counters(self, run):
-        _, (qoi, primal, dual, report) = run
-        assert (len(qoi), len(primal), len(dual)) == (60, 57, 57)
+        _, (qoi, field, report) = run
+        assert (len(qoi), len(field)) == (60, 57)
         assert (report.lu_count, report.fb_count, report.res_count) == (57, 114, 59)
 
     def test_accepts_reuse_the_scoring_assembly(self):
@@ -292,64 +292,62 @@ class TestAdjointDriver:
         assert model.assemblies == report.res_count + 1
 
     def test_primal_dual_share_indices(self, run):
-        _, (qoi, primal, dual, report) = run
-        assert list(primal.indices) == list(dual.indices)
-        assert set(primal.indices) <= set(qoi.indices)
+        # one field surrogate holds both: its value at a node is the pair (c, z)
+        model, (qoi, field, report) = run
+        assert field.value_shape == (2, model.n)
+        assert set(field.indices) <= set(qoi.indices)
 
     def test_correction_beats_plain_surrogate(self, run):
-        model, (qoi, primal, dual, report) = run
+        model, (qoi, field, report) = run
         rng_f = np.random.default_rng(11).uniform(0.5, 1.5, 40)
         rng_t = np.random.default_rng(12).uniform(-1, 1, 40)
         pts = np.column_stack([rng_f, rng_t])
-        plain = qoi.restrict(list(primal.indices))
+        plain = qoi.restrict(list(field.indices))
         plain_err = max(abs(complex(plain.evaluate(p)) - model.qoi(p))
                         for p in pts)
-        corrected = corrected_evaluate(qoi, primal, dual, model, pts)
+        corrected = corrected_evaluate(qoi, field, model, pts)
         corr_err = max(abs(corrected[k] - model.qoi(pts[k]))
                        for k in range(len(pts)))
         assert corr_err < plain_err / 3.0
         assert corr_err < 0.05
 
     def test_correction_vanishes_at_grid_nodes(self, run):
-        model, (qoi, primal, dual, report) = run
+        model, (qoi, field, report) = run
         node = qoi.node_point(report.records[3].index)
-        value = corrected_evaluate(qoi, primal, dual, model, node)
+        value = corrected_evaluate(qoi, field, model, node)
         assert abs(value - model.qoi(node)) < 1e-12
 
     def test_single_point_matches_batch(self, run):
-        model, (qoi, primal, dual, report) = run
+        model, (qoi, field, report) = run
         point = np.array([1.1, 0.3])
-        single = corrected_evaluate(qoi, primal, dual, model, point)
-        batch = corrected_evaluate(qoi, primal, dual, model, point[None, :])
+        single = corrected_evaluate(qoi, field, model, point)
+        batch = corrected_evaluate(qoi, field, model, point[None, :])
         assert isinstance(single, complex)
         assert_allclose(abs(single - batch[0]), 0.0, atol=1e-15)
 
     def test_qoi_on_the_core_set(self, run):
         # a qoi without folded candidates is restricted too, to the same bits
-        model, (qoi, primal, dual, report) = run
-        core = qoi.restrict(primal.indices)
+        model, (qoi, field, report) = run
+        core = qoi.restrict(field.indices)
         pts = np.array([[1.1, 0.3], [0.7, -0.8], [1.4, 0.9]])
         expected = core.evaluate(pts) + np.array([
-            error_indicator(model, p, c, z)
-            for p, c, z in zip(pts, primal.evaluate(pts), dual.evaluate(pts))])
-        assert core.indices == primal.indices
-        assert np.array_equal(corrected_evaluate(core, primal, dual, model, pts),
-                              expected)
+            error_indicator(model, p, c, z) for p, (c, z) in zip(pts, field.evaluate(pts))])
+        assert core.indices == field.indices
+        assert np.array_equal(corrected_evaluate(core, field, model, pts), expected)
 
     def test_one_map_inversion_per_point(self, monkeypatch):
-        # the three surrogates share their preimages: 3 N inverted
+        # the QoI and field surrogates share their preimages: 2 N inverted
         # coordinates per call before, N now, with the same bits
         model = LadderModel(2, sections=6, damping=0.1, with_frequency=True)
         dists = [uniform(lo, hi) for lo, hi in model.support()]
-        qoi, primal, dual, _ = run_adaptive_adjoint(
+        qoi, field, _ = run_adaptive_adjoint(
             model, AdaptiveConfig(budget=25), dists,
             maps=SausageMap(9))
         rng = np.random.default_rng(3)
         pts = np.column_stack([rng.uniform(lo, hi, 50) for lo, hi in model.support()])
-        core = qoi.restrict(primal.indices)
+        core = qoi.restrict(field.indices)
         expected = core.evaluate(pts) + np.array([
-            error_indicator(model, p, c, z)
-            for p, c, z in zip(pts, primal.evaluate(pts), dual.evaluate(pts))])
+            error_indicator(model, p, c, z) for p, (c, z) in zip(pts, field.evaluate(pts))])
         inverted = []
         inverse = SausageMap._inverse
 
@@ -358,32 +356,34 @@ class TestAdjointDriver:
             return inverse(self, t)
 
         monkeypatch.setattr(SausageMap, "_inverse", counting)
-        got = corrected_evaluate(qoi, primal, dual, model, pts)
+        got = corrected_evaluate(qoi, field, model, pts)
         assert sum(inverted) == pts.size
         assert np.array_equal(got, expected)
-        # surrogates under other maps still use their own preimages
-        other = [Surrogate(dists, SausageMap(3)) for _ in range(2)]
-        for sur, src in zip(other, (primal, dual)):
-            for ix, s in zip(src.indices, src._surplus_values()):
-                sur.add_restricted(ix, s)
+        # a field under other maps still uses its own preimages
+        other = Surrogate(dists, SausageMap(3))
+        for ix, s in zip(field.indices, field._surplus_values()):
+            other.add_restricted(ix, s)
         expected = core.evaluate(pts) + np.array([
-            error_indicator(model, p, c, z)
-            for p, c, z in zip(pts, other[0].evaluate(pts), other[1].evaluate(pts))])
-        assert np.array_equal(corrected_evaluate(qoi, *other, model, pts), expected)
+            error_indicator(model, p, c, z) for p, (c, z) in zip(pts, other.evaluate(pts))])
+        assert np.array_equal(corrected_evaluate(qoi, other, model, pts), expected)
 
     def test_empty_primal_and_dual(self, run):
-        model, (qoi, primal, dual, report) = run
-        empty = primal.restrict([])
+        model, (qoi, field, report) = run
         with pytest.raises(ContractError, match="empty surrogate"):
-            corrected_evaluate(qoi, empty, dual.restrict([]), model,
-                               np.array([1.0, 0.0]))
+            corrected_evaluate(qoi, field.restrict([]), model, np.array([1.0, 0.0]))
 
-    def test_mismatched_primal_dual_sets(self, run):
-        model, (qoi, primal, dual, report) = run
-        root_only = dual.restrict([(0, 0)])
-        with pytest.raises(ContractError):
-            corrected_evaluate(qoi, primal, root_only, model,
-                               np.array([1.0, 0.0]))
+    @pytest.mark.parametrize("shape", ["scalar", "primal", "dual rows", "wider"])
+    def test_refuses_other_value_shapes(self, run, shape):
+        # only a field of (c, z) pairs, shape (2, model.n), is accepted
+        model, (qoi, field, report) = run
+        values = {"scalar": lambda s: s[0, 0], "primal": lambda s: s[0],
+                  "dual rows": lambda s: s[1:], "wider": lambda s: np.pad(s, ((0, 0), (0, 1)))}
+        bad = Surrogate(field.distributions, field.maps)
+        for ix, s in zip(field.indices, field._surplus_values()):
+            bad.add_restricted(ix, values[shape](s))
+        with pytest.raises(ContractError, match=r"field values have shape .*"
+                                                rf"expected the pair shape \(2, {model.n}\)"):
+            corrected_evaluate(qoi, bad, model, np.array([1.0, 0.0]))
 
     def test_non_finite_indicator_names_index_and_point(self):
         class HoledLadder(LadderModel):
@@ -473,16 +473,19 @@ class TestAdjointOracle:
                             with_frequency=with_frequency)
         dists = [uniform(lo, hi) for lo, hi in model.support()]
         maps = SausageMap(9) if mapped else None
-        *surs, report = run_adaptive_adjoint(
+        qoi, field, report = run_adaptive_adjoint(
             model, AdaptiveConfig(budget, tol=tol), dists, maps)
-        refs, records, counts = adjoint_oracle(model, dists, maps, budget, tol)
+        (ref_qoi, *refs), records, counts = adjoint_oracle(model, dists, maps, budget, tol)
         assert [(r.index, r.indicator, r.lu_count, r.fb_count, r.res_count)
                 for r in report.records] == records
         assert (report.lu_count, report.fb_count, report.res_count) == (
             counts["lu"], counts["fb"], counts["res"])
-        for sur, ref in zip(surs, refs):
-            assert sur.indices == ref.indices
-            assert serialize(sur) == serialize(ref)
+        assert serialize(qoi) == serialize(ref_qoi)
+        assert field.value_shape == (2, model.n)
+        for half, ref in enumerate(refs):   # the primal, then the dual
+            assert field.indices == ref.indices
+            assert (field._surplus_values()[:, half].tobytes()
+                    == ref._surplus_values().tobytes())
 
 
 class TestIndicesCheckedOnce:
@@ -518,16 +521,16 @@ class TestIndicesCheckedOnce:
         assert calls["levels"] <= len(sur)
 
     def test_adjoint_driver(self, calls):
-        # the three surrogates share their node tables, so an index's
+        # the two surrogates share their node tables, so an index's
         # levels are installed when it is scored and when it is accepted;
         # through the public methods, this build made 511 index checks and
         # 510 level installs
         model = LadderModel(3, sections=40, damping=0.1)
         dists = [uniform(lo, hi) for lo, hi in model.support()]
-        qoi, primal, _, _ = run_adaptive_adjoint(
+        qoi, field, _ = run_adaptive_adjoint(
             model, AdaptiveConfig(80), dists, SausageMap(9))
         assert calls["index"] == 0
-        assert calls["levels"] <= len(qoi) + len(primal)
+        assert calls["levels"] <= len(qoi) + len(field)
 
     def test_restrict_and_deserialize(self, calls):
         sur, _ = run_adaptive(runge2, AdaptiveConfig(60), UNIT_SQUARE)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaleja.adaptive import AdaptiveConfig, run_adaptive_adjoint
+from adaleja.adaptive import AdaptiveConfig, corrected_evaluate, run_adaptive_adjoint
 from adaleja.cli import RungeProduct, make_model, run_command
 from adaleja.distributions import make_distribution
 from adaleja.errors import SolveError
@@ -18,7 +18,7 @@ from adaleja.grid import MultiIndexSet
 from adaleja.linmodel import LadderModel
 from adaleja.maps import make_map
 from adaleja.stats import cv_errors, mc_moments
-from adaleja.surrogate import Surrogate
+from adaleja.surrogate import Surrogate, load_surrogate
 
 
 def write_config(directory, data, name="config.json"):
@@ -79,7 +79,7 @@ def built(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def adjoint_built(tmp_path_factory):
-    """One adjoint build, whose primal.json is a solution-field surrogate."""
+    """One adjoint build, whose field.json holds the primal–dual pairs."""
     root = tmp_path_factory.mktemp("adjoint")
     config = dict(BUILD_CONFIG, algorithm="adaptive-adjoint", budget=15)
     del config["maps"]
@@ -168,8 +168,21 @@ class TestBuild:
                 == Path(replay, "surrogate.json").read_bytes())
 
     def test_adjoint_stores_vector_surrogates(self, adjoint_built):
-        for name in ("surrogate.json", "primal.json", "dual.json"):
-            assert os.path.exists(os.path.join(adjoint_built, name))
+        assert sorted(os.listdir(adjoint_built)) == [
+            "field.json", "manifest.json", "report.csv", "surrogate.json"]
+
+    def test_adjoint_field_loads_for_correction(self, adjoint_built):
+        # the two files load back as the pair corrected_evaluate takes, to the bits
+        config = read_json(os.path.join(adjoint_built, "manifest.json"))["config"]
+        model = make_model(config["model"])
+        dists = [make_distribution(d) for d in config["distributions"]]
+        qoi, field, _ = run_adaptive_adjoint(model, AdaptiveConfig(budget=15), dists)
+        loaded = [load_surrogate(os.path.join(adjoint_built, name))
+                  for name in ("surrogate.json", "field.json")]
+        assert loaded[1].value_shape == (2, model.n)
+        pts = np.random.default_rng(2).uniform(-1, 1, (20, 2))
+        assert np.array_equal(corrected_evaluate(*loaded, model, pts),
+                              corrected_evaluate(qoi, field, model, pts))
 
     def test_gpc_writes_decay_table(self, tmp_path):
         config = {
@@ -397,7 +410,7 @@ class TestUntracedPaths:
         model = make_model(config["model"])
         dists = [make_distribution(d) for d in config["distributions"]]
         lus = [run_adaptive_adjoint(model, AdaptiveConfig(budget=b),
-                                    dists)[3].lu_count for b in (5, 12)]
+                                    dists)[2].lu_count for b in (5, 12)]
         assert [int(r[0]) for r in rows] == lus
         assert all(np.isfinite(float(v)) for r in rows for v in r[1:])
 
@@ -775,17 +788,17 @@ class TestPostProcessing:
 
     @pytest.mark.parametrize("command", ["stats", "sobol", "kde"])
     def test_vector_surrogate_exits_two(self, adjoint_built, tmp_path, capsys, command):
-        # a solution-field surrogate has one vector per point: every
+        # a field surrogate has one (2, width) pair per point: every
         # sampling command refuses it as a bad config, before sampling
-        primal = os.path.join(adjoint_built, "primal.json")
-        width = len(read_json(primal)["surpluses_re"][0])
-        path = write_config(tmp_path, {"surrogate": primal, "n_samples": 100,
+        field = os.path.join(adjoint_built, "field.json")
+        width = len(read_json(field)["surpluses_re"][0][0])
+        path = write_config(tmp_path, {"surrogate": field, "n_samples": 100,
                                        "n_base": 100})
         code = run_command([command, "--config", path, "--out", str(tmp_path / "run")])
         assert code == 2
         err = capsys.readouterr().err
         assert "invalid field 'surrogate'" in err
-        assert f"holds values of shape ({width},), not one scalar" in err
+        assert f"holds values of shape (2, {width}), not one scalar" in err
 
     def test_resonance_slices(self, tmp_path):
         config = {
