@@ -251,19 +251,25 @@ def _cv_tracker(config, model, distributions, converge=False):
     return _CvTracker(model, distributions, n_cv, seed, per_iteration)
 
 
+def _degree(config, n_dim):
+    """gpc ``p_max`` or isotropic ``level`` within the size bound; None if adaptive."""
+    key = ALGORITHMS[config["algorithm"]]
+    if key == "budget":
+        return None
+    degree = _field(config, key, int, ge=1)
+    if MultiIndexSet.total_degree_size(n_dim, degree) > MAX_TOTAL_DEGREE_SIZE:
+        raise ConfigError(f"{key} {config[key]!r} gives more than "
+                          f"{MAX_TOTAL_DEGREE_SIZE} total-degree indices", field=key)
+    return degree
+
+
 def _build_surrogate(config, model, distributions, maps, tracker=None):
     """Run the configured algorithm; returns (target, report_or_None, parts).
 
-    ``parts`` maps a file name to a further surrogate only ``build``
-    writes: the primal–dual field surrogate of an adjoint build.
+    ``parts`` maps a file name to a further surrogate only ``build`` writes.
     """
     algorithm, parts = config["algorithm"], {}
-    if algorithm in ("gpc", "isotropic-smolyak"):
-        key = ALGORITHMS[algorithm]
-        degree = _field(config, key, int, ge=1)
-        if MultiIndexSet.total_degree_size(len(distributions), degree) > MAX_TOTAL_DEGREE_SIZE:
-            raise ConfigError(f"{key} {config[key]!r} gives more than "
-                              f"{MAX_TOTAL_DEGREE_SIZE} total-degree indices", field=key)
+    degree = _degree(config, len(distributions))
     if algorithm == "gpc":
         quadrature = _field(config, "quadrature", str, TENSOR, choices=(TENSOR, SMOLYAK))
         expansion = project(model, distributions, degree, quadrature=quadrature)
@@ -336,8 +342,7 @@ def _cmd_build(config, seed):
     if config["algorithm"] == "gpc" and config.get("cv") is not None:
         raise ConfigError("a gpc build measures no cv error", field="cv")
     tracker = _cv_tracker(config, model, distributions)
-    target, report, parts = _build_surrogate(
-        config, model, distributions, maps, tracker)
+    target, report, parts = _build_surrogate(config, model, distributions, maps, tracker)
     files = {name: serialize(part) for name, part in parts.items()}
     if isinstance(target, GpcExpansion):
         files["surrogate.json"] = target.to_json()
@@ -364,20 +369,19 @@ def _sweep_values(config):
 
 def _cmd_converge(config, seed):
     model, distributions, maps = _study(config)
-    values = _sweep_values(config)
-    tracker = _cv_tracker(config, model, distributions, converge=True)
     algorithm = config["algorithm"]
+    runs = [{**config, ALGORITHMS[algorithm]: value} for value in _sweep_values(config)]
+    for run_config in runs:     # every entry is checked before anything is computed
+        _degree(run_config, len(distributions))
+    tracker = _cv_tracker(config, model, distributions, converge=True)
     rows = []
-    for value in values:
-        run_config = dict(config)
-        run_config[ALGORITHMS[algorithm]] = value
+    for run_config in runs:
         # gpc returns no report, so its model calls are counted here
         build_model, counter = _counted(model) if algorithm == "gpc" else (model, None)
         target, report, _ = _build_surrogate(
             run_config, build_model, distributions, maps)
         nodes = report.lu_count if report is not None else counter["calls"]
-        mean_l1, max_err = tracker.measure(target)
-        rows.append((nodes, mean_l1, max_err))
+        rows.append((nodes, *tracker.measure(target)))
     return {"report.csv": _csv_text(["nodes", "mean_l1", "max_err"], rows).encode()}
 
 

@@ -262,12 +262,14 @@ class Surrogate:
         """Install canonical nodes of one dimension, their Newton
         denominators, the table of Newton factors at the nodes and their
         physical coordinates.  A node that is not finite or lies outside
-        [-1, 1] raises a domain error, a repeated node (a zero denominator)
-        a contract error, and either leaves the dimension as it was."""
+        [-1, 1] raises a domain error, a node (nearly) repeating an earlier
+        one a contract error, and either leaves the dimension as it was."""
         coords = self.distributions[dim].from_canonical(self.maps[dim].forward(nodes))
         dens = np.array([np.prod(nodes[l] - nodes[:l]) for l in range(len(nodes))])
-        if not dens.all():
-            raise ContractError("a node repeats an earlier one")
+        with np.errstate(divide="ignore", over="ignore"):
+            bound = 2.0 ** np.arange(len(nodes)) / np.abs(dens)
+        if not np.isfinite(bound).all():    # bounds each Newton factor on [-1, 1]
+            raise ContractError("a node repeats or nearly repeats an earlier one")
         self._nodes1d[dim], self._dens[dim], self._coords[dim] = nodes, dens, coords
         self._node_tables[dim] = _newton_table(nodes, nodes, dens, len(nodes) - 1)
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from adaleja.adaptive import AdaptiveConfig, corrected_evaluate, run_adaptive_adjoint
+from adaleja import cli
 from adaleja.cli import RungeProduct, make_model, run_command
 from adaleja.distributions import make_distribution
 from adaleja.errors import SolveError
@@ -459,6 +460,23 @@ class TestUntracedPaths:
                                 "--out", str(tmp_path / "run")]) == 2
             assert f"invalid field 'cv': {message}" in capsys.readouterr().err
 
+    def test_converge_without_cv_uses_the_default_block(self, tmp_path, monkeypatch):
+        # no cv block means n 1000 and seed 10007, as if they were written out
+        sizes = []
+        sample = cli.sample_joint
+        monkeypatch.setattr(cli, "sample_joint",
+                            lambda d, n, seed: sizes.append((n, seed)) or sample(d, n, seed))
+        reports = []
+        for cv in (DROP, {"n": 1000, "seed": 10007}):
+            config = {k: v for k, v in dict(BUILD_CONFIG, sweep=[5, 10], cv=cv).items()
+                      if v is not DROP}
+            out = str(tmp_path / f"run{len(reports)}")
+            assert run_command(["converge", "--config", write_config(tmp_path, config),
+                                "--out", out]) == 0
+            reports.append(Path(out, "report.csv").read_bytes())
+        assert sizes == [(1000, 10007)] * 2
+        assert reports[0] == reports[1]
+
     def test_gpc_converge_counts_model_calls(self, tmp_path):
         config = {"model": {"model": "runge", "n_params": 2, "c": 10.0},
                   "distributions": BUILD_CONFIG["distributions"],
@@ -504,6 +522,24 @@ class TestUntracedPaths:
         assert run_command(["converge", "--config", path, "--out", out]) == 0
         rows = read_rows(os.path.join(out, "report.csv"))[1:]
         assert [int(r[0]) for r in rows] == [4, 9, 14]
+
+
+class TestReadme:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_build_row_names_the_files_build_writes(self, tmp_path):
+        # the artifacts cell of the README's build row, against what adaptive,
+        # gpc and adaptive-adjoint builds write beside their manifest
+        row = next(line for line in self.README.read_text().splitlines()
+                   if line.startswith("| `build`"))
+        named = set(re.findall(r"`([\w.]+\.(?:json|csv))`", row.rsplit("|", 2)[1]))
+        written = set()
+        for k, spec in enumerate(({}, {"algorithm": "adaptive-adjoint", "maps": None},
+                                  {"algorithm": "gpc", "p_max": 2, "maps": None, "cv": None})):
+            path = write_config(tmp_path, dict(BUILD_CONFIG, **spec))
+            assert run_command(["build", "--config", path, "--out", str(tmp_path / str(k))]) == 0
+            written |= set(os.listdir(tmp_path / str(k)))
+        assert named == written - {"manifest.json"}
 
 
 class TestOutput:
@@ -732,6 +768,21 @@ class TestPostProcessing:
                             "--out", str(tmp_path / "run"), *flags])
         assert code == 2
         assert f"invalid field '{field}'" in capsys.readouterr().err
+
+    def test_converge_checks_every_entry_first(self, tmp_path, capsys, monkeypatch):
+        # a sweep entry past the size bound refuses the study before the CV
+        # reference or the first projection is computed
+        called = []
+        monkeypatch.setattr("adaleja.cli.project", lambda *a, **k: called.append("project"))
+        monkeypatch.setattr("adaleja.cli._reference_values",
+                            lambda *a, **k: called.append("reference"))
+        config = write_config(tmp_path, dict(BUILD_CONFIG, algorithm="gpc", maps=None,
+                                             sweep=[1, 10 ** 9]))
+        code = run_command(["converge", "--config", config, "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "invalid field 'p_max': p_max 1000000000 gives more than" in (
+            capsys.readouterr().err)
+        assert called == []
 
     def test_corrupt_artifact_names_its_path(self, built, tmp_path, capsys):
         artifact = tmp_path / "broken.json"

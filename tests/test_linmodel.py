@@ -84,6 +84,13 @@ class TestLadderAssembly:
         assert A.dtype == expected.dtype
         assert A.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("call", ["assemble", "_assemble_stack"])
+    def test_wrong_parameter_count_is_refused(self, call):
+        m = LadderModel(2, sections=8, with_frequency=True)    # 3 parameters
+        points = np.zeros(2) if call == "assemble" else np.zeros((4, 2))
+        with pytest.raises(ValueError, match=r"expected 3 parameters, got shape \(2,\)"):
+            getattr(m, call)(points)
+
     def test_support_box(self):
         m = LadderModel(2, sections=8, with_frequency=True)
         assert m.n_params == 3
@@ -559,6 +566,10 @@ class TestMaterial:
         with pytest.warns(UserWarning, match="extrapolat"):
             material_interp(GOLD_N_SAMPLES, 500.0)
 
+    def test_two_samples_rejected(self):
+        with pytest.raises(ValueError, match="exactly three samples are required"):
+            material_interp(GOLD_N_SAMPLES[:2], 410.0)
+
     def test_degenerate_frequencies_rejected(self):
         with pytest.raises(ValueError):
             material_interp([(1.0, 0.1), (1.0, 0.2), (2.0, 0.3)], 1.5)
@@ -608,6 +619,12 @@ class TestMaterial:
         path.write_text("".join(",".join(r) + "\n" for r in rows))
         name = ("frequency_THz", "n", "kappa")[column]
         with pytest.raises(ContractError, match=f"column '{name}' must be a finite"):
+            read_material_samples(path)
+
+    def test_csv_two_column_row(self, tmp_path):
+        path = tmp_path / "narrow.csv"
+        path.write_text("396.55,0.14,4.542\n425.57,0.13\n454.58,0.14,3.697\n")
+        with pytest.raises(ValueError, match=r"expected 3 columns, got \['425.57', '0.13'\]"):
             read_material_samples(path)
 
     def test_csv_wrong_row_count(self, tmp_path):

@@ -341,6 +341,15 @@ class TestFactory:
         with pytest.raises(ValueError, match="must be a"):
             make_map(spec)
 
+    @pytest.mark.parametrize("spec, match", [
+        ("sausage", "map spec must be a dict with a 'map' key"),
+        ({"order": 9}, "map spec must be a dict with a 'map' key"),
+        ({"map": "kte"}, "kte map spec needs 'alpha'"),
+    ])
+    def test_malformed_spec_is_refused(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            make_map(spec)
+
     def test_integral_float_order_is_an_order(self):
         assert make_map({"map": "sausage", "order": 9.0}).order == 9
 

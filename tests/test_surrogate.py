@@ -174,7 +174,11 @@ class TestContract:
                  "cannot evaluate an empty surrogate"),
                 (lambda: sur.surplus((5,)), r"index \(5,\) is not in the set"),
                 (lambda: sur.restrict([(0,), (5,)]),
-                 r"indices not in the surrogate: \[\(5,\)\]")):
+                 r"indices not in the surrogate: \[\(5,\)\]"),
+                (lambda: Surrogate([]), "at least one distribution is required"),
+                # (3,) needs (2,), which the set {(0,), (1,)} lacks
+                (lambda: sur.hierarchical_basis((3,), [0.5]),
+                 r"index \(3,\) is neither stored nor admissible")):
             with pytest.raises(ContractError, match=match):
                 call()
 
@@ -920,3 +924,16 @@ class TestStoredNodes:
         values = loaded.evaluate(np.vstack([points, corners]))
         assert np.isfinite(values).all()
         assert np.isfinite(loaded.node_points()).all()
+
+    @pytest.mark.parametrize("offset", [5e-324, 1e-310, 1e-308])
+    @pytest.mark.parametrize("at", [1, 4])
+    def test_near_repeat_is_refused(self, at, offset):
+        # a node this near the root's 0.0 left a Newton factor that overflowed:
+        # at load for the second node, at evaluation for the last one
+        sur = Surrogate.fit(smooth, [uniform(-1.0, 1.0)] * 2,
+                            MultiIndexSet.total_degree(2, 4))
+        doc = json.loads(serialize(sur))
+        doc["nodes1d"][0][at] = offset
+        with pytest.raises(SerializationError,
+                           match="'nodes1d' dimension 0: a node repeats or nearly repeats"):
+            deserialize(json.dumps(doc))
