@@ -243,10 +243,10 @@ def corrected_evaluate(qoi_sur: Surrogate, field_sur: Surrogate,
     """Surrogate value plus the residual error indicator, per point.
 
     The quantity-of-interest surrogate is restricted to the index set of
-    the field of pairs (c̃, z̃), value shape (2, model.n), so an
-    indicator-extended surrogate is never double-corrected.  Points are
-    assembled as stacked bands, one ``gbmv`` per stack giving A c̃; each
-    point costs one map inversion, which surrogates with equal maps share.
+    the (c̃, z̃) field, value shape (2, model.n), so an indicator-extended
+    surrogate is never double-corrected.  Points are assembled as stacked
+    bands, one ``gbmv`` per stack giving A c̃; each point costs one map
+    inversion, which surrogates with equal maps share; no system is solved.
     """
     if field_sur.value_shape not in (None, (2, model.n)):
         raise ContractError(f"field values have shape {field_sur.value_shape}, "

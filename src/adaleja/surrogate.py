@@ -268,7 +268,7 @@ class Surrogate:
         dens = np.array([np.prod(nodes[l] - nodes[:l]) for l in range(len(nodes))])
         with np.errstate(divide="ignore", over="ignore"):
             bound = 2.0 ** np.arange(len(nodes)) / np.abs(dens)
-        if not np.isfinite(bound).all():    # bounds each Newton factor on [-1, 1]
+        if not np.isfinite(bound).all():    # |Newton factor l| <= bound[l] on [-1, 1]
             raise ContractError("a node repeats or nearly repeats an earlier one")
         self._nodes1d[dim], self._dens[dim], self._coords[dim] = nodes, dens, coords
         self._node_tables[dim] = _newton_table(nodes, nodes, dens, len(nodes) - 1)

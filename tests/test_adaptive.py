@@ -336,8 +336,8 @@ class TestAdjointDriver:
         assert np.array_equal(corrected_evaluate(core, field, model, pts), expected)
 
     def test_one_map_inversion_per_point(self, monkeypatch):
-        # the QoI and field surrogates share their preimages: 2 N inverted
-        # coordinates per call before, N now, with the same bits
+        # the QoI and field surrogates share their preimages: N inverted
+        # coordinates per call, with the same bits as separate inversions
         model = LadderModel(2, sections=6, damping=0.1, with_frequency=True)
         dists = [uniform(lo, hi) for lo, hi in model.support()]
         qoi, field, _ = run_adaptive_adjoint(

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaleja.adaptive import AdaptiveConfig, corrected_evaluate, run_adaptive_adjoint
 from adaleja import cli
+from adaleja.adaptive import AdaptiveConfig, corrected_evaluate, run_adaptive_adjoint
 from adaleja.cli import RungeProduct, make_model, run_command
 from adaleja.distributions import make_distribution
 from adaleja.errors import SolveError
@@ -773,9 +773,8 @@ class TestPostProcessing:
         # a sweep entry past the size bound refuses the study before the CV
         # reference or the first projection is computed
         called = []
-        monkeypatch.setattr("adaleja.cli.project", lambda *a, **k: called.append("project"))
-        monkeypatch.setattr("adaleja.cli._reference_values",
-                            lambda *a, **k: called.append("reference"))
+        monkeypatch.setattr(cli, "project", lambda *a, **k: called.append("project"))
+        monkeypatch.setattr(cli, "_reference_values", lambda *a, **k: called.append("reference"))
         config = write_config(tmp_path, dict(BUILD_CONFIG, algorithm="gpc", maps=None,
                                              sweep=[1, 10 ** 9]))
         code = run_command(["converge", "--config", config, "--out", str(tmp_path / "run")])

@@ -928,8 +928,8 @@ class TestStoredNodes:
     @pytest.mark.parametrize("offset", [5e-324, 1e-310, 1e-308])
     @pytest.mark.parametrize("at", [1, 4])
     def test_near_repeat_is_refused(self, at, offset):
-        # a node this near the root's 0.0 left a Newton factor that overflowed:
-        # at load for the second node, at evaluation for the last one
+        # a node this near the root's 0.0 makes a Newton factor overflow: in
+        # the node table for the second node, at evaluation points for the last
         sur = Surrogate.fit(smooth, [uniform(-1.0, 1.0)] * 2,
                             MultiIndexSet.total_degree(2, 4))
         doc = json.loads(serialize(sur))
