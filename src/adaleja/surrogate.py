@@ -77,7 +77,6 @@ def _prefix_sum(tables, n_pts, plan, coeffs):
     """
     out = np.empty((n_pts, coeffs.shape[1]), dtype=complex)
     re, im = coeffs.real, coeffs.imag
-    buffers = None
     chunk = _BLOCK
     if n_pts > _BLOCK:
         row_bytes = 8 * sum(int(levels.max()) + 1 for _, levels in plan)
@@ -87,25 +86,16 @@ def _prefix_sum(tables, n_pts, plan, coeffs):
         (parents, levels), plan = plan[-1], plan[:-1]
         dense = np.zeros((2, len(plan[-1][1]), int(levels.max()) + 1))
         dense[:, parents, levels] = re[:, 0], im[:, 0]
-    # three weight buffers reused by every block and depth, since fresh
-    # arrays of this size are often fresh pages; mode "clip" lets take
-    # write straight into them (every row number is in range)
-    size = len(plan[-1][1])     # the last depth gathered is the widest
     for start in range(0, n_pts, _BLOCK):
         rows, offset = slice(start, start + _BLOCK), start % chunk
         if not offset:
             chunk_tables = tables(slice(start, start + chunk))
         first, *rest = (chunk_tables if chunk == _BLOCK else
                         [table[:, offset:offset + _BLOCK] for table in chunk_tables])
-        if buffers is None or buffers[0].shape[1:] != first.shape[1:]:
-            buffers = [np.empty((size,) + first.shape[1:]) for _ in range(3)]
-        spare, weights, gathered = buffers
-        levels = plan[0][1]
-        w = first.take(levels, 0, weights[:len(levels)], "clip")
+        w = first[plan[0][1]]
         for table, (parents, levels) in zip(rest, plan[1:]):
-            spare, weights = weights, spare
-            w = w.take(parents, 0, weights[:len(parents)], "clip")
-            w *= table.take(levels, 0, gathered[:len(levels)], "clip")
+            w = w[parents]
+            w *= table[levels]
         if dense is not None:   # zip left out the last table and depth
             last = dense @ rest[-1]
             out.real[rows, 0], out.imag[rows, 0] = np.einsum("pb,cpb->cb", w, last)

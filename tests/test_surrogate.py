@@ -11,7 +11,7 @@ from adaleja import (Distribution, GpcExpansion, IdentityMap, KTEMap,
                      MultiIndexSet, SausageMap, Surrogate, beta33, deserialize,
                      leja_nodes, load_surrogate, project, save_surrogate,
                      sample_joint, serialize, uniform)
-from adaleja import surrogate
+from adaleja import gpc, surrogate
 from adaleja.errors import (ContractError, DomainError, SerializationError,
                             SolveError, UnsupportedVersionError)
 from adaleja.gpc import ortho_table
@@ -774,6 +774,109 @@ class TestChunkedTables:
         pts = sample_joint(dists, n_pts, data.draw(st.integers(0, 99)))
         got = chunked_evaluate(exp, pts, block, budget)
         assert np.array_equal(got, chunked_evaluate(exp, pts, block, 0))
+
+
+def buffered_prefix_sum(tables, n_pts, plan, coeffs):
+    """The kernel as it was with three weight buffers reused by every block
+    and depth, filled by ``take(..., "clip")``: the reference whose bits the
+    plain gathers must give."""
+    out = np.empty((n_pts, coeffs.shape[1]), dtype=complex)
+    re, im = coeffs.real, coeffs.imag
+    buffers = None
+    chunk = surrogate._BLOCK
+    if n_pts > surrogate._BLOCK:
+        row_bytes = 8 * sum(int(levels.max()) + 1 for _, levels in plan)
+        chunk *= max(1, surrogate._CHUNK_BYTES // (row_bytes * surrogate._BLOCK))
+    dense = None
+    if n_pts > 1 and coeffs.shape[1] == 1 and len(plan) > 1:
+        (parents, levels), plan = plan[-1], plan[:-1]
+        dense = np.zeros((2, len(plan[-1][1]), int(levels.max()) + 1))
+        dense[:, parents, levels] = re[:, 0], im[:, 0]
+    size = len(plan[-1][1])
+    for start in range(0, n_pts, surrogate._BLOCK):
+        rows, offset = slice(start, start + surrogate._BLOCK), start % chunk
+        if not offset:
+            chunk_tables = tables(slice(start, start + chunk))
+        first, *rest = (chunk_tables if chunk == surrogate._BLOCK else
+                        [table[:, offset:offset + surrogate._BLOCK]
+                         for table in chunk_tables])
+        if buffers is None or buffers[0].shape[1:] != first.shape[1:]:
+            buffers = [np.empty((size,) + first.shape[1:]) for _ in range(3)]
+        spare, weights, gathered = buffers
+        levels = plan[0][1]
+        w = first.take(levels, 0, weights[:len(levels)], "clip")
+        for table, (parents, levels) in zip(rest, plan[1:]):
+            spare, weights = weights, spare
+            w = w.take(parents, 0, weights[:len(parents)], "clip")
+            w *= table.take(levels, 0, gathered[:len(levels)], "clip")
+        if dense is not None:
+            last = dense @ rest[-1]
+            out.real[rows, 0], out.imag[rows, 0] = np.einsum("pb,cpb->cb", w, last)
+        else:
+            out[rows] = w.T @ re + 1j * (w.T @ im)
+    return out
+
+
+def both_kernels(call):
+    """``call()`` with the plain-gather kernel, then with the buffered one."""
+    got = np.asarray(call())
+    with mock.patch.object(surrogate, "_prefix_sum", buffered_prefix_sum), \
+            mock.patch.object(gpc, "_prefix_sum", buffered_prefix_sum):
+        want = np.asarray(call())
+    return got, want
+
+
+@st.composite
+def kernel_point_counts(draw, tops):
+    """A point count at the edges of the kernel's blocks and chunks, or any."""
+    block_bytes = 8 * sum(t + 1 for t in tops) * surrogate._BLOCK
+    chunk = surrogate._BLOCK * max(1, surrogate._CHUNK_BYTES // block_bytes)
+    return draw(st.sampled_from([1, 255, 256, 257, chunk - 1, chunk + 1])
+                | st.integers(1, 2 * chunk + 3))
+
+
+class TestPlainGathers:
+    """The kernel's plain gathers give the bits of the buffered kernel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_surrogate_matches_buffered_kernel(self, data):
+        dim = data.draw(st.integers(1, 5))
+        dists = data.draw(st.lists(st.sampled_from([uniform(-1, 1), beta33(0, 2)]),
+                                   min_size=dim, max_size=dim))
+        maps = data.draw(st.lists(st.sampled_from([IdentityMap(), SausageMap(9)]),
+                                  min_size=dim, max_size=dim))
+        grid = MultiIndexSet(dim)
+        for _ in range(data.draw(st.integers(1, 60))):
+            grid.add(data.draw(st.sampled_from(grid.admissible_neighbors())))
+        shape = data.draw(st.sampled_from([(), (2, 1), (2, 3)]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        sur = Surrogate(dists, maps)
+        for ix in grid:
+            sur.add_restricted(ix, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        n_pts = data.draw(kernel_point_counts(sur.index_set.max_level()))
+        pts = sample_joint(dists, n_pts, data.draw(st.integers(0, 99)))
+        got, want = both_kernels(lambda: sur.evaluate(pts))
+        assert got.shape == (n_pts,) + shape
+        assert got.tobytes() == want.tobytes()
+        for ix in list(grid) + grid.admissible_neighbors():
+            got, want = both_kernels(lambda: sur.predict_node(ix))
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_gpc_matches_buffered_kernel(self, data):
+        dists = data.draw(st.lists(st.sampled_from([uniform(-1, 1), beta33(0, 2)]),
+                                   min_size=1, max_size=5))
+        p_max = data.draw(st.integers(0, 4))
+        indices = sorted(MultiIndexSet.total_degree(len(dists), p_max))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        coeffs = rng.normal(size=len(indices)) + 1j * rng.normal(size=len(indices))
+        exp = GpcExpansion(dists, p_max, indices, coeffs)
+        n_pts = data.draw(kernel_point_counts([p_max] * len(dists)))
+        pts = sample_joint(dists, n_pts, data.draw(st.integers(0, 99)))
+        got, want = both_kernels(lambda: exp.evaluate(pts))
+        assert got.tobytes() == want.tobytes()
 
 
 def scalar_point(sur, index):
