@@ -325,16 +325,17 @@ def _target(config):
     return _build_surrogate(config, model, distributions, maps)[0], distributions
 
 
-def _linspace(spec, field, lo, hi, count, gt=None):
-    """Evenly spaced values from a {lo, hi, count} object over the defaults.
+def _grid(spec, field, lo, hi, count, gt=None):
+    """The lo, hi and count of a {lo, hi, count} object over the defaults.
 
-    ``gt``, when given, is an exclusive lower bound on ``lo``.
+    ``gt``, when given, is an exclusive lower bound on ``lo``; with None
+    defaults, the fields given are checked and the absent ones read None.
     """
     if not isinstance(spec, dict):
         raise ConfigError("must be a lo/hi/count object", field=field)
     lo = _field(spec, "lo", float, lo, field=field, gt=gt)
     hi = _field(spec, "hi", float, hi, field=field, gt=lo)
-    return np.linspace(lo, hi, _field(spec, "count", int, count, field=field, ge=2))
+    return lo, hi, _field(spec, "count", int, count, field=field, ge=2)
 
 
 def _cmd_build(config, seed):
@@ -412,20 +413,21 @@ def _cmd_sobol(config, seed):
 def _cmd_kde(config, seed):
     n_samples = _field(config, "n_samples", int, 100_000, ge=1)
     bandwidth = _field(config, "bandwidth", float, None, gt=0)
+    spec = config.get("kde_grid")
+    spec = {} if spec is None else spec
+    _grid(spec, "kde_grid", None, None, None)   # before any build or sample
     target, distributions = _target(config)
     samples = _modulus(target, sample_joint(distributions, n_samples, seed))
     if bandwidth is None:
         sigma = float(samples.std(ddof=1)) if n_samples > 1 else 1.0
         bandwidth = 1.06 * max(sigma, 1e-12) * n_samples ** (-0.2)
-    spec = config.get("kde_grid")
-    grid = _linspace({} if spec is None else spec, "kde_grid",
-                     samples.min() - bandwidth, samples.max() + bandwidth, 512)
+    grid = np.linspace(*_grid(spec, "kde_grid", samples.min() - bandwidth,
+                              samples.max() + bandwidth, 512))
     density = kde_pdf(samples, bandwidth, grid)
     return {"kde.csv": _csv_text(["T", "density"], zip(grid, density)).encode()}
 
 
 def _cmd_resonance(config, seed):
-    target, distributions = _target(config)
     spec = config.get("resonance")
     if not isinstance(spec, dict):
         raise ConfigError("missing object with f_range", field="resonance")
@@ -435,13 +437,14 @@ def _cmd_resonance(config, seed):
     ends = dict(zip(("f_range[0]", "f_range[1]"), f_range))
     f_lo = _field(ends, "f_range[0]", float, field="resonance")
     f_range = (f_lo, _field(ends, "f_range[1]", float, field="resonance", gt=f_lo))
+    n_starts = _field(spec, "n_starts", int, 15, field="resonance", ge=1)
+    n_slices = _field(spec, "n_slices", int, 50, field="resonance", ge=1)
+    target, distributions = _target(config)
     lo, hi = distributions[0].lower, distributions[0].upper
     if f_range[0] < lo or f_range[1] > hi:
         raise ConfigError(
             f"f_range must lie inside the frequency support [{lo}, {hi}]",
             field="resonance")
-    n_starts = _field(spec, "n_starts", int, 15, field="resonance", ge=1)
-    n_slices = _field(spec, "n_slices", int, 50, field="resonance", ge=1)
     if len(distributions) < 2:
         raise ConfigError(
             "resonance extraction needs a frequency dimension plus at least "
@@ -467,7 +470,7 @@ def _cmd_gain(config, seed):
         entries = {f"epsilons[{i}]": e for i, e in enumerate(eps_spec)}
         epsilons = [_field(entries, k, float, field="gain", gt=0) for k in entries]
     elif isinstance(eps_spec, dict):
-        epsilons = list(_linspace(eps_spec, "gain", 0.1, 1.0, 20, gt=0))
+        epsilons = list(np.linspace(*_grid(eps_spec, "gain", 0.1, 1.0, 20, gt=0)))
     else:
         raise ConfigError("epsilons must be a list or a lo/hi/count object",
                           field="gain")

@@ -86,6 +86,8 @@ class ConformalMap:
         is not finite), with bisection on each point's bracket when a
         step leaves it.  Points go in cache-sized chunks, and each stops
         at its own |g(y) - t| <= 1e-14, so the batch never changes a result.
+        Where g is too steep to reach that residual in floats, a point
+        stops at the cap of 80 passes instead.
         """
         t = _check_unit(t, "t")
         y = self._inverse(t)

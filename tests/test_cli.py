@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +100,21 @@ class TestDispatch:
     def test_help_flag(self, capsys):
         assert run_command(["-h"]) == 0
         assert "usage" in capsys.readouterr().out
+
+    def test_subcommand_flags(self, capsys):
+        assert run_command(["stats", "--help"]) == 0
+        assert "usage: adaleja stats" in capsys.readouterr().out
+        assert run_command(["stats", "--config", "x.json", "--frobnicate"]) == 2
+        assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
+
+    def test_module_entry_point(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "adaleja.cli", "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == cli._USAGE
 
     def test_unknown_subcommand(self, capsys):
         assert run_command(["frobnicate", "--config", "x.json"]) == 64
@@ -782,6 +799,33 @@ class TestPostProcessing:
         assert "invalid field 'p_max': p_max 1000000000 gives more than" in (
             capsys.readouterr().err)
         assert called == []
+
+    @pytest.mark.parametrize("command, field, spec", [
+        ("resonance", "resonance", {}),
+        ("resonance", "resonance", {"resonance": {"f_range": [1.2, 0.8]}}),
+        ("resonance", "resonance", {"resonance": {"f_range": [-0.5, 0.5],
+                                                  "n_starts": 0}}),
+        ("kde", "kde_grid", {"kde_grid": 5}),
+        ("kde", "kde_grid", {"kde_grid": {"count": 1}}),
+        ("kde", "kde_grid", {"kde_grid": {"lo": 0.5, "hi": 0.2}}),
+    ])
+    def test_blocks_are_checked_before_the_build(self, tmp_path, capsys, monkeypatch,
+                                                 command, field, spec):
+        # these were refused only after a full adaptive build, and for kde
+        # after sampling the surrogate as well
+        builds = []
+        inner = cli.run_adaptive
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_adaptive", counted)
+        config = write_config(tmp_path, dict(BUILD_CONFIG, **spec))
+        code = run_command([command, "--config", config, "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"invalid field '{field}'" in capsys.readouterr().err
+        assert builds == []
 
     def test_corrupt_artifact_names_its_path(self, built, tmp_path, capsys):
         artifact = tmp_path / "broken.json"

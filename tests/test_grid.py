@@ -67,6 +67,9 @@ class TestConstruction:
     def test_empty_allowed(self):
         assert len(MultiIndexSet(2, [])) == 0
 
+    def test_repr(self):
+        assert repr(MultiIndexSet.total_degree(2, 2)) == "MultiIndexSet(dim=2, size=6)"
+
 
 class TestTotalDegree:
     @pytest.mark.parametrize("dim,deg", [(1, 5), (2, 3), (3, 4), (5, 4)])

@@ -96,9 +96,9 @@ class TestSequenceObject:
     def test_extend_to(self):
         s = LejaSequence(uniform(-1, 1))
         s.extend_to(4)
-        assert len(s.nodes) == 4
+        assert len(s.nodes) == len(s) == 4
         s.extend_to(2)
-        assert len(s.nodes) == 4
+        assert len(s.nodes) == len(s) == 4
 
     def test_counts_are_integers(self):
         # 2.5 failed inside a slice, -1 with a plain ValueError

@@ -97,6 +97,12 @@ class TestLadderAssembly:
         # frequency band first, then the stiffness perturbation range
         assert m.support() == [(0.5, 1.5), (-1.0, 1.0), (-1.0, 1.0)]
 
+    def test_default_support_is_the_unit_box(self):
+        class Unboxed(ParametricLinearModel):
+            n, n_params = 4, 3
+
+        assert Unboxed().support() == [(-1.0, 1.0)] * 3
+
     def test_qoi_matches_direct_solve(self):
         m = LadderModel(2, sections=12, damping=0.02)
         y = np.array([0.9, 1.1])

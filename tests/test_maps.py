@@ -12,7 +12,7 @@ from adaleja import (IdentityMap, KTEMap, SausageMap, Surrogate, beta33,
                      make_map, uniform)
 from adaleja.distributions import _BETA33_CDF
 from adaleja.errors import ContractError, DomainError
-from adaleja.maps import _INV_CHUNK, _INV_KNOTS, ConformalMap
+from adaleja.maps import _INV_CHUNK, _INV_KNOTS, _INV_TOL, ConformalMap
 
 ALL_MAPS = [
     IdentityMap(),
@@ -227,6 +227,18 @@ class TestInverseProperties:
             exact_points(m, t)
         assert derivative.call_count == 0
 
+    def test_points_open_at_the_pass_cap_bracket_t_within_one_ulp(self):
+        # g' reaches about 1,300 near +-1, where a residual of 1e-14 is finer
+        # than one ulp of y: those points run every pass and stop at the cap
+        m = KTEMap(0.9999999)
+        t = np.concatenate([np.linspace(-1.0, -0.9, 2000), np.linspace(0.9, 1.0, 2000)])
+        y = m.inverse(t)
+        open_ = np.abs(m.forward(y) - t) > _INV_TOL
+        assert open_.any()
+        y, t = y[open_], t[open_]
+        assert np.all(m._raw(np.nextafter(y, -2.0)) <= t)
+        assert np.all(m._raw(np.nextafter(y, 2.0)) >= t)
+
     @settings(max_examples=40, deadline=None)
     @given(maps=st.lists(st.one_of(MAPS, st.just(IdentityMap())), min_size=1,
                          max_size=4),
@@ -317,6 +329,11 @@ class TestFactory:
 
     def test_sausage_default_order(self):
         assert make_map({"map": "sausage"}).order == 9
+
+    def test_repr(self):
+        assert repr(SausageMap(5)) == "SausageMap(order=5)"
+        assert repr(KTEMap(0.8)) == "KTEMap(alpha=0.8)"
+        assert repr(IdentityMap()) == "IdentityMap()"
 
     def test_no_map_means_identity(self):
         # a study that names no map interpolates on the untransformed nodes
