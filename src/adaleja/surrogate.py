@@ -92,10 +92,10 @@ def _prefix_sum(tables, n_pts, plan, coeffs):
             chunk_tables = tables(slice(start, start + chunk))
         first, *rest = (chunk_tables if chunk == _BLOCK else
                         [table[:, offset:offset + _BLOCK] for table in chunk_tables])
-        w = first[plan[0][1]]
+        w = first.take(plan[0][1], 0)
         for table, (parents, levels) in zip(rest, plan[1:]):
-            w = w[parents]
-            w *= table[levels]
+            w = w.take(parents, 0)
+            w *= table.take(levels, 0)
         if dense is not None:   # zip left out the last table and depth
             last = dense @ rest[-1]
             out.real[rows, 0], out.imag[rows, 0] = np.einsum("pb,cpb->cb", w, last)
