@@ -811,8 +811,6 @@ class TestPostProcessing:
     ])
     def test_blocks_are_checked_before_the_build(self, tmp_path, capsys, monkeypatch,
                                                  command, field, spec):
-        # these were refused only after a full adaptive build, and for kde
-        # after sampling the surrogate as well
         builds = []
         inner = cli.run_adaptive
 

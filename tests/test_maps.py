@@ -228,7 +228,7 @@ class TestInverseProperties:
         assert derivative.call_count == 0
 
     def test_points_open_at_the_pass_cap_bracket_t_within_one_ulp(self):
-        # g' reaches about 1,300 near +-1, where a residual of 1e-14 is finer
+        # g' reaches about 1,400 near +-1, where a residual of 1e-14 is finer
         # than one ulp of y: those points run every pass and stop at the cap
         m = KTEMap(0.9999999)
         t = np.concatenate([np.linspace(-1.0, -0.9, 2000), np.linspace(0.9, 1.0, 2000)])
