@@ -38,7 +38,7 @@ from .linmodel import LadderModel, ParametricLinearModel, _lapack
 from .maps import make_map
 from .stats import (_deviation, _modulus, _reference_values, extract_resonance,
                     failure_probability, kde_pdf, mc_moments, sobol_indices)
-from .surrogate import Surrogate, _read_evaluable, serialize
+from .surrogate import Surrogate, _as_map_list, _read_evaluable, serialize
 
 # the CLI's studies solve: bind the band LU routines before any command
 for _routine in ("gbtrf", "gbtrs", "gbmv"):
@@ -68,6 +68,10 @@ To cap this process, set those variables before starting adaleja.
 """
 
 _REQUIRED = object()
+
+# bounds of the count fields that allocate: samples, and grid, sweep or scan entries
+_MAX_SAMPLES = 10 ** 8
+_MAX_ENTRIES = 10 ** 6
 
 def _field(spec, key, kind, default=_REQUIRED, *, field=None,
            ge=None, gt=None, lt=None, choices=None):
@@ -195,27 +199,9 @@ def _maps(config, n_dim):
     if config["algorithm"] == "gpc":
         raise ConfigError("gpc projects without maps", field="maps")
     try:
-        if isinstance(spec, list):
-            if len(spec) != n_dim:
-                raise ConfigError(
-                    f"expected {n_dim} map entries, got {len(spec)}", field="maps")
-            return [make_map(s) for s in spec]
-        return make_map(spec)
-    except ConfigError:
-        raise
+        return _as_map_list(spec, n_dim)
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(str(exc), field="maps") from exc
-
-
-def _counted(model):
-    """Wrap a model so converge can report the number of evaluations."""
-    counter = {"calls": 0}
-
-    def wrapped(y):
-        counter["calls"] += 1
-        return model(y)
-
-    return wrapped, counter
 
 
 class _CvTracker:
@@ -242,7 +228,7 @@ def _cv_tracker(config, model, distributions, converge=False):
         spec = {}
     if not isinstance(spec, dict):
         raise ConfigError("must be an object", field="cv")
-    n_cv = _field(spec, "n", int, 1000, field="cv", ge=1)
+    n_cv = _field(spec, "n", int, 1000, field="cv", ge=1, lt=_MAX_SAMPLES)
     seed = _field(spec, "seed", int, 10007, field="cv", ge=0)
     per_iteration = _field(spec, "per_iteration", bool, False, field="cv")
     # a converge sweep or an isotropic build has no accepted steps to track
@@ -335,7 +321,7 @@ def _grid(spec, field, lo, hi, count, gt=None):
         raise ConfigError("must be a lo/hi/count object", field=field)
     lo = _field(spec, "lo", float, lo, field=field, gt=gt)
     hi = _field(spec, "hi", float, hi, field=field, gt=lo)
-    return lo, hi, _field(spec, "count", int, count, field=field, ge=2)
+    return lo, hi, _field(spec, "count", int, count, field=field, ge=2, lt=_MAX_ENTRIES)
 
 
 def _cmd_build(config, seed):
@@ -364,8 +350,9 @@ def _sweep_values(config):
         raise ConfigError("must be a non-empty list or a from/to/step object",
                           field="sweep")
     lo = _field(spec, "from", int, field="sweep", ge=1)
-    hi = _field(spec, "to", int, field="sweep", ge=lo)
-    return list(range(lo, hi + 1, _field(spec, "step", int, 1, field="sweep", ge=1)))
+    step = _field(spec, "step", int, 1, field="sweep", ge=1)
+    hi = _field(spec, "to", int, field="sweep", ge=lo, lt=lo + step * _MAX_ENTRIES)
+    return list(range(lo, hi + 1, step))
 
 
 def _cmd_converge(config, seed):
@@ -377,17 +364,15 @@ def _cmd_converge(config, seed):
     tracker = _cv_tracker(config, model, distributions, converge=True)
     rows = []
     for run_config in runs:
-        # gpc returns no report, so its model calls are counted here
-        build_model, counter = _counted(model) if algorithm == "gpc" else (model, None)
-        target, report, _ = _build_surrogate(
-            run_config, build_model, distributions, maps)
-        nodes = report.lu_count if report is not None else counter["calls"]
+        target, report, _ = _build_surrogate(run_config, model, distributions, maps)
+        # gpc returns no report; its expansion counts its model calls
+        nodes = report.lu_count if report is not None else target.n_evaluations
         rows.append((nodes, *tracker.measure(target)))
     return {"report.csv": _csv_text(["nodes", "mean_l1", "max_err"], rows).encode()}
 
 
 def _cmd_stats(config, seed):
-    n_samples = _field(config, "n_samples", int, 100_000, ge=2)
+    n_samples = _field(config, "n_samples", int, 100_000, ge=2, lt=_MAX_SAMPLES)
     alpha = _field(config, "alpha", float, None, gt=0, lt=1)
     target, distributions = _target(config)
     children = np.random.SeedSequence(seed).spawn(2)
@@ -402,7 +387,7 @@ def _cmd_stats(config, seed):
 
 
 def _cmd_sobol(config, seed):
-    n_base = _field(config, "n_base", int, 10_000, ge=1)
+    n_base = _field(config, "n_base", int, 10_000, ge=1, lt=_MAX_SAMPLES)
     target, distributions = _target(config)
     result = sobol_indices(target, distributions, n_base, seed)
     rows = [(k, result.main[k], result.total[k])
@@ -411,7 +396,7 @@ def _cmd_sobol(config, seed):
 
 
 def _cmd_kde(config, seed):
-    n_samples = _field(config, "n_samples", int, 100_000, ge=1)
+    n_samples = _field(config, "n_samples", int, 100_000, ge=1, lt=_MAX_SAMPLES)
     bandwidth = _field(config, "bandwidth", float, None, gt=0)
     spec = config.get("kde_grid")
     spec = {} if spec is None else spec
@@ -437,8 +422,8 @@ def _cmd_resonance(config, seed):
     ends = dict(zip(("f_range[0]", "f_range[1]"), f_range))
     f_lo = _field(ends, "f_range[0]", float, field="resonance")
     f_range = (f_lo, _field(ends, "f_range[1]", float, field="resonance", gt=f_lo))
-    n_starts = _field(spec, "n_starts", int, 15, field="resonance", ge=1)
-    n_slices = _field(spec, "n_slices", int, 50, field="resonance", ge=1)
+    n_starts = _field(spec, "n_starts", int, 15, field="resonance", ge=1, lt=_MAX_ENTRIES)
+    n_slices = _field(spec, "n_slices", int, 50, field="resonance", ge=1, lt=_MAX_ENTRIES)
     target, distributions = _target(config)
     lo, hi = distributions[0].lower, distributions[0].upper
     if f_range[0] < lo or f_range[1] > hi:
@@ -474,7 +459,7 @@ def _cmd_gain(config, seed):
     else:
         raise ConfigError("epsilons must be a list or a lo/hi/count object",
                           field="gain")
-    n_samples = _field(spec, "n_samples", int, 4096, field="gain", ge=1)
+    n_samples = _field(spec, "n_samples", int, 4096, field="gain", ge=1, lt=_MAX_SAMPLES)
     rows = [(eps, cmap.estimate_gain(eps, n_samples=n_samples))
             for eps in epsilons]
     return {"gain.csv": _csv_text(["epsilon", "gain"], rows).encode()}

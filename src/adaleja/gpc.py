@@ -74,6 +74,8 @@ def gauss_rule(kind, order):
 class GpcExpansion:
     """Total-degree orthonormal chaos expansion with complex coefficients."""
 
+    _n_evaluations = None
+
     def __init__(self, distributions, p_max, indices, coefficients):
         self.distributions = [make_distribution(d) for d in distributions]
         self.p_max = _number(p_max, "p_max", integral=True, ge=0)
@@ -92,6 +94,11 @@ class GpcExpansion:
     @property
     def n_dim(self):
         return len(self.distributions)
+
+    @property
+    def n_evaluations(self):
+        """Model calls of the projection that made this expansion; None if loaded."""
+        return self._n_evaluations
 
     @property
     def indices(self):
@@ -206,4 +213,6 @@ def project(model, distributions, p_max, quadrature=TENSOR) -> GpcExpansion:
         scales = [_combination_weight(n_dim, p_max - sum(ell)) for ell in index_set]
         coeff = sum(scale * tensor_projection(tuple(l + 1 for l in ell))
                     for ell, scale in zip(index_set, scales) if scale)
-    return GpcExpansion(dists, p_max, index_set, coeff)
+    expansion = GpcExpansion(dists, p_max, index_set, coeff)
+    expansion._n_evaluations = len(cache)
+    return expansion

@@ -11,13 +11,13 @@ solve, ``gbtrs`` per substitution, ``gbmv`` for the residual checks,
 ``gbcon`` for the condition estimate of a failure (Anderson et al.,
 *LAPACK Users' Guide*), scipy's routines loaded at the first solve from
 its extension files, not via scipy.linalg's costly import unless they
-fail to load.  The ladder assembles its tridiagonal band in O(n); a
-dense matrix from any other model is packed as a full band
-(kl = ku = n − 1): one factorization path, no size switch.  A point set
-is solved as one stack, a block-diagonal band of one block per point
-(batched BLAS, Dongarra et al. 2017), checked per block; a one-point
-solve is the one-block case.  Overrides win: only a ladder type keeping
-``assemble`` assembles a stack at once.
+fail to load.  The ladder assembles its tridiagonal band in O(n), one
+body for a point and a stack; a dense matrix from any other model is
+packed as a full band (kl = ku = n − 1): one factorization path, no
+size switch.  A point set is solved as one stack, a block-diagonal band
+of one block per point (batched BLAS, Dongarra et al. 2017), checked
+per block; a one-point solve is the one-block case.  Overrides win:
+only a ladder type keeping ``assemble`` assembles a stack at once.
 
 The resonant ladder is a desk-scale stand-in for large frequency-domain
 models: a damped spring chain driven at one end and observed at the
@@ -290,7 +290,8 @@ class LadderModel(ParametricLinearModel):
     perturbed to 1 + 0.1 t with t in [-1, 1].  The system is
     K − ω̂²I + iβω̂I at normalized frequency ω̂.  When ``with_frequency``
     is set, ω̂ in [0.5, 1.5] is the leading parameter; otherwise it is
-    pinned to ``omega``.
+    pinned to ``omega``.  One body assembles a point and a stack of
+    points alike, so a stack's blocks are its points' systems bit for bit.
     """
 
     def __init__(self, n_params, sections=40, damping=0.02,
@@ -315,60 +316,42 @@ class LadderModel(ParametricLinearModel):
         return box
 
     def assemble(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.n_params,):
-            raise ValueError(
-                f"expected {self.n_params} parameters, got shape {y.shape}")
-        if self.with_frequency:
-            omega, t = y[0], y[1:]
-        else:
-            omega, t = self.omega, y
-        # springs k_1..k_n; mass m has springs m and m+1 attached, the
-        # (n+1)-th spring does not exist (free end)
-        springs = np.ones(self.n + 2)
-        springs[1:self.n_stiff + 1] = 1.0 + 0.1 * t
-        springs[self.n + 1] = 0.0
-        diag = springs[1:self.n + 1] + springs[2:self.n + 2]
-        off = -springs[2:self.n + 1]
-        # band rows: fill-in room, superdiagonal, diagonal, subdiagonal
-        ab = np.zeros((4, self.n), dtype=complex, order="F")
-        ab[1, 1:] = off
-        ab[2] = diag + (-omega ** 2 + 1j * self.damping * omega)
-        ab[3, :-1] = off
-        f = np.zeros(self.n, dtype=complex)
-        f[0] = 1.0
-        j = np.zeros(self.n, dtype=complex)
-        j[-1] = 1.0
-        return _Band(ab, 1, 1), f, j, 0.0 + 0.0j
+        return *self._ladder(y, 0), 0.0 + 0.0j
 
     def _assemble_stack(self, points):
-        """``assemble`` at the rows of ``points`` with the same operations
-        elementwise, one block of columns per point; a type overriding
-        ``assemble`` is stacked from its own results.  One point keeps
-        ``assemble``, which is faster than a one-row stack.
-        """
+        """``assemble`` at the rows of ``points``; a type overriding it stacks its own."""
         if type(self).assemble is not LadderModel.assemble:
             return super()._assemble_stack(points)
-        points = np.asarray(points, dtype=float)
-        if points.shape[1:] != (self.n_params,):
+        return *self._ladder(points, 1), [0.0 + 0.0j] * len(points)
+
+    def _ladder(self, y, lead):
+        """Band, load and observation at a point (n_params,), or with
+        ``lead`` 1 at the rows of a stack (m, n_params), one block of
+        columns per row, by the same elementwise operations."""
+        y = np.asarray(y, dtype=float)
+        if y.shape[lead:] != (self.n_params,):
             raise ValueError(
-                f"expected {self.n_params} parameters, got shape {points.shape[1:]}")
-        m, n = len(points), self.n
+                f"expected {self.n_params} parameters, got shape {y.shape[lead:]}")
+        n = self.n
         if self.with_frequency:     # scalar ω ** 2: an array's can differ in its last bit
-            t = points[:, 1:]
-            shift = np.array([[-w ** 2 + 1j * self.damping * w] for w in points[:, 0]])
+            omega, t = y[..., :1], y[..., 1:]
+            shift = np.array([-w ** 2 + 1j * self.damping * w
+                              for w in omega.ravel().tolist()]).reshape(omega.shape)
         else:
-            t, shift = points, -self.omega ** 2 + 1j * self.damping * self.omega
-        springs = np.ones((m, n + 2))
-        springs[:, 1:self.n_stiff + 1] = 1.0 + 0.1 * t
-        springs[:, n + 1] = 0.0
-        off = -springs[:, 2:n + 1]
-        ab = np.zeros((m, n, 4), dtype=complex)
-        ab[:, 1:, 1] = ab[:, :-1, 3] = off
-        ab[:, :, 2] = springs[:, 1:n + 1] + springs[:, 2:n + 2] + shift
-        f, j = np.zeros((2, m * n), dtype=complex)
+            t, shift = y, -self.omega ** 2 + 1j * self.damping * self.omega
+        # springs k_1..k_n; mass m has springs m and m+1 attached, the
+        # (n+1)-th spring does not exist (free end)
+        springs = np.empty(y.shape[:-1] + (n + 2,))
+        springs.fill(1.0)       # faster than np.ones for one point
+        springs[..., 1:self.n_stiff + 1] = 1.0 + 0.1 * t
+        springs[..., n + 1] = 0.0
+        # per unknown, the band rows: fill-in room, superdiagonal, diagonal, subdiagonal
+        ab = np.zeros(y.shape[:-1] + (n, 4), dtype=complex)
+        ab[..., 1:, 1] = ab[..., :-1, 3] = -springs[..., 2:n + 1]
+        ab[..., 2] = springs[..., 1:n + 1] + springs[..., 2:n + 2] + shift
+        f, j = np.zeros(ab.size // 4, dtype=complex), np.zeros(ab.size // 4, dtype=complex)
         f[::n] = j[n - 1::n] = 1.0
-        return _Band(ab.reshape(m * n, 4).T, 1, 1), f, j, [0.0 + 0.0j] * m
+        return _Band(ab.reshape(-1, 4).T, 1, 1), f, j
 
 
 def material_interp(samples, omega):

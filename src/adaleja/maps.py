@@ -86,8 +86,8 @@ class ConformalMap:
         is not finite), with bisection on each point's bracket when a
         step leaves it.  Points go in cache-sized chunks, and each stops
         at its own |g(y) - t| <= 1e-14, so the batch never changes a result.
-        Where g is too steep to reach that residual in floats, a point
-        stops at the cap of 80 passes instead.
+        Where g is too steep for that residual in floats, a point stops when
+        a pass leaves it unmoved, as would every later pass up to the cap of 80.
         """
         t = _check_unit(t, "t")
         y = self._inverse(t)
@@ -133,10 +133,10 @@ class ConformalMap:
     def _newton(self, t, y):
         """``inverse`` of the 1-D ``t`` from the start ``y``, which it overwrites."""
         out, at = y, np.arange(len(t))
-        lo, hi = np.full_like(t, -1.0), np.ones_like(t)
+        lo, hi, moved = np.full_like(t, -1.0), np.ones_like(t), True
         for _ in range(_INV_MAXIT):
             f = self._raw(y) - t
-            open_ = np.abs(f) > _INV_TOL
+            open_ = (np.abs(f) > _INV_TOL) & moved
             if not open_.all():
                 out[at] = y
                 if not open_.any():
@@ -147,7 +147,8 @@ class ConformalMap:
             with np.errstate(divide="ignore", invalid="ignore"):
                 yn = y - f / self._raw_derivative(y)
             # a step that is not finite or leaves the bracket bisects it
-            y = np.where((yn >= lo) & (yn <= hi), yn, 0.5 * (lo + hi))
+            y, last = np.where((yn >= lo) & (yn <= hi), yn, 0.5 * (lo + hi)), y
+            moved = y != last
         out[at] = y
         return out
 

@@ -145,7 +145,8 @@ def _as_map_list(maps, n_dim):
         return [make_map(maps) for _ in range(n_dim)]
     out = [make_map(m) for m in maps]
     if len(out) != n_dim:
-        raise ContractError(f"got {len(out)} maps for {n_dim} dimensions")
+        raise ContractError(f"expected {n_dim} map entries, got {len(out)} maps "
+                            f"for {n_dim} dimensions")
     return out
 
 

@@ -50,6 +50,25 @@ class Holed:
         return complex("nan") if y[0] < -0.5 else 1.0 + y[0] * y[1]
 
 
+def count_factorizations(monkeypatch):
+    """The column count of each gbtrf call from now on, one stacked block per point."""
+    from adaleja import linmodel
+    bind, columns = linmodel._lapack, []
+
+    def counting(name):
+        routine = bind(name)
+        if name != "gbtrf":
+            return routine
+
+        def gbtrf(*args, **kwargs):
+            columns.append(args[0].shape[1])
+            return routine(*args, **kwargs)
+        return gbtrf
+
+    monkeypatch.setattr(linmodel, "_lapack", counting)
+    return columns
+
+
 # a config value that stands for "leave this field out"
 DROP = object()
 
@@ -335,19 +354,8 @@ class TestBuild:
 
     def test_cv_reference_is_solved_in_stacks(self, tmp_path, monkeypatch):
         """One gbtrf per adaptive model call, plus one per stack of CV points."""
-        from adaleja import cli, linmodel
-        bind, factorizations, reports = linmodel._lapack, [], []
-
-        def counting(name):
-            routine = bind(name)
-            if name != "gbtrf":
-                return routine
-
-            def gbtrf(*args, **kwargs):
-                factorizations.append(args[0].shape[1])
-                return routine(*args, **kwargs)
-            return gbtrf
-
+        from adaleja import linmodel
+        factorizations, reports = count_factorizations(monkeypatch), []
         inner = cli.run_adaptive
 
         def recording(*args, **kwargs):
@@ -355,7 +363,6 @@ class TestBuild:
             reports.append(result[1])
             return result
 
-        monkeypatch.setattr(linmodel, "_lapack", counting)
         monkeypatch.setattr(cli, "run_adaptive", recording)
         sections, n_cv = 40, 1000
         config = dict(BUILD_CONFIG, budget=40, cv={"n": n_cv, "seed": 11},
@@ -367,6 +374,26 @@ class TestBuild:
         assert stacks == math.ceil(n_cv / (linmodel._STACK_UNKNOWNS // sections)) == 3
         assert len(factorizations) == report.lu_count + stacks
         assert factorizations.count(sections) == report.lu_count
+
+    def test_gpc_converge_solves_in_stacks(self, tmp_path, monkeypatch):
+        """A gpc converge of a ladder solves each rule's nodes as one stack, as
+        build does, after the stacked CV reference."""
+        factorizations = count_factorizations(monkeypatch)
+        sections, n_cv, sweep = 40, 100, [1, 2, 4]
+        config = dict(BUILD_CONFIG, algorithm="gpc", quadrature="tensor", maps=None,
+                      sweep=sweep, cv={"n": n_cv, "seed": 11},
+                      model=dict(BUILD_CONFIG["model"], sections=sections))
+        out = str(tmp_path / "converge")
+        assert run_command(["converge", "--config", write_config(tmp_path, config),
+                            "--out", out]) == 0
+        nodes = [(p + 1) ** 2 for p in sweep]
+        assert [int(r[0]) for r in read_rows(os.path.join(out, "report.csv"))[1:]] == nodes
+        assert factorizations == [n_cv * sections] + [k * sections for k in nodes]
+        factorizations.clear()
+        config = dict(config, p_max=sweep[-1], cv=None)
+        assert run_command(["build", "--config", write_config(tmp_path, config),
+                            "--out", str(tmp_path / "build")]) == 0
+        assert factorizations == [nodes[-1] * sections]
 
     def test_isotropic_report_matches_fit(self, tmp_path):
         config = {
@@ -770,6 +797,21 @@ class TestPostProcessing:
                             "cv": None}),
         ("build", "level", {"algorithm": "isotropic-smolyak", "level": 10 ** 6}),
         ("converge", "p_max", {"algorithm": "gpc", "maps": None, "sweep": [1, 10 ** 9]}),
+        # counts past their bounds, refused before anything is allocated (each
+        # escaped as a MemoryError)
+        ("stats", "n_samples", {"n_samples": 10 ** 12}),
+        ("kde", "n_samples", {"n_samples": 10 ** 12}),
+        ("sobol", "n_base", {"n_base": 10 ** 12}),
+        ("build", "cv", {"cv": {"n": 10 ** 12, "seed": 11}}),
+        ("gain", "gain", {"gain": {"epsilons": [0.5], "n_samples": 10 ** 12}}),
+        ("kde", "kde_grid", {"kde_grid": {"count": 10 ** 12}}),
+        ("gain", "gain", {"gain": {"epsilons": {"count": 10 ** 12}}}),
+        ("converge", "sweep", {"sweep": {"from": 1, "to": 10 ** 12}}),
+        ("converge", "sweep", {"sweep": {"from": 5, "to": 10 ** 18, "step": 10 ** 6}}),
+        ("resonance", "resonance", {"resonance": {"f_range": [-0.5, 0.5],
+                                                  "n_starts": 10 ** 12}}),
+        ("resonance", "resonance", {"resonance": {"f_range": [-0.5, 0.5],
+                                                  "n_slices": 10 ** 12}}),
     ])
     def test_bad_range_exits_two(self, built, tmp_path, capsys, command, field, spec):
         _, out = built

@@ -84,12 +84,18 @@ class TestLadderAssembly:
         assert A.dtype == expected.dtype
         assert A.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("call", ["assemble", "_assemble_stack"])
-    def test_wrong_parameter_count_is_refused(self, call):
+    @pytest.mark.parametrize("call, shape, got", [
+        pytest.param("assemble", (2,), r"\(2,\)", id="assemble"),
+        pytest.param("_assemble_stack", (4, 2), r"\(2,\)", id="_assemble_stack"),
+        # a stack is no point, and a point or a stack of stacks no stack
+        pytest.param("assemble", (4, 3), r"\(4, 3\)", id="assemble-2d"),
+        pytest.param("_assemble_stack", (3,), r"\(\)", id="_assemble_stack-1d"),
+        pytest.param("_assemble_stack", (2, 4, 3), r"\(4, 3\)", id="_assemble_stack-3d"),
+    ])
+    def test_wrong_parameter_count_is_refused(self, call, shape, got):
         m = LadderModel(2, sections=8, with_frequency=True)    # 3 parameters
-        points = np.zeros(2) if call == "assemble" else np.zeros((4, 2))
-        with pytest.raises(ValueError, match=r"expected 3 parameters, got shape \(2,\)"):
-            getattr(m, call)(points)
+        with pytest.raises(ValueError, match=r"expected 3 parameters, got shape " + got):
+            getattr(m, call)(np.zeros(shape))
 
     def test_support_box(self):
         m = LadderModel(2, sections=8, with_frequency=True)

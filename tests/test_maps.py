@@ -239,6 +239,20 @@ class TestInverseProperties:
         assert np.all(m._raw(np.nextafter(y, -2.0)) <= t)
         assert np.all(m._raw(np.nextafter(y, 2.0)) >= t)
 
+    def test_points_that_stop_moving_close_within_three_passes(self):
+        # those steep points stop moving after a pass or two; a point a pass
+        # leaves unmoved is stationary, so it closes instead of running to
+        # the cap of 80 passes
+        m = KTEMap(0.9999999)
+        t = np.concatenate([np.linspace(-1.0, -0.9, 2000), np.linspace(0.9, 1.0, 2000)])
+        m._start_table()
+        raw = type(m)._raw_derivative
+        with mock.patch.object(type(m), "_raw_derivative", autospec=True,
+                               side_effect=raw) as derivative:
+            y = m.inverse(t)
+        assert 1 <= derivative.call_count <= 3
+        assert (np.abs(m.forward(y) - t) > _INV_TOL).any()
+
     @settings(max_examples=40, deadline=None)
     @given(maps=st.lists(st.one_of(MAPS, st.just(IdentityMap())), min_size=1,
                          max_size=4),
