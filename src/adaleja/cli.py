@@ -19,13 +19,13 @@ import argparse
 import copy
 import hashlib
 import json
+import locale  # noqa: F401 -- argparse's messages load it at the first parse
 import os
 import platform
 import sys
 
 import numpy as np
 import numpy.random  # lazy in numpy: load it here, as every study samples
-import scipy  # for the manifest's versions; the band routines bind below
 
 from .adaptive import (AdaptiveConfig, AdaptiveReport, _csv_text,
                        run_adaptive, run_adaptive_adjoint)
@@ -34,7 +34,7 @@ from .errors import (ConfigError, ContractError, DomainError, SerializationError
                      SolveError, _flag, _number)
 from .gpc import SMOLYAK, TENSOR, GpcExpansion, project
 from .grid import MAX_TOTAL_DEGREE_SIZE, MultiIndexSet
-from .linmodel import LadderModel, ParametricLinearModel, _lapack
+from .linmodel import LadderModel, ParametricLinearModel, _lapack, _scipy_attr
 from .maps import make_map
 from .stats import (_deviation, _modulus, _reference_values, extract_resonance,
                     failure_probability, kde_pdf, mc_moments, sobol_indices)
@@ -482,7 +482,7 @@ def _versions():
         "adaleja": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _scipy_attr("scipy.version", "version"),
     }
 
 

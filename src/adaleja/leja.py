@@ -6,8 +6,17 @@ runs in log space on a fine uniform candidate grid and polishes the winner
 with a golden-section pass, which keeps the whole construction
 deterministic.  Sequences are nested by construction, so one growing
 sequence per weight law serves every approximation level.
+
+``LejaSequence`` is the definition.  ``leja_nodes`` serves each law's first
+128 nodes from ``leja_nodes.json`` (JSON floats, exact), read once per
+process; from the repository root, this regenerates the file:
+``PYTHONPATH=src python -c "import json, adaleja as al; json.dump({l.kind: al.LejaSequence(l).extend_to(128).nodes.tolist() for l in (al.beta33(-1, 1), al.uniform(-1, 1))}, open('src/adaleja/leja_nodes.json', 'w'))"``
 """
 from __future__ import annotations
+
+import json
+import os
+from functools import cache
 
 import numpy as np
 
@@ -22,6 +31,7 @@ GRID_POINTS = 100_001
 _TIE_SLACK = 1e-10
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_SHIPPED = 128      # nodes per law in leja_nodes.json
 
 
 class LejaSequence:
@@ -100,20 +110,24 @@ def _golden_max(fun, lo, hi):
     return c if fc >= fd else d
 
 
-_CACHE: dict[str, LejaSequence] = {}
+_sequence = cache(LejaSequence)     # past the shipped nodes, one per canonical law
+
+
+@cache
+def _shipped():
+    """The shipped nodes by law kind."""
+    with open(os.path.join(os.path.dirname(__file__), "leja_nodes.json"), "rb") as fh:
+        return {kind: np.array(nodes) for kind, nodes in json.load(fh).items()}
 
 
 def leja_nodes(law: Distribution, count: int):
-    """First ``count`` canonical Leja nodes for the law's shape, cached.
+    """First ``count`` canonical Leja nodes for the law's shape, as a new array.
 
     The sequence depends only on the law kind (all supports collapse to
-    the same canonical weight), so repeated callers share one growing
-    sequence per kind.
+    the same canonical weight).  Past the shipped nodes, repeated callers
+    share one growing sequence per kind.
     """
     count = _count(count, "count")
-    seq = _CACHE.get(law.kind)
-    if seq is None:
-        seq = _CACHE[law.kind] = LejaSequence(law)
-    seq.extend_to(count)
-    return seq.nodes[:count]
-
+    if count <= _SHIPPED:
+        return _shipped()[law.kind][:count].copy()
+    return _sequence(law.canonical()).extend_to(count).nodes[:count]

@@ -42,17 +42,22 @@ _RESIDUAL_TOL = 1e-10
 _STACK_UNKNOWNS = 1 << 14
 
 
-@cache
-def _lapack(name):
-    """``z<name>`` from scipy's ``_flapack``/``_fblas`` file, else through scipy.linalg."""
-    module = "scipy.linalg." + ("_fblas" if name == "gbmv" else "_flapack")
+def _scipy_attr(module, name):
+    """``name`` of scipy's ``module``, run from its file if it loads, else imported."""
     try:
         (root,) = util.find_spec("scipy").submodule_search_locations
-        spec = machinery.PathFinder.find_spec(module, [os.path.join(root, "linalg")])
+        spec = machinery.PathFinder.find_spec(
+            module, [os.path.join(root, *module.split(".")[1:-1])])
         spec.loader.exec_module(lib := util.module_from_spec(spec))
-        return getattr(lib, "z" + name)
+        return getattr(lib, name)
     except (AttributeError, ImportError, TypeError, ValueError):
-        return getattr(import_module(module), "z" + name)
+        return getattr(import_module(module), name)
+
+
+@cache
+def _lapack(name):
+    return _scipy_attr("scipy.linalg." + ("_fblas" if name == "gbmv" else "_flapack"),
+                       "z" + name)
 
 
 class _Band:

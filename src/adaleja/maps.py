@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ContractError, DomainError, _count, _number
 
 _EDGE_SLACK = 1e-12
+_TINY = np.finfo(float).tiny
 
 # Inverse map: residual target per point, Newton pass cap, chunk size,
 # and intervals of the table of starting values.
@@ -189,8 +190,7 @@ class ConformalMap:
             return float(np.max(dist)) <= epsilon
 
         cap = self.singularity_radius
-        lo = 1.0
-        hi = min(r_max, cap)
+        lo, hi = 1.0, min(r_max, cap)
         while hi < cap and contained(hi):
             lo = hi
             hi = min(2.0 * hi, cap)
@@ -198,10 +198,7 @@ class ConformalMap:
                 return np.log(_GAIN_RADIUS_CAP) / np.log(r_max) - 1.0
         while hi - lo > _GAIN_RTOL * hi:
             mid = 0.5 * (lo + hi)
-            if contained(mid):
-                lo = mid
-            else:
-                hi = mid
+            lo, hi = (mid, hi) if contained(mid) else (lo, mid)
         return float(np.log(lo) / np.log(r_max) - 1.0)
 
     def spec(self) -> dict:
@@ -311,9 +308,11 @@ class KTEMap(ConformalMap):
 
     def _raw(self, y):
         y = np.asarray(y)
-        if np.iscomplexobj(y):
-            return np.lib.scimath.arcsin(self.alpha * y) / self._norm
-        return np.arcsin(self.alpha * y) / self._norm
+        t = self.alpha * y
+        out = (np.lib.scimath.arcsin(t) if np.iscomplexobj(y) else np.arcsin(t)) / self._norm
+        # a subnormal t lost digits, but there arcsin(t) = t: the ratio is y / asinc(alpha)
+        tiny = np.abs(t) < _TINY
+        return np.where(tiny, y * (self.alpha / self._norm), out) if tiny.any() else out
 
     def _raw_derivative(self, y):
         y = np.asarray(y, dtype=float)

@@ -171,34 +171,23 @@ def sobol_indices(target, distributions, n_base, seed) -> SobolResult:
     n_base = _count(n_base, "n_base", 1)
     dists = [make_distribution(d) for d in distributions]
     n_dim = len(dists)
-    root = np.random.SeedSequence(seed)
-    seed_a, seed_b = root.spawn(2)
-    A = sample_joint(dists, n_base, seed_a)
-    B = sample_joint(dists, n_base, seed_b)
-    fA = _reduced(target, A)
-    fB = _reduced(target, B)
-    count = 2 * n_base
+    A, B = (sample_joint(dists, n_base, s) for s in np.random.SeedSequence(seed).spawn(2))
+    fA, fB = _reduced(target, A), _reduced(target, B)
     both = np.concatenate([fA, fB])
-    mean = both.mean()
-    var = both.var()
-    main = np.zeros(n_dim)
-    total = np.zeros(n_dim)
+    mean, var = both.mean(), both.var()
+    main, total = np.zeros(n_dim), np.zeros(n_dim)
     if var >= 1e-14 * (mean * mean + 1.0):
         for i in range(n_dim):
             AB = A.copy()
             AB[:, i] = B[:, i]
             BA = B.copy()
             BA[:, i] = A[:, i]
-            fAB = _reduced(target, AB)
-            fBA = _reduced(target, BA)
-            count += 2 * n_base
+            fAB, fBA = _reduced(target, AB), _reduced(target, BA)
             main[i] = 0.5 * (np.mean(fB * (fAB - fA))
                              + np.mean(fA * (fBA - fB))) / var
             total[i] = 0.25 * (np.mean((fA - fAB) ** 2)
                                + np.mean((fB - fBA) ** 2)) / var
-    else:
-        count += 2 * n_base * n_dim
-    return SobolResult(main, total, count)
+    return SobolResult(main, total, 2 * (n_dim + 1) * n_base)
 
 
 def extract_resonance(target, parameters, f_range, n_starts=3):
@@ -223,10 +212,7 @@ def extract_resonance(target, parameters, f_range, n_starts=3):
     from scipy.optimize import minimize_scalar
 
     edges = np.linspace(lo, hi, n_starts + 1)
-    best_f, best_v = lo, objective(lo)
-    v_hi = objective(hi)
-    if v_hi < best_v:
-        best_f, best_v = hi, v_hi
+    best_v, best_f = min((objective(lo), lo), (objective(hi), hi))   # lo on a tie
     for a, b in zip(edges[:-1], edges[1:]):
         res = minimize_scalar(objective, bounds=(a, b), method="bounded",
                               options={"xatol": 1e-9 * (hi - lo)})

@@ -36,11 +36,14 @@ checks the points, then one unchecked ``_inverse`` call per distinct map.
 
 Installing a dimension's nodes also tabulates their physical
 coordinates, so a stored node that is not finite, repeats another or
-lies outside [-1, 1] fails ``deserialize``.
+lies outside [-1, 1] fails ``deserialize``.  A prefix of its law's shipped
+Leja nodes views the law's read-only tables, built once per process, so a
+level installs in O(1) numpy calls; other nodes get tables of their own.
 """
 from __future__ import annotations
 
 import json
+from functools import cache
 
 import numpy as np
 
@@ -48,7 +51,7 @@ from .distributions import make_distribution
 from .errors import (ContractError, SerializationError, SolveError,
                      UnsupportedVersionError, _count, _finite)
 from .grid import _INITIAL_CAPACITY, MultiIndexSet, _as_index
-from .leja import leja_nodes
+from .leja import _SHIPPED, leja_nodes
 from .linmodel import ParametricLinearModel, _stacks
 from .maps import ConformalMap, IdentityMap, make_map
 
@@ -126,6 +129,24 @@ def _newton_table(x, nodes, dens, top):
         run *= x - nodes[l - 1]
         np.divide(run, dens[l], out=fac[l])
     return fac
+
+
+def _newton_data(nodes):
+    """Read-only Newton denominators and node table of nodes; refuses near repeats."""
+    dens = np.array([np.prod(nodes[l] - nodes[:l]) for l in range(len(nodes))])
+    with np.errstate(divide="ignore", over="ignore"):
+        bound = 2.0 ** np.arange(len(nodes)) / np.abs(dens)
+    if not np.isfinite(bound).all():    # |Newton factor l| <= bound[l] on [-1, 1]
+        raise ContractError("a node repeats or nearly repeats an earlier one")
+    table = _newton_table(nodes, nodes, dens, len(nodes) - 1)
+    dens.flags.writeable = table.flags.writeable = False
+    return dens, table
+
+
+@cache
+def _leja_tables(law):
+    """A canonical law's shipped Leja nodes and their ``_newton_data``."""
+    return (nodes := leja_nodes(law, _SHIPPED)), *_newton_data(nodes)
 
 
 def _point_batch(points, n_dim):
@@ -256,13 +277,12 @@ class Surrogate:
         [-1, 1] raises a domain error, a node (nearly) repeating an earlier
         one a contract error, and either leaves the dimension as it was."""
         coords = self.distributions[dim].from_canonical(self.maps[dim].forward(nodes))
-        dens = np.array([np.prod(nodes[l] - nodes[:l]) for l in range(len(nodes))])
-        with np.errstate(divide="ignore", over="ignore"):
-            bound = 2.0 ** np.arange(len(nodes)) / np.abs(dens)
-        if not np.isfinite(bound).all():    # |Newton factor l| <= bound[l] on [-1, 1]
-            raise ContractError("a node repeats or nearly repeats an earlier one")
-        self._nodes1d[dim], self._dens[dim], self._coords[dim] = nodes, dens, coords
-        self._node_tables[dim] = _newton_table(nodes, nodes, dens, len(nodes) - 1)
+        n = len(nodes)
+        leja, dens, table = _leja_tables(self.distributions[dim].canonical())
+        if not np.array_equal(nodes, leja[:n]):
+            dens, table = _newton_data(nodes)
+        self._nodes1d[dim], self._dens[dim], self._coords[dim] = nodes, dens[:n], coords
+        self._node_tables[dim] = table[:n, :n]
 
     def _ensure_levels(self, index):
         for d, lev in enumerate(index):

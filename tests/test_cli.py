@@ -7,11 +7,12 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from adaleja import cli
+from adaleja import cli, linmodel
 from adaleja.adaptive import AdaptiveConfig, corrected_evaluate, run_adaptive_adjoint
 from adaleja.cli import RungeProduct, make_model, run_command
 from adaleja.distributions import make_distribution
@@ -134,6 +135,29 @@ class TestDispatch:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == cli._USAGE
+
+    def test_manifest_reads_the_scipy_version_without_importing_scipy(self, tmp_path):
+        import scipy
+        study = {"model": {"model": "ladder", "sections": 10, "damping": 0.05,
+                           "n_params": 2},
+                 "distributions": [{"kind": "uniform", "lower": -1.0, "upper": 1.0}] * 2,
+                 "algorithm": "adaptive", "budget": 10, "seed": 3}
+        config, out = write_config(tmp_path, study), tmp_path / "run"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import adaleja.cli; "
+                "print(adaleja.cli.run_command(['build', '--config', sys.argv[2], "
+                "'--out', sys.argv[3]])); print('scipy' in sys.modules)")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", code, src, config, str(out)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["0", "False"]
+        manifest = read_json(os.path.join(out, "manifest.json"))
+        assert manifest["versions"]["scipy"] == scipy.__version__
+
+    def test_scipy_version_falls_back_to_the_import(self, monkeypatch):
+        import scipy
+        monkeypatch.setattr(linmodel, "util", SimpleNamespace(find_spec=lambda name: None))
+        assert cli._versions()["scipy"] == scipy.__version__
 
     def test_unknown_subcommand(self, capsys):
         assert run_command(["frobnicate", "--config", "x.json"]) == 64

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from adaleja import leja
+from adaleja.distributions import _KINDS
 from adaleja.errors import ContractError
 
 from adaleja import (IdentityMap, LejaSequence, SausageMap, beta33,
@@ -189,3 +193,43 @@ class TestLebesgueGrowth:
             logs.append(np.log(lam.max()))
         slope = np.polyfit(np.arange(2, 41), logs, 1)[0]
         assert slope < 0.05
+
+
+class TestShippedNodes:
+    @pytest.mark.parametrize("law", [uniform(-1, 1), beta33(-1, 1)])
+    def test_shipped_nodes_are_the_generators_output(self, law):
+        shipped = leja._shipped()
+        assert sorted(shipped) == sorted(_KINDS)
+        want = LejaSequence(law).extend_to(leja._SHIPPED).nodes
+        assert shipped[law.kind].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("law", [uniform(-1, 1), beta33(-1, 1)])
+    def test_counts_past_the_shipped_nodes_run_the_generator(self, law):
+        cold = LejaSequence(law).extend_to(leja._SHIPPED + 12).nodes
+        prefix = leja_nodes(law, leja._SHIPPED)
+        for count in range(leja._SHIPPED + 1, leja._SHIPPED + 13):
+            nodes = leja_nodes(law, count)
+            assert nodes.tobytes() == cold[:count].tobytes()
+            assert nodes[:leja._SHIPPED].tobytes() == prefix.tobytes()
+
+    def test_shipped_counts_build_no_sequence(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Leja sequence was generated")
+        monkeypatch.setattr(LejaSequence, "__init__", refuse)
+        monkeypatch.setattr(LejaSequence, "next_node", refuse)
+        leja._shipped.cache_clear()     # the file is read without generating
+        for law in (uniform(-1, 1), beta33(0, 2)):
+            full = leja_nodes(law, leja._SHIPPED)
+            for count in (0, 1, 7, leja._SHIPPED):
+                nodes = leja_nodes(law, count)
+                assert nodes.tobytes() == full[:count].tobytes()
+                nodes[:] = 99.0     # the caller's own array
+            assert leja_nodes(law, leja._SHIPPED).tobytes() == full.tobytes()
+
+    def test_data_file_is_declared_package_data(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+        assert "leja_nodes.json" in package_data["adaleja"]
+        assert (root / "src" / "adaleja" / "leja_nodes.json").is_file()

@@ -75,6 +75,24 @@ class TestForward:
             make_map({"map": "kte", "alpha": 1e-320})
 
 
+    def test_kte_is_accurate_where_alpha_y_is_subnormal(self):
+        # alpha * y below the normal range lost digits: 1e-10 was off by
+        # 1.2e-6 relative, and 1e-300 mapped to 0.0
+        m = KTEMap(1.2e-308)
+        y = np.array([1e-10, 0.3, 1e-300])
+        assert np.all(np.abs(m.forward(y) - y) <= 4 * np.spacing(y))
+        z = y * (1.0 + 0.5j)
+        assert np.all(np.abs(m.forward_complex(z) - z) <= 4 * np.spacing(np.abs(z)))
+        assert np.all(np.abs(m.inverse(m.forward(y)) - y) <= _INV_TOL)
+        assert np.all(np.abs(m.forward(m.inverse(y)) - y) <= _INV_TOL)
+        # where alpha * y is normal, the map is the plain ratio
+        for alpha in (1.2e-308, 0.5, 0.9999999):
+            y = np.concatenate([np.linspace(-1.0, 1.0, 1001), [1e-300, -3e-8]])
+            y = y[np.abs(alpha * y) >= np.finfo(float).tiny]
+            want = np.arcsin(alpha * y) / math.asin(alpha)
+            assert KTEMap(alpha).forward(y).tobytes() == want.tobytes()
+
+
 class TestMapProperties:
     @pytest.mark.parametrize("m", ALL_MAPS)
     def test_endpoints_exact(self, m):
@@ -229,7 +247,8 @@ class TestInverseProperties:
 
     def test_points_open_at_the_pass_cap_bracket_t_within_one_ulp(self):
         # g' reaches about 1,400 near +-1, where a residual of 1e-14 is finer
-        # than one ulp of y: those points run every pass and stop at the cap
+        # than one ulp of y: those points stay open and stop within two
+        # passes, once a pass leaves them unmoved
         m = KTEMap(0.9999999)
         t = np.concatenate([np.linspace(-1.0, -0.9, 2000), np.linspace(0.9, 1.0, 2000)])
         y = m.inverse(t)

@@ -1040,3 +1040,43 @@ class TestStoredNodes:
         with pytest.raises(SerializationError,
                            match="'nodes1d' dimension 0: a node repeats or nearly repeats"):
             deserialize(json.dumps(doc))
+
+
+def recomputed_node_data(nodes):
+    """Newton denominators and node table of ``nodes``, computed afresh."""
+    dens = np.array([np.prod(nodes[l] - nodes[:l]) for l in range(len(nodes))])
+    return dens, surrogate._newton_table(nodes, nodes, dens, len(nodes) - 1)
+
+
+class TestSharedNodeTables:
+    @pytest.mark.parametrize("law", [uniform(-1.0, 1.0), beta33(0.0, 2.0)])
+    def test_each_level_views_the_laws_table(self, law):
+        sur = Surrogate([law, law], [SausageMap(9), IdentityMap()])
+        shared = surrogate._leja_tables(law.canonical())
+        for lev in range(41):
+            sur.node_point((lev, 0))
+            dens, table = recomputed_node_data(sur.nodes1d(0))
+            assert sur._dens[0].tobytes() == dens.tobytes()
+            assert sur._node_tables[0].shape == table.shape
+            assert sur._node_tables[0].tobytes() == table.tobytes()
+            for array in (sur._dens[0], sur._node_tables[0]):
+                assert not array.flags.writeable
+                assert any(np.shares_memory(array, base) for base in shared)
+        loaded = deserialize(serialize(Surrogate.fit(smooth, [law], [(k,) for k in range(9)])))
+        assert np.shares_memory(loaded._node_tables[0], shared[2])
+
+    def test_other_nodes_get_tables_of_their_own(self):
+        doc = json.loads(serialize(fit_1d(lambda y: float(np.exp(y[0])), 5)))
+        doc["nodes1d"][0] = [0.0, 0.9, -0.8, 0.5, -0.3]
+        loaded = deserialize(json.dumps(doc).encode())
+        dens, table = recomputed_node_data(loaded.nodes1d(0))
+        assert loaded._dens[0].tobytes() == dens.tobytes()
+        assert loaded._node_tables[0].tobytes() == table.tobytes()
+        shared = surrogate._leja_tables(uniform(-1.0, 1.0))
+        assert not any(np.shares_memory(loaded._node_tables[0], base) for base in shared)
+        assert loaded.nodes1d(0).tolist() == doc["nodes1d"][0]
+        for node, error in ((float("nan"), "y outside"), (0.9, "a node repeats"),
+                            (1.5, "y outside")):
+            doc["nodes1d"][0][3] = node
+            with pytest.raises(SerializationError, match=f"'nodes1d' dimension 0: {error}"):
+                deserialize(json.dumps(doc).encode())
