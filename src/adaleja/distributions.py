@@ -10,7 +10,6 @@ and polynomial bases live; the affine transform pair ``to_canonical`` /
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +42,7 @@ _BETA33_CDF = _Beta33Cdf()
 
 def _points(y):
     y = np.asarray(y, dtype=float)
-    # math.isnan for a scalar: Leja searches call pdf on one point at a time
-    if np.isnan(y).any() if y.ndim else math.isnan(y):
+    if np.isnan(y).any():
         raise DomainError("point is NaN")
     return y
 
@@ -76,14 +74,6 @@ class Distribution:
     def pdf(self, y):
         """Probability density at ``y`` (scalar or array), zero off support."""
         y = _points(y)
-        if not y.ndim:      # one point, as Leja searches ask: the same operations unmasked
-            y = float(y)
-            if not self.lower <= y <= self.upper:
-                return 0.0
-            if self.kind == UNIFORM:
-                return 1.0 / self.width
-            a, b = np.power([y - self.lower, self.upper - y], 3)
-            return float(140.0 * a * b / self.width ** 7)
         if self.kind == UNIFORM:
             out = np.where((y >= self.lower) & (y <= self.upper),
                            1.0 / self.width, 0.0)

@@ -7,9 +7,8 @@ with a golden-section pass, which keeps the whole construction
 deterministic.  Sequences are nested by construction, so one growing
 sequence per weight law serves every approximation level.
 
-``LejaSequence`` is the definition.  ``leja_nodes`` serves each law's first
-128 nodes from ``leja_nodes.json`` (JSON floats, exact), read once per
-process; from the repository root, this regenerates the file:
+``LejaSequence`` defines the nodes; the first 128 of each law are read once per
+process from ``leja_nodes.json``, which this regenerates at the repository root:
 ``PYTHONPATH=src python -c "import json, adaleja as al; json.dump({l.kind: al.LejaSequence(l).extend_to(128).nodes.tolist() for l in (al.beta33(-1, 1), al.uniform(-1, 1))}, open('src/adaleja/leja_nodes.json', 'w'))"``
 """
 from __future__ import annotations

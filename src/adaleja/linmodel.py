@@ -42,12 +42,11 @@ _RESIDUAL_TOL = 1e-10
 _STACK_UNKNOWNS = 1 << 14
 
 
-def _scipy_attr(module, name):
-    """``name`` of scipy's ``module``, run from its file if it loads, else imported."""
+def _scipy_attr(module, name, *where):
+    """``name`` of ``module`` run from its file in scipy's ``where``, else imported."""
     try:
         (root,) = util.find_spec("scipy").submodule_search_locations
-        spec = machinery.PathFinder.find_spec(
-            module, [os.path.join(root, *module.split(".")[1:-1])])
+        spec = machinery.PathFinder.find_spec(module, [os.path.join(root, *where)])
         spec.loader.exec_module(lib := util.module_from_spec(spec))
         return getattr(lib, name)
     except (AttributeError, ImportError, TypeError, ValueError):
@@ -56,8 +55,8 @@ def _scipy_attr(module, name):
 
 @cache
 def _lapack(name):
-    return _scipy_attr("scipy.linalg." + ("_fblas" if name == "gbmv" else "_flapack"),
-                       "z" + name)
+    module = "scipy.linalg." + ("_fblas" if name == "gbmv" else "_flapack")
+    return _scipy_attr(module, "z" + name, "linalg")
 
 
 class _Band:

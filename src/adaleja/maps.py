@@ -190,7 +190,8 @@ class ConformalMap:
             return float(np.max(dist)) <= epsilon
 
         cap = self.singularity_radius
-        lo, hi = 1.0, min(r_max, cap)
+        lo = 1.0
+        hi = min(r_max, cap)
         while hi < cap and contained(hi):
             lo = hi
             hi = min(2.0 * hi, cap)
@@ -198,7 +199,10 @@ class ConformalMap:
                 return np.log(_GAIN_RADIUS_CAP) / np.log(r_max) - 1.0
         while hi - lo > _GAIN_RTOL * hi:
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if contained(mid) else (lo, mid)
+            if contained(mid):
+                lo = mid
+            else:
+                hi = mid
         return float(np.log(lo) / np.log(r_max) - 1.0)
 
     def spec(self) -> dict:
@@ -309,7 +313,7 @@ class KTEMap(ConformalMap):
     def _raw(self, y):
         y = np.asarray(y)
         t = self.alpha * y
-        out = (np.lib.scimath.arcsin(t) if np.iscomplexobj(y) else np.arcsin(t)) / self._norm
+        out = (np.emath.arcsin(t) if np.iscomplexobj(y) else np.arcsin(t)) / self._norm
         # a subnormal t lost digits, but there arcsin(t) = t: the ratio is y / asinc(alpha)
         tiny = np.abs(t) < _TINY
         return np.where(tiny, y * (self.alpha / self._norm), out) if tiny.any() else out

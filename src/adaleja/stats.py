@@ -171,18 +171,25 @@ def sobol_indices(target, distributions, n_base, seed) -> SobolResult:
     n_base = _count(n_base, "n_base", 1)
     dists = [make_distribution(d) for d in distributions]
     n_dim = len(dists)
-    A, B = (sample_joint(dists, n_base, s) for s in np.random.SeedSequence(seed).spawn(2))
-    fA, fB = _reduced(target, A), _reduced(target, B)
+    root = np.random.SeedSequence(seed)
+    seed_a, seed_b = root.spawn(2)
+    A = sample_joint(dists, n_base, seed_a)
+    B = sample_joint(dists, n_base, seed_b)
+    fA = _reduced(target, A)
+    fB = _reduced(target, B)
     both = np.concatenate([fA, fB])
-    mean, var = both.mean(), both.var()
-    main, total = np.zeros(n_dim), np.zeros(n_dim)
+    mean = both.mean()
+    var = both.var()
+    main = np.zeros(n_dim)
+    total = np.zeros(n_dim)
     if var >= 1e-14 * (mean * mean + 1.0):
         for i in range(n_dim):
             AB = A.copy()
             AB[:, i] = B[:, i]
             BA = B.copy()
             BA[:, i] = A[:, i]
-            fAB, fBA = _reduced(target, AB), _reduced(target, BA)
+            fAB = _reduced(target, AB)
+            fBA = _reduced(target, BA)
             main[i] = 0.5 * (np.mean(fB * (fAB - fA))
                              + np.mean(fA * (fBA - fB))) / var
             total[i] = 0.25 * (np.mean((fA - fAB) ** 2)
@@ -212,7 +219,10 @@ def extract_resonance(target, parameters, f_range, n_starts=3):
     from scipy.optimize import minimize_scalar
 
     edges = np.linspace(lo, hi, n_starts + 1)
-    best_v, best_f = min((objective(lo), lo), (objective(hi), hi))   # lo on a tie
+    best_f, best_v = lo, objective(lo)
+    v_hi = objective(hi)
+    if v_hi < best_v:
+        best_f, best_v = hi, v_hi
     for a, b in zip(edges[:-1], edges[1:]):
         res = minimize_scalar(objective, bounds=(a, b), method="bounded",
                               options={"xatol": 1e-9 * (hi - lo)})

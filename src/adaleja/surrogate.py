@@ -36,9 +36,8 @@ checks the points, then one unchecked ``_inverse`` call per distinct map.
 
 Installing a dimension's nodes also tabulates their physical
 coordinates, so a stored node that is not finite, repeats another or
-lies outside [-1, 1] fails ``deserialize``.  A prefix of its law's shipped
-Leja nodes views the law's read-only tables, built once per process, so a
-level installs in O(1) numpy calls; other nodes get tables of their own.
+lies outside [-1, 1] fails ``deserialize``.  Prefixes of a law's shipped Leja
+nodes view one read-only table per law, so a level installs in O(1) calls.
 """
 from __future__ import annotations
 
