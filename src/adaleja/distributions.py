@@ -97,8 +97,8 @@ class Distribution:
         """Draw ``n`` independent variates using a seeded generator.
 
         Sampling is by inverse transform.  For the beta shape the centred
-        CDF is inverted by :meth:`ConformalMap.inverse`, which stops each
-        point at its own residual 1e-14, so a draw does not depend on ``n``.
+        CDF is inverted by :meth:`ConformalMap.inverse`, which stops each point
+        at its own residual, at most 1e-14, so a draw does not depend on ``n``.
         """
         t = np.random.default_rng(seed).random(_count(n, "sample count"))
         if self.kind == BETA33:

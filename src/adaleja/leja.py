@@ -7,9 +7,10 @@ with a golden-section pass, which keeps the whole construction
 deterministic.  Sequences are nested by construction, so one growing
 sequence per weight law serves every approximation level.
 
-``LejaSequence`` defines the nodes; the first 128 of each law are read once per
-process from ``leja_nodes.json``, which this regenerates at the repository root:
-``PYTHONPATH=src python -c "import json, adaleja as al; json.dump({l.kind: al.LejaSequence(l).extend_to(128).nodes.tolist() for l in (al.beta33(-1, 1), al.uniform(-1, 1))}, open('src/adaleja/leja_nodes.json', 'w'))"``
+``LejaSequence`` defines the nodes; the first 512 of each law, all a surrogate
+can hold, are read once per process from ``leja_nodes.json``, which this
+regenerates at the repository root:
+``PYTHONPATH=src python -c "import json, adaleja as al; json.dump({l.kind: al.LejaSequence(l).extend_to(512).nodes.tolist() for l in (al.beta33(-1, 1), al.uniform(-1, 1))}, open('src/adaleja/leja_nodes.json', 'w'))"``
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ GRID_POINTS = 100_001
 _TIE_SLACK = 1e-10
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_SHIPPED = 128      # nodes per law in leja_nodes.json
+_SHIPPED = 512      # nodes per law in leja_nodes.json
 
 
 class LejaSequence:

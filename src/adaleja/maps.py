@@ -27,8 +27,8 @@ from .errors import ContractError, DomainError, _count, _number
 _EDGE_SLACK = 1e-12
 _TINY = np.finfo(float).tiny
 
-# Inverse map: residual target per point, Newton pass cap, chunk size,
-# and intervals of the table of starting values.
+# Inverse map: residual target per point (2^-40 |t| where that is smaller),
+# Newton pass cap, chunk size, and intervals of the table of starting values.
 _INV_TOL = 1e-14
 _INV_MAXIT = 80
 _INV_CHUNK = 8192
@@ -85,10 +85,11 @@ class ConformalMap:
         Safeguarded Newton with the analytic derivative from a Hermite
         start clipped into its table interval (linear where a slope 1/g'
         is not finite), with bisection on each point's bracket when a
-        step leaves it.  Points go in cache-sized chunks, and each stops
-        at its own |g(y) - t| <= 1e-14, so the batch never changes a result.
-        Where g is too steep for that residual in floats, a point stops when
-        a pass leaves it unmoved, as would every later pass up to the cap of 80.
+        step leaves it.  Points go in cache-sized chunks, and each stops at
+        its own |g(y) - t| <= min(1e-14, 2^-40 |t|), so the batch never
+        changes a result and a small t keeps its relative accuracy.  Where g
+        is too steep for that residual in floats, a point stops when a pass
+        leaves it unmoved, as would every later pass up to the cap of 80.
         """
         t = _check_unit(t, "t")
         y = self._inverse(t)
@@ -135,14 +136,15 @@ class ConformalMap:
         """``inverse`` of the 1-D ``t`` from the start ``y``, which it overwrites."""
         out, at = y, np.arange(len(t))
         lo, hi, moved = np.full_like(t, -1.0), np.ones_like(t), True
+        tol = np.minimum(_INV_TOL, np.abs(t) * 2.0 ** -40)
         for _ in range(_INV_MAXIT):
             f = self._raw(y) - t
-            open_ = (np.abs(f) > _INV_TOL) & moved
+            open_ = (np.abs(f) > tol) & moved
             if not open_.all():
                 out[at] = y
                 if not open_.any():
                     return out
-                at, t, y, f, lo, hi = (a[open_] for a in (at, t, y, f, lo, hi))
+                at, t, y, f, lo, hi, tol = (a[open_] for a in (at, t, y, f, lo, hi, tol))
             above = f > 0.0
             hi, lo = np.where(above, y, hi), np.where(above, lo, y)
             with np.errstate(divide="ignore", invalid="ignore"):

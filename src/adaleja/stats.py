@@ -163,10 +163,10 @@ def sobol_indices(target, distributions, n_base, seed) -> SobolResult:
     """Main and total Sobol indices by the paired-matrix scheme.
 
     Two base matrices A and B and both families of cross matrices are
-    evaluated, for exactly 2 (N + 1) n_base evaluations.  Main effects
-    average the correlation estimator over both directions; totals
-    average the squared-difference estimator.  A zero-variance output
-    reports all indices as zero.
+    evaluated, for 2 (N + 1) n_base evaluations.  Main effects average the
+    correlation estimator over both directions; totals average the
+    squared-difference estimator.  A zero-variance output reports all
+    indices as zero after only the 2 n_base base evaluations.
     """
     n_base = _count(n_base, "n_base", 1)
     dists = [make_distribution(d) for d in distributions]
@@ -182,7 +182,7 @@ def sobol_indices(target, distributions, n_base, seed) -> SobolResult:
     var = both.var()
     main = np.zeros(n_dim)
     total = np.zeros(n_dim)
-    if var >= 1e-14 * (mean * mean + 1.0):
+    if varies := var >= 1e-14 * (mean * mean + 1.0):
         for i in range(n_dim):
             AB = A.copy()
             AB[:, i] = B[:, i]
@@ -194,7 +194,7 @@ def sobol_indices(target, distributions, n_base, seed) -> SobolResult:
                              + np.mean(fA * (fBA - fB))) / var
             total[i] = 0.25 * (np.mean((fA - fAB) ** 2)
                                + np.mean((fB - fBA) ** 2)) / var
-    return SobolResult(main, total, 2 * (n_dim + 1) * n_base)
+    return SobolResult(main, total, 2 * n_base * (n_dim + 1 if varies else 1))
 
 
 def extract_resonance(target, parameters, f_range, n_starts=3):

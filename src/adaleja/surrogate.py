@@ -34,10 +34,10 @@ evaluables are read back through ``_read_evaluable``.
 ``corrected_evaluate`` shares one ``_preimages`` pass: ``to_canonical``
 checks the points, then one unchecked ``_inverse`` call per distinct map.
 
-Installing a dimension's nodes also tabulates their physical
-coordinates, so a stored node that is not finite, repeats another or
-lies outside [-1, 1] fails ``deserialize``.  Prefixes of a law's shipped Leja
-nodes view one read-only table per law, so a level installs in O(1) calls.
+Every node is a shipped Leja node: a dimension holds a prefix of its law's
+512 nodes, levels 0-511, viewing one read-only table per law, so a level
+installs in O(1) calls and tabulates the nodes' physical coordinates.  A
+level past 511 is refused, and so is a stored node list other than a prefix.
 """
 from __future__ import annotations
 
@@ -130,22 +130,15 @@ def _newton_table(x, nodes, dens, top):
     return fac
 
 
-def _newton_data(nodes):
-    """Read-only Newton denominators and node table of nodes; refuses near repeats."""
-    dens = np.array([np.prod(nodes[l] - nodes[:l]) for l in range(len(nodes))])
-    with np.errstate(divide="ignore", over="ignore"):
-        bound = 2.0 ** np.arange(len(nodes)) / np.abs(dens)
-    if not np.isfinite(bound).all():    # |Newton factor l| <= bound[l] on [-1, 1]
-        raise ContractError("a node repeats or nearly repeats an earlier one")
-    table = _newton_table(nodes, nodes, dens, len(nodes) - 1)
-    dens.flags.writeable = table.flags.writeable = False
-    return dens, table
-
-
 @cache
-def _leja_tables(law):
-    """A canonical law's shipped Leja nodes and their ``_newton_data``."""
-    return (nodes := leja_nodes(law, _SHIPPED)), *_newton_data(nodes)
+def _leja_tables(law, size):
+    """A canonical law's first ``size`` shipped Leja nodes, their Newton
+    denominators and the table of Newton factors at the nodes, read-only."""
+    nodes = leja_nodes(law, size)
+    dens = np.array([np.prod(nodes[l] - nodes[:l]) for l in range(size)])
+    table = _newton_table(nodes, nodes, dens, size - 1)
+    nodes.flags.writeable = dens.flags.writeable = table.flags.writeable = False
+    return nodes, dens, table
 
 
 def _point_batch(points, n_dim):
@@ -269,31 +262,23 @@ class Surrogate:
 
     # -- node bookkeeping ------------------------------------------------
 
-    def _set_nodes(self, dim, nodes):
-        """Install canonical nodes of one dimension, their Newton
-        denominators, the table of Newton factors at the nodes and their
-        physical coordinates.  A node that is not finite or lies outside
-        [-1, 1] raises a domain error, a node (nearly) repeating an earlier
-        one a contract error, and either leaves the dimension as it was."""
-        coords = self.distributions[dim].from_canonical(self.maps[dim].forward(nodes))
-        n = len(nodes)
-        leja, dens, table = _leja_tables(self.distributions[dim].canonical())
-        if not np.array_equal(nodes, leja[:n]):
-            dens, table = _newton_data(nodes)
-        self._nodes1d[dim], self._dens[dim], self._coords[dim] = nodes, dens[:n], coords
+    def _set_nodes(self, dim, n):
+        """Install the first ``n`` shipped Leja nodes of one dimension: views
+        of its law's tables, which hold 128 nodes until n passes 128 (the full
+        table costs milliseconds), and the nodes' physical coordinates."""
+        dist = self.distributions[dim]
+        nodes, dens, table = _leja_tables(dist.canonical(), 128 if n <= 128 else _SHIPPED)
+        self._nodes1d[dim], self._dens[dim] = nodes[:n], dens[:n]
         self._node_tables[dim] = table[:n, :n]
+        self._coords[dim] = dist.from_canonical(self.maps[dim].forward(nodes[:n]))
 
     def _ensure_levels(self, index):
         for d, lev in enumerate(index):
-            have = len(self._nodes1d[d])
-            if lev + 1 > have:
-                nodes = leja_nodes(self.distributions[d], lev + 1)
-                if not np.array_equal(nodes[:have], self._nodes1d[d]):
-                    raise ContractError(
-                        f"stored nodes of dimension {d} are not the Leja "
-                        f"prefix of {self.distributions[d].kind}; refusing to "
-                        f"extend them to level {lev}")
-                self._set_nodes(d, nodes)
+            if lev >= len(self._nodes1d[d]):
+                if lev >= _SHIPPED:
+                    raise ContractError(f"dimension {d} cannot reach level {lev}: levels "
+                                        f"stop at {_SHIPPED - 1}, the last shipped Leja node")
+                self._set_nodes(d, lev + 1)
 
     def node_point(self, index):
         """Physical-coordinate grid point owned by a multi-index, read from
@@ -510,13 +495,13 @@ class Surrogate:
                 ix = sur._indices._admissible(_as_index(ix, n_dim))
                 sur._append(ix, sur._as_value(_finite(s, f"values at index {ix}")))
             for d, top in enumerate(sur._indices.max_level()):
-                if len(nodes1d[d]) <= top:
-                    raise ContractError(f"'nodes1d' dimension {d} has "
-                                        f"{len(nodes1d[d])} nodes, needs {top + 1}")
-                try:
-                    sur._set_nodes(d, nodes1d[d])
-                except ValueError as exc:
-                    raise ContractError(f"'nodes1d' dimension {d}: {exc}") from exc
+                if (n := nodes1d[d].size) <= top:
+                    raise ContractError(f"'nodes1d' dimension {d} has {n} nodes, "
+                                        f"needs {top + 1}")
+                if n > _SHIPPED or not np.array_equal(nodes1d[d], leja_nodes(dists[d], n)):
+                    raise ContractError(f"'nodes1d' dimension {d} is not a prefix of the "
+                                        f"{_SHIPPED} Leja nodes of {dists[d].kind}")
+                sur._set_nodes(d, n)
         except (ValueError, TypeError) as exc:
             raise SerializationError(f"inconsistent surrogate data: {exc}") from exc
         return sur

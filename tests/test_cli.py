@@ -442,6 +442,19 @@ class TestBuild:
             # one model call per node, counted cumulatively
             assert row[3:6] == [str(k + 1), str(k + 1), "0"]
 
+    def test_one_dimension_builds_up_to_the_level_cap(self, tmp_path, capsys):
+        config = {"model": {"model": "runge", "n_params": 1, "c": 25.0},
+                  "distributions": [{"kind": "uniform", "lower": -1.0, "upper": 1.0}],
+                  "algorithm": "adaptive", "budget": 512, "cv": {"n": 20, "seed": 1}}
+        out = tmp_path / "o"
+        assert run_command(["build", "--config", write_config(tmp_path, config),
+                            "--out", str(out)]) == 0
+        assert len(load_surrogate(out / "surrogate.json")) == 512
+        path = write_config(tmp_path, dict(config, budget=513))
+        assert run_command(["build", "--config", path, "--out", str(tmp_path / "p")]) == 1
+        assert "dimension 0 cannot reach level 512" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
     def test_isotropic_non_finite_model_exits_one(self, tmp_path, capsys,
                                                   monkeypatch):
         monkeypatch.setattr("adaleja.cli.make_model", lambda spec: Holed())

@@ -12,7 +12,8 @@ from adaleja import (IdentityMap, KTEMap, SausageMap, Surrogate, beta33,
                      make_map, uniform)
 from adaleja.distributions import _BETA33_CDF
 from adaleja.errors import ContractError, DomainError
-from adaleja.maps import _INV_CHUNK, _INV_KNOTS, _INV_TOL, ConformalMap
+from adaleja.maps import (_GAIN_RADIUS_CAP, _INV_CHUNK, _INV_KNOTS, _INV_TOL,
+                          ConformalMap)
 
 ALL_MAPS = [
     IdentityMap(),
@@ -272,6 +273,31 @@ class TestInverseProperties:
         assert 1 <= derivative.call_count <= 3
         assert (np.abs(m.forward(y) - t) > _INV_TOL).any()
 
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.one_of(MAPS, st.sampled_from([SausageMap(9), KTEMap(0.9), KTEMap(0.5),
+                                              _BETA33_CDF])),
+           t=st.sampled_from([1e-20, -1e-10, 1e-300]) | st.floats(1e-300, 1e-2)
+           | st.floats(-1e-2, -1e-300))
+    def test_small_arguments_round_trip_relatively(self, m, t):
+        # near 0 the residual target shrinks with |t|: an absolute 1e-14
+        # alone inverted t = 1e-20 to 0 and t = 1e-10 with 8e-8 relative error
+        y = m.inverse(t)
+        assert abs(m.forward(y) - t) <= 2.0 ** -40 * abs(t)
+        assert np.sign(y) == np.sign(t)
+
+    def test_pass_cap_returns_the_last_iterate(self, monkeypatch):
+        # with one pass allowed, every open point leaves after one
+        # safeguarded Newton step from its start
+        m = KTEMap(0.999)
+        t = np.linspace(0.05, 0.95, 19)
+        f = m._raw(t) - t
+        assert (np.abs(f) > _INV_TOL).all()
+        step = t - f / m._raw_derivative(t)
+        lo, hi = np.where(f > 0.0, -1.0, t), np.where(f > 0.0, t, 1.0)
+        want = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        monkeypatch.setattr("adaleja.maps._INV_MAXIT", 1)
+        assert np.array_equal(m._newton(t, t.copy()), want)
+
     @settings(max_examples=40, deadline=None)
     @given(maps=st.lists(st.one_of(MAPS, st.just(IdentityMap())), min_size=1,
                          max_size=4),
@@ -329,6 +355,19 @@ class TestGain:
         r_max = 1.0 + np.sqrt(2.0)
         bound = np.log(m.singularity_radius) / np.log(r_max) - 1.0
         assert m.estimate_gain(1.0) <= bound
+
+    def test_gain_stops_at_the_radius_cap(self):
+        # a continuation that never leaves [-1, 1] fits every ellipse, so
+        # the radius doubling ends at the cap
+        class Flat(ConformalMap):
+            def _raw(self, y):
+                return np.clip(np.real(y), -1.0, 1.0)
+
+            def spec(self):
+                return {"map": "flat"}
+
+        r_max = 0.5 + np.hypot(1.0, 0.5)
+        assert Flat().estimate_gain(0.5) == np.log(_GAIN_RADIUS_CAP) / np.log(r_max) - 1.0
 
     def test_entire_maps_have_no_singularity(self):
         assert IdentityMap().singularity_radius == np.inf

@@ -257,7 +257,17 @@ class TestSobol:
                           [uniform(0, 1)] * 2, 1_000, 1)
         assert np.all(r.main == 0.0)
         assert np.all(r.total == 0.0)
-        assert r.n_evaluations == 6_000
+        assert r.n_evaluations == 2_000
+
+    def test_zero_variance_counts_only_the_base_points(self):
+        calls = []
+
+        def constant(pts):
+            calls.append(len(pts))
+            return np.ones(len(pts))
+
+        r = sobol_indices(constant, [uniform(0, 1)] * 3, 100, 0)
+        assert r.n_evaluations == sum(calls) == 200
 
     def test_complex_output_uses_modulus(self):
         # |i (y1 + 2 y2)| on positive inputs equals the additive case

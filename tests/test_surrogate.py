@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from adaleja import (Distribution, GpcExpansion, IdentityMap, KTEMap,
-                     MultiIndexSet, SausageMap, Surrogate, beta33, deserialize,
-                     leja_nodes, load_surrogate, project, save_surrogate,
-                     sample_joint, serialize, uniform)
+from adaleja import (AdaptiveConfig, Distribution, GpcExpansion, IdentityMap,
+                     KTEMap, LejaSequence, MultiIndexSet, SausageMap, Surrogate,
+                     beta33, deserialize, leja_nodes, load_surrogate, project,
+                     run_adaptive, save_surrogate, sample_joint, serialize,
+                     uniform)
 from adaleja import gpc, surrogate
 from adaleja.errors import (ContractError, DomainError, SerializationError,
                             SolveError, UnsupportedVersionError)
@@ -391,16 +392,15 @@ class TestSerialization:
             GpcExpansion.from_json(serialize(s))
 
     def test_tampered_nodes_are_not_replaced(self):
+        # a tampered node is refused, not silently swapped for the Leja node
         f = lambda y: float(np.exp(y[0]))
         doc = json.loads(serialize(fit_1d(f, 3)))
         doc["nodes1d"][0][1] += 1e-3
-        loaded = deserialize(json.dumps(doc).encode())
-        assert loaded.nodes1d(0)[1] == doc["nodes1d"][0][1]
-        with pytest.raises(ContractError, match="dimension 0"):
-            loaded.add_point((3,), 0.0)
-        assert loaded.nodes1d(0)[1] == doc["nodes1d"][0][1]
-        # nodes are numbers in [-1, 1], in one flat list per dimension
-        for nodes in (["a", 0.0, 1.0], [0.0, [1.0], 2.0], {"0": 0.0}, [0.0, -1.0, 1.001]):
+        with pytest.raises(SerializationError, match="'nodes1d' dimension 0 is not a prefix"):
+            deserialize(json.dumps(doc).encode())
+        # nodes are numbers, in one flat list per dimension
+        for nodes in (["a", 0.0, 1.0], [0.0, [1.0], 2.0], {"0": 0.0}, [0.0, -1.0, 1.001],
+                      [[0.0], [1.0], [-1.0]]):
             doc["nodes1d"][0] = nodes
             with pytest.raises(SerializationError, match="inconsistent surrogate"):
                 deserialize(json.dumps(doc).encode())
@@ -962,25 +962,26 @@ class TestNodeCoordinates:
     def test_installing_nodes_resets_the_table(self):
         sur = fit_1d(lambda y: float(y[0]), 4, SausageMap(9))
         sur.node_points()
-        sur._set_nodes(0, -sur.nodes1d(0))
-        for lev in range(4):
-            assert np.array_equal(sur.node_point((lev,)), scalar_point(sur, (lev,)))
+        for n in (2, 200, 4):
+            sur._set_nodes(0, n)
+            assert len(sur._coords[0]) == len(sur.nodes1d(0)) == n
+            for lev in range(n):
+                assert np.array_equal(sur.node_point((lev,)), scalar_point(sur, (lev,)))
 
     def test_out_of_range_node_is_refused_at_load(self):
         doc = json.loads(serialize(fit_1d(lambda y: float(np.exp(y[0])), 4)))
         doc["nodes1d"][0][2] = 1.5
         with pytest.raises(SerializationError,
-                           match=r"'nodes1d' dimension 0: y outside \[-1, 1\]"):
+                           match="'nodes1d' dimension 0 is not a prefix of the 512 Leja "
+                                 "nodes of uniform"):
             deserialize(json.dumps(doc).encode())
 
     def test_refused_nodes_leave_the_dimension_as_it_was(self):
         sur = fit_1d(lambda y: float(y[0]), 4, SausageMap(9))
         before = sur.nodes1d(0), sur.node_points()
-        for nodes, error in (([0.0, -1.0, 1.0, 0.0], ContractError),
-                             ([0.0, -1.0, 1.5, 0.5], DomainError),
-                             ([0.0, -1.0, np.nan, 0.5], DomainError)):
-            with pytest.raises(error):
-                sur._set_nodes(0, np.array(nodes))
+        for index in [(512,), (10 ** 6,)]:
+            with pytest.raises(ContractError, match=f"dimension 0 cannot reach level {index[0]}"):
+                sur.node_point(index)
             assert np.array_equal(sur.nodes1d(0), before[0])
             assert np.array_equal(sur.node_points(), before[1])
 
@@ -1037,8 +1038,7 @@ class TestStoredNodes:
                             MultiIndexSet.total_degree(2, 4))
         doc = json.loads(serialize(sur))
         doc["nodes1d"][0][at] = offset
-        with pytest.raises(SerializationError,
-                           match="'nodes1d' dimension 0: a node repeats or nearly repeats"):
+        with pytest.raises(SerializationError, match="'nodes1d' dimension 0 is not a prefix"):
             deserialize(json.dumps(doc))
 
 
@@ -1052,8 +1052,9 @@ class TestSharedNodeTables:
     @pytest.mark.parametrize("law", [uniform(-1.0, 1.0), beta33(0.0, 2.0)])
     def test_each_level_views_the_laws_table(self, law):
         sur = Surrogate([law, law], [SausageMap(9), IdentityMap()])
-        shared = surrogate._leja_tables(law.canonical())
-        for lev in range(41):
+        shared = (*surrogate._leja_tables(law.canonical(), 128),
+                  *surrogate._leja_tables(law.canonical(), 512))
+        for lev in [*range(41), 126, 127, 128, 129, 300, 510, 511]:
             sur.node_point((lev, 0))
             dens, table = recomputed_node_data(sur.nodes1d(0))
             assert sur._dens[0].tobytes() == dens.tobytes()
@@ -1065,18 +1066,70 @@ class TestSharedNodeTables:
         loaded = deserialize(serialize(Surrogate.fit(smooth, [law], [(k,) for k in range(9)])))
         assert np.shares_memory(loaded._node_tables[0], shared[2])
 
-    def test_other_nodes_get_tables_of_their_own(self):
+    def test_other_nodes_are_refused(self):
         doc = json.loads(serialize(fit_1d(lambda y: float(np.exp(y[0])), 5)))
-        doc["nodes1d"][0] = [0.0, 0.9, -0.8, 0.5, -0.3]
-        loaded = deserialize(json.dumps(doc).encode())
-        dens, table = recomputed_node_data(loaded.nodes1d(0))
-        assert loaded._dens[0].tobytes() == dens.tobytes()
-        assert loaded._node_tables[0].tobytes() == table.tobytes()
-        shared = surrogate._leja_tables(uniform(-1.0, 1.0))
-        assert not any(np.shares_memory(loaded._node_tables[0], base) for base in shared)
-        assert loaded.nodes1d(0).tolist() == doc["nodes1d"][0]
-        for node, error in ((float("nan"), "y outside"), (0.9, "a node repeats"),
-                            (1.5, "y outside")):
-            doc["nodes1d"][0][3] = node
-            with pytest.raises(SerializationError, match=f"'nodes1d' dimension 0: {error}"):
+        leja = doc["nodes1d"][0]
+        beta = leja_nodes(beta33(-1.0, 1.0), 5).tolist()
+        for nodes in ([0.0, 0.9, -0.8, 0.5, -0.3], leja[:3] + [float("nan"), leja[4]],
+                      leja[:3] + [0.9, 0.9], leja[:3] + [1.5, leja[4]], beta,
+                      leja_nodes(uniform(-1.0, 1.0), 512).tolist() + [0.5]):
+            doc["nodes1d"][0] = nodes
+            with pytest.raises(SerializationError,
+                               match="'nodes1d' dimension 0 is not a prefix of the 512"):
                 deserialize(json.dumps(doc).encode())
+        # any longer prefix of the shipped nodes loads, up to all of them
+        for n in (6, 129, 512):
+            doc["nodes1d"][0] = leja_nodes(uniform(-1.0, 1.0), n).tolist()
+            assert len(deserialize(json.dumps(doc).encode()).nodes1d(0)) == n
+
+
+def runge_1d(y):
+    return 1.0 / (1.0 + 25.0 * y[0] ** 2)
+
+
+class TestShippedNodesOnly:
+    """Every surrogate node is one of its law's 512 shipped Leja nodes."""
+
+    def test_surrogates_never_generate_nodes(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Leja sequence was generated")
+        monkeypatch.setattr(LejaSequence, "__init__", refuse)
+        monkeypatch.setattr(LejaSequence, "next_node", refuse)
+        surrogate._leja_tables.cache_clear()    # the tables are built from the file
+        sur, report = run_adaptive(runge_1d, AdaptiveConfig(512), UNIT)
+        assert len(sur) == report.lu_count == 512
+        assert sur.index_set.max_level() == (511,)
+        pts = np.linspace(-1.0, 1.0, 1001)[:, None]
+        assert np.abs(sur.evaluate(pts) - [runge_1d(p) for p in pts]).max() < 1e-12
+        lines = [(k, 0) for k in range(300)] + [(0, k) for k in range(1, 200)]
+        fitted = Surrogate.fit(smooth, [uniform(-1.0, 1.0), beta33(0.0, 2.0)], lines,
+                               [SausageMap(9), KTEMap(0.9)])
+        kept = fitted.restrict(lines[:150])
+        for original in (sur, fitted, kept):
+            loaded = deserialize(serialize(original))
+            assert serialize(loaded) == serialize(original)
+            assert same_bits(loaded, original, loaded.node_points()[::7])
+
+    @pytest.mark.parametrize("law", [uniform(-1.0, 1.0), beta33(-1.0, 1.0)])
+    def test_shipped_newton_factors_are_bounded(self, law):
+        # |Newton factor l| <= 2^l / |dens[l]| on [-1, 1]: finite at every level
+        dens, table = recomputed_node_data(leja_nodes(law, 512))
+        assert np.isfinite(2.0 ** np.arange(512) / np.abs(dens)).all()
+        assert np.isfinite(table).all()
+
+    def test_a_level_past_the_cap_is_refused_before_its_model_call(self):
+        calls = []
+
+        def counted(y):
+            calls.append(y)
+            return runge_1d(y)
+        with pytest.raises(ContractError, match="dimension 0 cannot reach level 512: "
+                                                "levels stop at 511"):
+            run_adaptive(counted, AdaptiveConfig(513), UNIT)
+        assert len(calls) == 512
+        sur = Surrogate.fit(smooth, UNIT * 2, [(0, 0)])
+        for refused in (lambda: sur.node_point((0, 512)),
+                        lambda: sur.predict_node((0, 600)),
+                        lambda: Surrogate.fit(smooth, UNIT * 2, [(0, k) for k in range(513)])):
+            with pytest.raises(ContractError, match="dimension 1 cannot reach level"):
+                refused()
