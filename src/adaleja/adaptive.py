@@ -206,7 +206,7 @@ def run_adaptive_adjoint(model: ParametricLinearModel, config: AdaptiveConfig,
     if not isinstance(model, ParametricLinearModel):
         raise ContractError("the adjoint driver needs a ParametricLinearModel")
     qoi = Surrogate(distributions, maps)
-    # an empty copy sharing the node tables that qoi._node_point fills
+    # an empty copy on the same laws and maps
     field = qoi.restrict([])
     if qoi.n_dim != model.n_params:
         raise ContractError(

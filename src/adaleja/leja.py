@@ -7,9 +7,9 @@ with a golden-section pass, which keeps the whole construction
 deterministic.  Sequences are nested by construction, so one growing
 sequence per weight law serves every approximation level.
 
-``LejaSequence`` defines the nodes; the first 512 of each law, all a surrogate
-can hold, are read once per process from ``leja_nodes.json``, which this
-regenerates at the repository root:
+``LejaSequence`` generates any count of nodes; the first 512 of each law,
+all a surrogate can hold and all ``leja_nodes`` serves, are read once per
+process from ``leja_nodes.json``, which this regenerates at the repository root:
 ``PYTHONPATH=src python -c "import json, adaleja as al; json.dump({l.kind: al.LejaSequence(l).extend_to(512).nodes.tolist() for l in (al.beta33(-1, 1), al.uniform(-1, 1))}, open('src/adaleja/leja_nodes.json', 'w'))"``
 """
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cache
 import numpy as np
 
 from .distributions import Distribution
-from .errors import _count
+from .errors import ContractError, _count
 
 # Candidate grid resolution for the exhaustive scan.
 GRID_POINTS = 100_001
@@ -110,9 +110,6 @@ def _golden_max(fun, lo, hi):
     return c if fc >= fd else d
 
 
-_sequence = cache(LejaSequence)     # past the shipped nodes, one per canonical law
-
-
 @cache
 def _shipped():
     """The shipped nodes by law kind."""
@@ -123,11 +120,11 @@ def _shipped():
 def leja_nodes(law: Distribution, count: int):
     """First ``count`` canonical Leja nodes for the law's shape, as a new array.
 
-    The sequence depends only on the law kind (all supports collapse to
-    the same canonical weight).  Past the shipped nodes, repeated callers
-    share one growing sequence per kind.
+    The sequence depends only on the law kind (all supports collapse to the
+    same canonical weight).  A count past the 512 shipped nodes is refused;
+    ``LejaSequence`` generates more.
     """
-    count = _count(count, "count")
-    if count <= _SHIPPED:
-        return _shipped()[law.kind][:count].copy()
-    return _sequence(law.canonical()).extend_to(count).nodes[:count]
+    if (count := _count(count, "count")) > _SHIPPED:
+        raise ContractError(f"count must be at most {_SHIPPED}, the shipped Leja "
+                            f"nodes per law, got {count}")
+    return _shipped()[law.kind][:count].copy()

@@ -14,8 +14,8 @@ Finished surrogates serialize to a self-contained JSON document.
 Each public method checks its index once; ``add_point`` and
 ``add_restricted`` also check admissibility and refuse a non-finite
 value.  The adaptive drivers call the unchecked twins on the tuples the
-index set hands them: ``_node_point``, which installs the node levels of
-an index, ``_node_value``, ``_add`` and ``_append``.  Every way of
+index set hands them: ``_node_point``, which checks an index's levels
+against the cap, ``_node_value``, ``_add`` and ``_append``.  Every way of
 growing a surrogate ends in ``_append``, which writes a flat surplus
 array whose capacity doubles when full and the ``MultiIndexSet`` whose
 prefix tree finds an index's surplus in O(1).
@@ -26,18 +26,18 @@ interpolant of Chkifa, Cohen & Schwab (2014).  Points go in cache-sized
 blocks, whose per-dimension tables (levels by points) are built once per
 chunk of blocks; at each depth, the weight rows of the distinct prefixes
 are their parents' rows times one table row.  Scalar batches contract the
-last dimension with one dense matmul; for one point or vector values the
-final contraction is frozen, so a point's value can differ in its last
-bits between a one-point call and a batch.  Node predictions run the same
-kernel on one column of node tables built once per node level.  Both
+last dimension with one dense matmul, also in a last block of one point
+(the 257th of 257), with one column; a one-point call or vector values take
+the frozen contraction.  So a point's last bits can depend on its batch.  Node
+predictions run the kernel on one node-table row per dimension.  Both
 evaluables are read back through ``_read_evaluable``.
 ``corrected_evaluate`` shares one ``_preimages`` pass: ``to_canonical``
 checks the points, then one unchecked ``_inverse`` call per distinct map.
 
-Every node is a shipped Leja node: a dimension holds a prefix of its law's
-512 nodes, levels 0-511, viewing one read-only table per law, so a level
-installs in O(1) calls and tabulates the nodes' physical coordinates.  A
-level past 511 is refused, and so is a stored node list other than a prefix.
+Every node is a shipped Leja node: a dimension holds its law's 512 nodes,
+levels 0-511, and shares one read-only table of them per law; its physical
+node coordinates are tabulated once, when the surrogate is made.  A level
+past 511 is refused, and so is a stored node list other than a prefix.
 """
 from __future__ import annotations
 
@@ -131,12 +131,15 @@ def _newton_table(x, nodes, dens, top):
 
 
 @cache
-def _leja_tables(law, size):
-    """A canonical law's first ``size`` shipped Leja nodes, their Newton
-    denominators and the table of Newton factors at the nodes, read-only."""
-    nodes = leja_nodes(law, size)
-    dens = np.array([np.prod(nodes[l] - nodes[:l]) for l in range(size)])
-    table = _newton_table(nodes, nodes, dens, size - 1)
+def _leja_tables(law):
+    """A canonical law's 512 shipped Leja nodes, their Newton denominators and
+    the Newton factors at the nodes, read-only: by the operations of
+    ``_newton_table``, node-major so that a node prediction gathers rows."""
+    nodes = leja_nodes(law, _SHIPPED)
+    table = np.ones((_SHIPPED, _SHIPPED))
+    np.cumprod(np.subtract.outer(nodes, nodes[:-1]), axis=1, out=table[:, 1:])
+    dens = np.concatenate([[1.0], table[1:, 1:].diagonal()])
+    table[:, 1:] /= dens[1:]
     nodes.flags.writeable = dens.flags.writeable = table.flags.writeable = False
     return nodes, dens, table
 
@@ -230,12 +233,10 @@ class Surrogate:
         # index, in absorption order
         self._surpluses = np.empty((_INITIAL_CAPACITY, 0), dtype=complex)
         self._value_shape: tuple | None = None
-        self._nodes1d = [np.empty(0) for _ in dists]
-        self._dens = [np.empty(0) for _ in dists]
-        # per dimension, Newton factor of level l at node j in [l, j]
-        self._node_tables = [np.empty((0, 0)) for _ in dists]
-        # per dimension, physical coordinate of the node of level l at [l]
-        self._coords = [np.empty(0) for _ in dists]
+        # per dimension, its law's tables and the node coordinates by level
+        self._leja = [_leja_tables(d.canonical()) for d in dists]
+        self._coords = [d.from_canonical(m.forward(leja[0]))
+                        for d, m, leja in zip(dists, self.maps, self._leja)]
 
     @property
     def n_dim(self) -> int:
@@ -258,43 +259,32 @@ class Surrogate:
         return len(self._indices)
 
     def nodes1d(self, dim):
-        return self._nodes1d[dim].copy()
+        """The 512 canonical Leja nodes of dimension ``dim``, as a new array."""
+        if (dim := _count(dim, "dim")) >= self.n_dim:
+            raise ContractError(f"dim must be below {self.n_dim}, got {dim}")
+        return self._leja[dim][0].copy()
 
     # -- node bookkeeping ------------------------------------------------
 
-    def _set_nodes(self, dim, n):
-        """Install the first ``n`` shipped Leja nodes of one dimension: views
-        of its law's tables, which hold 128 nodes until n passes 128 (the full
-        table costs milliseconds), and the nodes' physical coordinates."""
-        dist = self.distributions[dim]
-        nodes, dens, table = _leja_tables(dist.canonical(), 128 if n <= 128 else _SHIPPED)
-        self._nodes1d[dim], self._dens[dim] = nodes[:n], dens[:n]
-        self._node_tables[dim] = table[:n, :n]
-        self._coords[dim] = dist.from_canonical(self.maps[dim].forward(nodes[:n]))
-
-    def _ensure_levels(self, index):
+    def _check_levels(self, index):
+        """Refuse a level past the last shipped Leja node, naming its dimension."""
         for d, lev in enumerate(index):
-            if lev >= len(self._nodes1d[d]):
-                if lev >= _SHIPPED:
-                    raise ContractError(f"dimension {d} cannot reach level {lev}: levels "
-                                        f"stop at {_SHIPPED - 1}, the last shipped Leja node")
-                self._set_nodes(d, lev + 1)
+            if lev >= _SHIPPED:
+                raise ContractError(f"dimension {d} cannot reach level {lev}: levels "
+                                    f"stop at {_SHIPPED - 1}, the last shipped Leja node")
 
     def node_point(self, index):
-        """Physical-coordinate grid point owned by a multi-index, read from
-        the per-dimension coordinate tables."""
+        """Physical grid point of a multi-index, read from the coordinate tables."""
         return self._node_point(_as_index(index, self.n_dim))
 
     def _node_point(self, index):
-        """``node_point`` of an index tuple; installs its node levels."""
-        self._ensure_levels(index)
+        """``node_point`` of an index tuple; checks its levels against the cap."""
+        self._check_levels(index)
         return np.array([self._coords[d][lev] for d, lev in enumerate(index)])
 
     def node_points(self):
         """All grid points in absorption order, shape (len(self), N)."""
-        if not len(self):
-            return np.empty((0, self.n_dim))
-        levels = np.array(self.indices)
+        levels = np.array(self.indices, dtype=int).reshape(-1, self.n_dim)
         return np.column_stack([self._coords[d][levels[:, d]] for d in range(self.n_dim)])
 
     # -- evaluation ------------------------------------------------------
@@ -315,8 +305,8 @@ class Surrogate:
 
     def _newton_tables(self, S, top):
         """Newton factor tables at preimages ``S``, levels 0..top[d] per dimension."""
-        return [_newton_table(S[:, d], self._nodes1d[d], self._dens[d], top[d])
-                for d in range(self.n_dim)]
+        return [_newton_table(S[:, d], nodes, dens, top[d])
+                for d, (nodes, dens, _) in enumerate(self._leja)]
 
     def _sum(self, tables, n_pts):
         """The live surpluses summed by the kernel over ``tables``."""
@@ -331,19 +321,17 @@ class Surrogate:
         return self._sum(lambda rows: self._newton_tables(S[rows], top), len(S))
 
     def _node_value(self, index):
-        """Interpolant at the node of ``index``, from the node tables.
-
-        Equals ``_evaluate_pre`` at the raw Leja coordinates, skipping the
-        map round trip, so surplus computations are exact at the nodes.
-        """
-        cols = [t[:, lev] for t, lev in zip(self._node_tables, index)]
+        """Interpolant at the node of ``index`` from the node tables: equals
+        ``_evaluate_pre`` at the raw Leja coordinates, without the map round trip."""
+        cols = [table[lev] for (_, _, table), lev in zip(self._leja, index)]
         return self._sum(lambda rows: cols, 1)[0]
 
     def evaluate(self, points):
         """Interpolant value at one point (N,) or a batch (P, N).
 
         Returns a complex scalar or array; raises a domain error when any
-        coordinate leaves the support box.
+        coordinate leaves the support box.  A point's last bits can differ
+        between a one-point call, a last block of one point and a larger block.
         """
         pts, single = _point_batch(points, self.n_dim)
         out = self._evaluate_pre(self._preimages(pts))
@@ -362,7 +350,7 @@ class Surrogate:
         if not self._indices._has_parents(index):
             raise ContractError(
                 f"index {index} is neither stored nor admissible")
-        self._ensure_levels(index)
+        self._check_levels(index)
         pts, single = _point_batch(points, self.n_dim)
         out = _basis(self._newton_tables(self._preimages(pts), index), index)
         return float(out[0]) if single else out
@@ -381,7 +369,7 @@ class Surrogate:
         return value
 
     def _append(self, index, surplus):
-        """Store an admissible tuple, levels installed, and its value-shaped surplus."""
+        """Store an admissible tuple, levels checked, and its value-shaped surplus."""
         n = len(self)
         if n == len(self._surpluses):
             self._surpluses = np.concatenate(
@@ -398,24 +386,21 @@ class Surrogate:
         all previously absorbed nodes is untouched.
         """
         index = self._indices._admissible(_as_index(index, self.n_dim))
-        self._ensure_levels(index)
+        self._check_levels(index)
         return self._add(index, _finite(model_value, f"values at index {index}"))
 
     def _add(self, index, value):
-        """``add_point`` of an admissible tuple whose levels are installed."""
+        """``add_point`` of an admissible tuple whose levels are checked."""
         value = self._as_value(value)
         return self._append(index, value - self._node_value(index) if len(self) else value)
 
     def predict_node(self, index):
-        """Current interpolant value at the grid node of ``index``.
-
-        Reads the per-dimension node tables, so surplus computations
-        are exact at the nodes.
-        """
+        """Current interpolant value at the grid node of ``index``, read from
+        the node tables, so surplus computations are exact at the nodes."""
         index = _as_index(index, self.n_dim)
         if not self._indices:
             raise ContractError("cannot evaluate an empty surrogate")
-        self._ensure_levels(index)
+        self._check_levels(index)
         out = self._node_value(index)
         return out if self._value_shape else complex(out)
 
@@ -448,15 +433,13 @@ class Surrogate:
 
         The kept set must be downward closed; surpluses carry over
         unchanged because every dropped index is incomparable to or above
-        the kept ones.  The copy shares the node tables, which only grow.
+        the kept ones.
         """
         keep = {_as_index(ix, self.n_dim) for ix in indices}
         missing = keep.difference(self._indices)
         if missing:
             raise ContractError(f"indices not in the surrogate: {sorted(missing)}")
         out = Surrogate(self.distributions, self.maps)
-        out._nodes1d, out._dens, out._node_tables, out._coords = (
-            self._nodes1d, self._dens, self._node_tables, self._coords)
         for ix, s in zip(self._indices, self._surplus_values()):
             if ix in keep:
                 out._append(out._indices._admissible(ix), out._as_value(s))
@@ -465,7 +448,7 @@ class Surrogate:
     def add_restricted(self, index, surplus):
         """Append a pre-computed surplus (restriction path)."""
         index = self._indices._admissible(_as_index(index, self.n_dim))
-        self._ensure_levels(index)
+        self._check_levels(index)
         surplus = _finite(surplus, f"values at index {index}")
         return self._append(index, self._as_value(surplus))
 
@@ -498,10 +481,9 @@ class Surrogate:
                 if (n := nodes1d[d].size) <= top:
                     raise ContractError(f"'nodes1d' dimension {d} has {n} nodes, "
                                         f"needs {top + 1}")
-                if n > _SHIPPED or not np.array_equal(nodes1d[d], leja_nodes(dists[d], n)):
+                if not np.array_equal(nodes1d[d], sur._leja[d][0][:n]):
                     raise ContractError(f"'nodes1d' dimension {d} is not a prefix of the "
                                         f"{_SHIPPED} Leja nodes of {dists[d].kind}")
-                sur._set_nodes(d, n)
         except (ValueError, TypeError) as exc:
             raise SerializationError(f"inconsistent surrogate data: {exc}") from exc
         return sur
@@ -582,8 +564,8 @@ def serialize(sur: Surrogate) -> bytes:
         "N": sur.n_dim,
         "distributions": [d.spec() for d in sur.distributions],
         "maps": [m.spec() for m in sur.maps],
-        "nodes1d": [sur._nodes1d[d][:max_lev[d] + 1].tolist()
-                    for d in range(sur.n_dim)],
+        "nodes1d": [nodes[:top + 1].tolist()
+                    for (nodes, _, _), top in zip(sur._leja, max_lev)],
         "indices": [list(ix) for ix in sur.indices],
     }, sur._surplus_values())
 

@@ -506,12 +506,12 @@ class TestIndicesCheckedOnce:
 
         count(grid, "_as_index", "index")
         count(surrogate, "_as_index", "index")
-        count(Surrogate, "_ensure_levels", "levels")
+        count(Surrogate, "_check_levels", "levels")
         return calls
 
     def test_surplus_driver(self, calls):
         # the benchmark's size: 5-D product Runge, sausage-9 maps, budget
-        # 300; the loop made three index checks and three level installs
+        # 300; the loop made three index checks and three level checks
         # per node when it called the public methods
         c = np.array([4.0, 25.0, 1.0, 12.0, 50.0])
         model = lambda y: float(np.prod(1.0 / (1.0 + c * y * y)))
@@ -521,10 +521,9 @@ class TestIndicesCheckedOnce:
         assert calls["levels"] <= len(sur)
 
     def test_adjoint_driver(self, calls):
-        # the two surrogates share their node tables, so an index's
-        # levels are installed when it is scored and when it is accepted;
-        # through the public methods, this build made 511 index checks and
-        # 510 level installs
+        # an index's levels are checked when it is scored and when it is
+        # accepted; through the public methods, this build made 511 index
+        # checks and 510 level checks
         model = LadderModel(3, sections=40, damping=0.1)
         dists = [uniform(lo, hi) for lo, hi in model.support()]
         qoi, field, _ = run_adaptive_adjoint(

@@ -195,6 +195,13 @@ class TestLebesgueGrowth:
         assert slope < 0.05
 
 
+def refuse_sequences(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Leja sequence was generated")
+    monkeypatch.setattr(LejaSequence, "__init__", refuse)
+    monkeypatch.setattr(LejaSequence, "next_node", refuse)
+
+
 class TestShippedNodes:
     @pytest.mark.parametrize("law", [uniform(-1, 1), beta33(-1, 1)])
     def test_shipped_nodes_are_the_generators_output(self, law):
@@ -204,19 +211,15 @@ class TestShippedNodes:
         assert shipped[law.kind].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("law", [uniform(-1, 1), beta33(-1, 1)])
-    def test_counts_past_the_shipped_nodes_run_the_generator(self, law):
-        cold = LejaSequence(law).extend_to(leja._SHIPPED + 12).nodes
-        prefix = leja_nodes(law, leja._SHIPPED)
-        for count in range(leja._SHIPPED + 1, leja._SHIPPED + 13):
-            nodes = leja_nodes(law, count)
-            assert nodes.tobytes() == cold[:count].tobytes()
-            assert nodes[:leja._SHIPPED].tobytes() == prefix.tobytes()
+    def test_counts_past_the_shipped_nodes_are_refused(self, law, monkeypatch):
+        refuse_sequences(monkeypatch)
+        for count in (leja._SHIPPED + 1, leja._SHIPPED + 12, 10 ** 9):
+            with pytest.raises(ContractError, match=f"count must be at most 512, the "
+                                                    f"shipped Leja nodes per law, got {count}"):
+                leja_nodes(law, count)
 
     def test_shipped_counts_build_no_sequence(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a Leja sequence was generated")
-        monkeypatch.setattr(LejaSequence, "__init__", refuse)
-        monkeypatch.setattr(LejaSequence, "next_node", refuse)
+        refuse_sequences(monkeypatch)
         leja._shipped.cache_clear()     # the file is read without generating
         for law in (uniform(-1, 1), beta33(0, 2)):
             full = leja_nodes(law, leja._SHIPPED)
