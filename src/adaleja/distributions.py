@@ -62,8 +62,9 @@ class Distribution:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        for bound in ("lower", "upper"):
-            object.__setattr__(self, bound, _number(getattr(self, bound), bound))
+        for bound in ("lower", "upper"):    # so that 2 y - lower - upper cannot overflow
+            object.__setattr__(self, bound, _number(getattr(self, bound), bound,
+                                                    gt=-2.0 ** 1020, lt=2.0 ** 1020))
         if not self.upper > self.lower:
             raise ValueError("upper bound must exceed lower bound")
 

@@ -261,7 +261,8 @@ class SausageMap(ConformalMap):
     kind = "sausage"
 
     def __init__(self, order=9):
-        order = _number(order, "sausage order", integral=True, ge=1)
+        # from order 171 on, 4^k (k!)^2 below overflows a float
+        order = _number(order, "sausage order", integral=True, ge=1, lt=171)
         if order % 2 == 0:
             raise ValueError("sausage order must be an odd positive integer")
         self.order = order

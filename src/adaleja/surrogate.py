@@ -17,8 +17,8 @@ value.  The adaptive drivers call the unchecked twins on the tuples the
 index set hands them: ``_node_point``, which checks an index's levels
 against the cap, ``_node_value``, ``_add`` and ``_append``.  Every way of
 growing a surrogate ends in ``_append``, which writes a flat surplus
-array whose capacity doubles when full and the ``MultiIndexSet`` whose
-prefix tree finds an index's surplus in O(1).
+array and a flat, dimension-major level array, whose capacity doubles
+when full, and the ``MultiIndexSet``, whose prefix tree finds a surplus in O(1).
 
 Batch evaluation is ``_prefix_sum``, the one kernel ``gpc`` shares: sum
 factorization over the prefix tree (Orszag 1980) of the hierarchical
@@ -28,8 +28,9 @@ chunk of blocks; at each depth, the weight rows of the distinct prefixes
 are their parents' rows times one table row.  Scalar batches contract the
 last dimension with one dense matmul, also in a last block of one point
 (the 257th of 257), with one column; a one-point call or vector values take
-the frozen contraction.  So a point's last bits can depend on its batch.  Node
-predictions run the kernel on one node-table row per dimension.  Both
+the frozen contraction, ``_contract``.  So a point's last bits can depend on its
+batch.  Node predictions skip the kernel: a member's weight is one gather per
+dimension through the level array, and they share only ``_contract``.  Both
 evaluables are read back through ``_read_evaluable``.
 ``corrected_evaluate`` shares one ``_preimages`` pass: ``to_canonical``
 checks the points, then one unchecked ``_inverse`` call per distinct map.
@@ -37,7 +38,8 @@ checks the points, then one unchecked ``_inverse`` call per distinct map.
 Every node is a shipped Leja node: a dimension holds its law's 512 nodes,
 levels 0-511, and shares one read-only table of them per law; its physical
 node coordinates are tabulated once, when the surrogate is made.  A level
-past 511 is refused, and so is a stored node list other than a prefix.
+past 511 is refused, and so is a stored node list other than a prefix or a
+document whose surpluses could overflow the interpolant in its box.
 """
 from __future__ import annotations
 
@@ -78,7 +80,6 @@ def _prefix_sum(tables, n_pts, plan, coeffs):
     with the last table, and one product with the parents' rows.
     """
     out = np.empty((n_pts, coeffs.shape[1]), dtype=complex)
-    re, im = coeffs.real, coeffs.imag
     chunk = _BLOCK
     if n_pts > _BLOCK:
         row_bytes = 8 * sum(int(levels.max()) + 1 for _, levels in plan)
@@ -87,7 +88,7 @@ def _prefix_sum(tables, n_pts, plan, coeffs):
     if n_pts > 1 and coeffs.shape[1] == 1 and len(plan) > 1:
         (parents, levels), plan = plan[-1], plan[:-1]
         dense = np.zeros((2, len(plan[-1][1]), int(levels.max()) + 1))
-        dense[:, parents, levels] = re[:, 0], im[:, 0]
+        dense[:, parents, levels] = coeffs.real[:, 0], coeffs.imag[:, 0]
     for start in range(0, n_pts, _BLOCK):
         rows, offset = slice(start, start + _BLOCK), start % chunk
         if not offset:
@@ -102,10 +103,15 @@ def _prefix_sum(tables, n_pts, plan, coeffs):
             last = dense @ rest[-1]
             out.real[rows, 0], out.imag[rows, 0] = np.einsum("pb,cpb->cb", w, last)
         else:
-            # frozen: node predictions round through these two products, whose
-            # last bits break exact surplus ties and so decide the accepted order
-            out[rows] = w.T @ re + 1j * (w.T @ im)
+            out[rows] = _contract(w, coeffs)
     return out
+
+
+def _contract(w, coeffs):
+    """Σ_i w[i] coeffs[i].  Frozen: node predictions round through these two
+    products on the strided halves of ``coeffs``, whose last bits break exact
+    surplus ties and so decide the accepted order; a contiguous copy changes them."""
+    return w.T @ coeffs.real + 1j * (w.T @ coeffs.imag)
 
 
 def _basis(tables, index):
@@ -233,6 +239,8 @@ class Surrogate:
         # index, in absorption order
         self._surpluses = np.empty((_INITIAL_CAPACITY, 0), dtype=complex)
         self._value_shape: tuple | None = None
+        # columns [:len(self)] are live: the absorbed indices, dimension-major
+        self._levels = np.empty((len(dists), _INITIAL_CAPACITY), dtype=np.intp)
         # per dimension, its law's tables and the node coordinates by level
         self._leja = [_leja_tables(d.canonical()) for d in dists]
         self._coords = [d.from_canonical(m.forward(leja[0]))
@@ -284,8 +292,8 @@ class Surrogate:
 
     def node_points(self):
         """All grid points in absorption order, shape (len(self), N)."""
-        levels = np.array(self.indices, dtype=int).reshape(-1, self.n_dim)
-        return np.column_stack([self._coords[d][levels[:, d]] for d in range(self.n_dim)])
+        levels = self._levels[:, :len(self)]
+        return np.column_stack([coords[row] for coords, row in zip(self._coords, levels)])
 
     # -- evaluation ------------------------------------------------------
 
@@ -308,23 +316,24 @@ class Surrogate:
         return [_newton_table(S[:, d], nodes, dens, top[d])
                 for d, (nodes, dens, _) in enumerate(self._leja)]
 
-    def _sum(self, tables, n_pts):
-        """The live surpluses summed by the kernel over ``tables``."""
-        n = len(self)
-        out = _prefix_sum(tables, n_pts, self._indices.depths(), self._surpluses[:n])
-        return out.reshape((n_pts,) + self._value_shape)
-
     def _evaluate_pre(self, S):
         if not self._indices:
             raise ContractError("cannot evaluate an empty surrogate")
         top = self._indices.max_level()
-        return self._sum(lambda rows: self._newton_tables(S[rows], top), len(S))
+        out = _prefix_sum(lambda rows: self._newton_tables(S[rows], top), len(S),
+                          self._indices.depths(), self._surpluses[:len(self)])
+        return out.reshape((len(S),) + self._value_shape)
 
     def _node_value(self, index):
-        """Interpolant at the node of ``index`` from the node tables: equals
-        ``_evaluate_pre`` at the raw Leja coordinates, without the map round trip."""
-        cols = [table[lev] for (_, _, table), lev in zip(self._leja, index)]
-        return self._sum(lambda rows: cols, 1)[0]
+        """Interpolant at the node of ``index``, bit for bit ``_evaluate_pre`` at the raw
+        Leja coordinates: each member's weight is its levels' entries in the node-table
+        rows of ``index``, multiplied left to right as the prefix tree does."""
+        levels = self._levels[:, :len(self)]
+        (_, _, first), *rest = self._leja
+        w = first[index[0]].take(levels[0])
+        for (_, _, table), lev, row in zip(rest, index[1:], levels[1:]):
+            w *= table[lev].take(row)
+        return _contract(w, self._surpluses[:len(self)]).reshape(self._value_shape)
 
     def evaluate(self, points):
         """Interpolant value at one point (N,) or a batch (P, N).
@@ -374,7 +383,10 @@ class Surrogate:
         if n == len(self._surpluses):
             self._surpluses = np.concatenate(
                 [self._surpluses, np.empty_like(self._surpluses)])
+            self._levels = np.concatenate(
+                [self._levels, np.empty_like(self._levels)], axis=1)
         self._surpluses[n] = surplus.reshape(-1)
+        self._levels[:, n] = index
         self._indices._absorb(index)
         return self
 
@@ -405,6 +417,7 @@ class Surrogate:
         return out if self._value_shape else complex(out)
 
     def surplus(self, index):
+        index = _as_index(index, self.n_dim)
         row = self._indices.position(index)
         if row is None:
             raise ContractError(f"index {index} is not in the set")
@@ -484,6 +497,13 @@ class Surrogate:
                 if not np.array_equal(nodes1d[d], sur._leja[d][0][:n]):
                     raise ContractError(f"'nodes1d' dimension {d} is not a prefix of the "
                                         f"{_SHIPPED} Leja nodes of {dists[d].kind}")
+            # |Newton factor l| <= 2^l / |dens[l]| on [-1, 1] bounds every sum
+            with np.errstate(over="ignore"):
+                bound = np.abs(surpluses).reshape(len(sur), -1).max(1) @ np.prod(
+                    [2.0 ** row / abs(dens[row]) for (_, dens, _), row in
+                     zip(sur._leja, sur._levels[:, :len(sur)])], axis=0)
+            if not bound < 2.0 ** 1020:
+                raise ContractError("surpluses this large can overflow the interpolant")
         except (ValueError, TypeError) as exc:
             raise SerializationError(f"inconsistent surrogate data: {exc}") from exc
         return sur

@@ -538,3 +538,24 @@ class TestIndicesCheckedOnce:
             calls["index"] = 0
             call()
             assert calls["index"] == len(sur)
+
+
+class TestPredictionsSkipTheKernel:
+    """Node predictions read the level array; the batch kernel is for batches."""
+
+    def test_drivers_never_run_the_batch_kernel(self, monkeypatch):
+        c = np.array([4.0, 25.0, 1.0])
+        runge3 = lambda y: float(np.prod(1.0 / (1.0 + c * y * y)))
+        ladder = LadderModel(2, sections=10, damping=0.1)
+        ladder_dists = [uniform(lo, hi) for lo, hi in ladder.support()]
+        builds = (
+            lambda: run_adaptive(runge3, AdaptiveConfig(200), [uniform(-1, 1)] * 3,
+                                 SausageMap(9))[1],
+            lambda: run_adaptive_adjoint(ladder, AdaptiveConfig(60), ladder_dists,
+                                         SausageMap(9))[2])
+        orders = [build().accepted for build in builds]
+
+        def refuse(*args):
+            raise AssertionError("a node prediction ran the batch kernel")
+        monkeypatch.setattr(surrogate, "_prefix_sum", refuse)
+        assert [build().accepted for build in builds] == orders

@@ -231,6 +231,15 @@ class TestConstruction:
         with pytest.raises(ContractError, match="must be a finite number"):
             Distribution("uniform", lower, upper)
 
+    def test_bounds_leave_room_for_the_canonical_transform(self):
+        # 2 y - lower - upper overflowed in to_canonical, or the width was inf
+        for lower, upper in ((-1.0, 1e308), (-1e308, 1.0), (-1e308, 1e308)):
+            with pytest.raises(ContractError, match="must be [<>]"):
+                Distribution("uniform", lower, upper)
+        wide = uniform(-2.0 ** 1019, 2.0 ** 1019)
+        assert np.array_equal(wide.to_canonical([wide.lower, 0.0, wide.upper]),
+                              [-1.0, 0.0, 1.0])
+
     def test_bounds_are_stored_as_floats(self):
         d = Distribution("beta33", np.int64(-1), 2)
         assert d.spec() == {"kind": "beta33", "lower": -1.0, "upper": 2.0}

@@ -59,6 +59,14 @@ class TestForward:
         with pytest.raises(ValueError):
             SausageMap(0)
 
+    def test_sausage_order_stops_before_its_coefficients_overflow(self):
+        top = SausageMap(169)    # warnings are errors: no coefficient overflows
+        assert np.isfinite(top._even_coef).all()
+        assert np.array_equal(top.forward(np.array([-1.0, 0.0, 1.0])), [-1.0, 0.0, 1.0])
+        for order in (171, 511):    # they loaded as 9th-order-like maps, with warnings
+            with pytest.raises(ValueError, match="sausage order must be < 171"):
+                SausageMap(order)
+
     def test_kte_alpha_range(self):
         with pytest.raises(ValueError):
             KTEMap(0.0)

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -105,6 +105,16 @@ class TestSurplus:
                 s.add_point(bad, 0.0)
             with pytest.raises(ContractError):
                 s.node_point(bad)
+
+    def test_refused_index_is_named_for_its_defect(self):
+        # each of these was answered with "index ... is not in the set"
+        sur = Surrogate(UNIT * 2).add_point((0, 0), 1.0)
+        for bad, match in (((1.0, 0), "must be an integer tuple"),
+                           ((-1, 0), "has a negative entry"),
+                           ((0, 0, 0), "has dimension 3, expected 2"),
+                           ("ab", "must be an integer tuple")):
+            with pytest.raises(ContractError, match=match):
+                sur.surplus(bad)
 
     def test_duplicate_rejected(self):
         s = Surrogate(UNIT)
@@ -1151,3 +1161,171 @@ class TestShippedNodesOnly:
                         lambda: Surrogate.fit(smooth, UNIT * 2, [(0, k) for k in range(513)])):
             with pytest.raises(ContractError, match="dimension 1 cannot reach level"):
                 refused()
+
+
+def pair_values(y):
+    """A (2, 3) value, shaped like an adjoint field's primal–dual pair."""
+    return np.array([smooth_vector(y), 1j * smooth_vector(-y)])
+
+
+def kernel_prediction(sur, index):
+    """The node prediction of ``index`` by the batch kernel on one node-table
+    row per dimension."""
+    rows = [table[lev] for (_, _, table), lev in zip(sur._leja, index)]
+    out = surrogate._prefix_sum(lambda _: rows, 1, sur.index_set.depths(),
+                                sur._surpluses[:len(sur)])
+    return out[0].reshape(sur.value_shape)
+
+
+def by_add_point(dists, maps, order, size, f):
+    return grown(dists, maps, order[:size], f)
+
+
+def by_add_restricted(dists, maps, order, size, f):
+    sur = Surrogate(dists, maps)
+    for ix in order[:size]:
+        sur.add_restricted(ix, f(sur.node_point(ix)))
+    return sur
+
+
+def by_fit(dists, maps, order, size, f):
+    return Surrogate.fit(f, dists, order[:size], maps)
+
+
+def by_restrict(dists, maps, order, size, f):
+    return grown(dists, maps, order, f).restrict(order[:size])
+
+
+def by_deserialize(dists, maps, order, size, f):
+    return deserialize(serialize(grown(dists, maps, order[:size], f)))
+
+
+# every way of growing a surrogate, each ending in ``Surrogate._append``
+GROWTH_PATHS = [by_add_point, by_add_restricted, by_fit, by_restrict, by_deserialize]
+
+
+@pytest.mark.parametrize("build", GROWTH_PATHS, ids=lambda build: build.__name__[3:])
+@pytest.mark.parametrize("f", [smooth, pair_values], ids=["scalar", "pair"])
+class TestNodePredictionBits:
+    """Node predictions from the level array equal the batch kernel's bit for bit."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_kernel(self, build, f, data):
+        dim = data.draw(st.integers(1, 4))
+        dists = data.draw(st.lists(st.sampled_from(STORED_LAWS), min_size=dim, max_size=dim))
+        maps = data.draw(st.lists(st.sampled_from(STORED_MAPS), min_size=dim, max_size=dim))
+        # sizes on both sides of the capacity doublings at 16, 32 and 64
+        size = data.draw(st.sampled_from([1, 15, 16, 17, 32, 33, 64, 65, 70]))
+        grid = MultiIndexSet(dim)
+        while len(grid) < size + 6:
+            grid.add(data.draw(st.sampled_from(grid.admissible_neighbors())))
+        sur = build(dists, maps, list(grid), size, f)
+        assert len(sur) == size
+        assert np.array_equal(sur._levels[:, :size], np.array(sur.indices).T)
+        for ix in sur.indices + sur.index_set.admissible_neighbors():
+            got = np.asarray(sur.predict_node(ix))
+            assert got.tobytes() == kernel_prediction(sur, ix).tobytes()
+
+
+class Drop:
+    """Marks a field that a mutation removes."""
+
+    def __repr__(self):
+        return "DROP"
+
+
+DROP = Drop()
+
+
+def valid_document():
+    """A 2-D surrogate document on both laws and both maps, as a new object."""
+    sur = Surrogate.fit(smooth, [uniform(-1.0, 1.0), beta33(0.0, 2.0)],
+                        MultiIndexSet.total_degree(2, 2), [SausageMap(9), KTEMap(0.9)])
+    return json.loads(serialize(sur))
+
+
+def children(node):
+    """(key, value) pairs of a JSON object or array; none for a scalar."""
+    if isinstance(node, dict):
+        return list(node.items())
+    return list(enumerate(node)) if isinstance(node, list) else []
+
+
+def fields(node, path=()):
+    """The path of every key and array entry of a JSON value, at any depth."""
+    for key, child in children(node):
+        yield path + (key,)
+        yield from fields(child, path + (key,))
+
+
+def leaves(node):
+    """Every scalar inside a JSON value."""
+    kids = children(node)
+    if not kids and not isinstance(node, (dict, list)):
+        yield node
+    for _, child in kids:
+        yield from leaves(child)
+
+
+@st.composite
+def document_edits(draw):
+    """One or two (field path, new value or DROP) edits of ``valid_document``.
+    Values include the document's own, so that a node or level can repeat."""
+    doc = valid_document()
+    paths = list(fields(doc))
+    values = st.one_of(
+        st.just(DROP), st.sampled_from(list(leaves(doc))),
+        st.sampled_from([None, True, 0, -1, 511, 512, 5.0, -0.0, 1e-320, 1e308,
+                         "a", "beta33", [], {}, [0.0], [[0, 0]]]),
+        st.floats(), st.integers(-2, 4))
+    return draw(st.lists(st.tuples(st.sampled_from(paths), values), min_size=1,
+                         max_size=2, unique_by=lambda edit: edit[0]))
+
+
+def edited(doc, edits):
+    """``doc`` with each edit applied whose field still exists, as JSON text."""
+    for path, value in edits:
+        *head, last = path
+        parent = doc
+        try:
+            for key in head:
+                parent = parent[key]
+            parent[last]
+        except (KeyError, IndexError, TypeError):
+            continue    # an earlier edit dropped or replaced the field
+        if isinstance(parent, (dict, list)):
+            if value is DROP:
+                del parent[last]
+            else:
+                parent[last] = value
+    return json.dumps(doc)
+
+
+class TestDocumentFuzz:
+    """A mutated document loads to a surrogate that is finite in its own box,
+    or is refused with ``SerializationError``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=document_edits())
+    # escapes found by earlier fuzzing: a null, a repeated and an
+    # out-of-range node, and a subnormal KTE strength
+    @example(edits=[(("nodes1d", 1, 1), None)])
+    @example(edits=[(("nodes1d", 0, 2), -1.0)])
+    @example(edits=[(("nodes1d", 0, 1), 5.0)])
+    @example(edits=[(("maps", 1, "alpha"), 1e-320)])
+    # and by this test: a surplus, a law bound and a sausage order whose
+    # arithmetic overflows a float
+    @example(edits=[(("surpluses_re", 4), 1e308)])
+    @example(edits=[(("distributions", 0, "upper"), 1e308)])
+    @example(edits=[(("maps", 0, "order"), 511)])
+    def test_loads_finite_or_is_refused(self, edits):
+        try:
+            loaded = deserialize(edited(valid_document(), edits))
+        except SerializationError:
+            return
+        box = loaded.distributions
+        corners = [[d.lower if k & (1 << i) else d.upper for i, d in enumerate(box)]
+                   for k in range(1 << len(box))]
+        points = np.vstack([sample_joint(box, 20, 0), corners])
+        assert np.isfinite(loaded.evaluate(points)).all()
