@@ -1329,3 +1329,48 @@ class TestDocumentFuzz:
                    for k in range(1 << len(box))]
         points = np.vstack([sample_joint(box, 20, 0), corners])
         assert np.isfinite(loaded.evaluate(points)).all()
+
+
+class TestSurplusBound:
+    """A document is refused only where its interpolant could overflow."""
+
+    @pytest.mark.parametrize("law", [uniform(-1.0, 1.0), beta33(-1.0, 1.0)],
+                             ids=["uniform", "beta33"])
+    def test_factor_bound_covers_every_level_with_a_margin(self, law):
+        nodes, dens, _ = surrogate._leja_tables(law)
+        # at the 8,193 Chebyshev-Lobatto points a degree-511 polynomial reaches
+        # at least cos(511π/16384) times its maximum on [-1, 1] (Ehlich & Zeller)
+        x = np.cos(np.linspace(0.0, np.pi, 8193))
+        peak = max(np.abs(surrogate._newton_table(x[k:k + 1024], nodes, dens, 511)).max()
+                   for k in range(0, len(x), 1024))
+        bound = surrogate._FACTOR_BOUND[law.kind]
+        assert 1.9 * peak / np.cos(511 * np.pi / 16384) < bound < 2.1 * peak
+
+    @pytest.mark.parametrize("law", [uniform(-1.0, 1.0), beta33(0.0, 2.0)],
+                             ids=["uniform", "beta33"])
+    def test_large_surpluses_at_the_level_cap_round_trip(self, law):
+        sur = Surrogate([law], SausageMap(9))
+        for level in range(512):
+            sur.add_restricted((level,), 100.0 * (-1) ** level + 30j)
+        data = serialize(sur)
+        loaded = deserialize(data)
+        assert serialize(loaded) == data
+        points = sample_joint([law], 50, 0)
+        assert np.isfinite(loaded.evaluate(points)).all()
+
+    def test_a_slow_one_dimension_build_round_trips(self):
+        def step(y):    # in physical units, a jump of 2,900
+            return 2500.0 if y[0] > 0.1 else -400.0
+
+        sur, _ = run_adaptive(step, AdaptiveConfig(budget=512), UNIT)
+        assert abs(sur.surplus((511,))) > 100.0
+        data = serialize(sur)
+        assert serialize(deserialize(data)) == data
+
+    def test_only_surpluses_that_could_overflow_are_refused(self):
+        sur = Surrogate(UNIT).add_restricted((0,), 1.0).add_restricted((1,), 1e306)
+        assert np.isfinite(deserialize(serialize(sur)).evaluate([[-1.0], [1.0]])).all()
+        sur = Surrogate([uniform(-1.0, 1.0), beta33(0.0, 2.0)])
+        sur.add_restricted((0, 0), 1.0).add_restricted((0, 1), 1e302)
+        with pytest.raises(SerializationError, match="can overflow the interpolant"):
+            deserialize(serialize(sur))
