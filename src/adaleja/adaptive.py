@@ -23,7 +23,10 @@ their index is accepted or the run ends.  The loop keeps the frontier
 as a heap of the pending candidates and scores only the forward
 neighbors an acceptance makes admissible, so apart from model work a
 step costs one interpolant evaluation per new candidate and a heap
-update; nothing is rebuilt from the whole index set.  A non-finite
+update; nothing is rebuilt from the whole index set.  The surplus driver
+stores a candidate's scored surplus if nothing was absorbed since scoring;
+otherwise it predicts again, as the new members' exact zeros in the sum
+can still move its last bits.  A non-finite
 model value, surplus or residual indicator raises a solve error naming
 the index and its point.
 
@@ -170,7 +173,7 @@ def run_adaptive(model, config: AdaptiveConfig, distributions, maps=None,
     """
     sur = Surrogate(distributions, maps)
     report = AdaptiveReport()
-    values: dict[tuple, complex] = {}
+    scored: dict[tuple, tuple] = {}     # ix -> model value, surplus, len(sur) then
 
     def call(ix):
         value = _model_value(model, sur._node_point(ix), f"index {ix}", scalar=True)
@@ -179,18 +182,21 @@ def run_adaptive(model, config: AdaptiveConfig, distributions, maps=None,
         return complex(value)
 
     def score(ix):
-        values[ix] = call(ix)
-        s = values[ix] - complex(sur._node_value(ix))
+        value = call(ix)
+        s = value - complex(sur._node_value(ix))
         if not np.isfinite(s):
             raise SolveError(f"non-finite surplus {s} at index {ix}",
                              point=sur._node_point(ix))
+        scored[ix] = value, s, len(sur)
         return s
 
     def accept(ix):
-        sur._add(ix, values.pop(ix) if ix in values else call(ix))
+        value, s, n = scored.pop(ix) if ix in scored else (call(ix), None, None)
+        if n == len(sur):   # nothing absorbed since scoring
+            return sur._append(ix, sur._as_value(s))
+        sur._add(ix, value)
 
-    _refine(sur, config, report, score, accept,
-            lambda ix, _: sur._add(ix, values[ix]), on_accept)
+    _refine(sur, config, report, score, accept, lambda ix, _: accept(ix), on_accept)
     return sur, report
 
 

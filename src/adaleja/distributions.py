@@ -82,9 +82,9 @@ class Distribution:
             a = y - self.lower
             b = self.upper - y
             inside = (a >= 0.0) & (b >= 0.0)
-            a = np.where(inside, a, 0.0)
-            b = np.where(inside, b, 0.0)
-            out = 140.0 * a ** 3 * b ** 3 / self.width ** 7
+            a = np.where(inside, 2.0 * a / self.width, 0.0)
+            b = np.where(inside, 2.0 * b / self.width, 0.0)
+            out = 140.0 * a ** 3 * b ** 3 / 64.0 / self.width    # a, b in canonical units
         return out if out.ndim else float(out)
 
     def cdf(self, y):

@@ -12,9 +12,9 @@ Surpluses are complex scalars (QoI surrogates) or arrays, such as the
 Finished surrogates serialize to a self-contained JSON document.
 
 Each public method checks its index once; ``add_point`` and
-``add_restricted`` also check admissibility and refuse a non-finite
-value.  The adaptive drivers call the unchecked twins on the tuples the
-index set hands them: ``_node_point``, which checks an index's levels
+``add_restricted`` also check admissibility and refuse a non-finite value
+or surplus.  The adaptive drivers call the unchecked twins on the tuples
+the index set hands them: ``_node_point``, which checks an index's levels
 against the cap, ``_node_value``, ``_add`` and ``_append``.  Every way of
 growing a surrogate ends in ``_append``, which writes a flat surplus
 array and a flat, dimension-major level array, whose capacity doubles
@@ -266,7 +266,7 @@ class Surrogate:
         return list(self._indices)
 
     def __len__(self):
-        return len(self._indices)
+        return len(self._indices._order)
 
     def nodes1d(self, dim):
         """The 512 canonical Leja nodes of dimension ``dim``, as a new array."""
@@ -278,10 +278,10 @@ class Surrogate:
 
     def _check_levels(self, index):
         """Refuse a level past the last shipped Leja node, naming its dimension."""
-        for d, lev in enumerate(index):
-            if lev >= _SHIPPED:
-                raise ContractError(f"dimension {d} cannot reach level {lev}: levels "
-                                    f"stop at {_SHIPPED - 1}, the last shipped Leja node")
+        if max(index) >= _SHIPPED:
+            d = next(d for d, lev in enumerate(index) if lev >= _SHIPPED)
+            raise ContractError(f"dimension {d} cannot reach level {index[d]}: levels "
+                                f"stop at {_SHIPPED - 1}, the last shipped Leja node")
 
     def node_point(self, index):
         """Physical grid point of a multi-index, read from the coordinate tables."""
@@ -330,12 +330,13 @@ class Surrogate:
         """Interpolant at the node of ``index``, bit for bit ``_evaluate_pre`` at the raw
         Leja coordinates: each member's weight is its levels' entries in the node-table
         rows of ``index``, multiplied left to right as the prefix tree does."""
-        levels = self._levels[:, :len(self)]
+        n = len(self)
+        levels = self._levels[:, :n]
         (_, _, first), *rest = self._leja
         w = first[index[0]].take(levels[0])
         for (_, _, table), lev, row in zip(rest, index[1:], levels[1:]):
             w *= table[lev].take(row)
-        return _contract(w, self._surpluses[:len(self)]).reshape(self._value_shape)
+        return _contract(w, self._surpluses[:n]).reshape(self._value_shape)
 
     def evaluate(self, points):
         """Interpolant value at one point (N,) or a batch (P, N).
@@ -401,12 +402,20 @@ class Surrogate:
         """
         index = self._indices._admissible(_as_index(index, self.n_dim))
         self._check_levels(index)
-        return self._add(index, _finite(model_value, f"values at index {index}"))
+        value = _finite(model_value, f"values at index {index}")
+        return self._add(index, value, solve=False)
 
-    def _add(self, index, value):
-        """``add_point`` of an admissible tuple whose levels are checked."""
+    def _add(self, index, value, solve=True):
+        """``add_point`` of a checked admissible tuple; a non-finite surplus raises a
+        solve error naming the index and point, or a contract error without ``solve``."""
         value = self._as_value(value)
-        return self._append(index, value - self._node_value(index) if len(self) else value)
+        with np.errstate(all="ignore"):
+            surplus = value - self._node_value(index) if len(self) else value
+        if not np.isfinite(surplus).all():
+            message = f"non-finite surplus at index {index}"
+            raise (SolveError(message, point=self._node_point(index)) if solve
+                   else ContractError(message))
+        return self._append(index, surplus)
 
     def predict_node(self, index):
         """Current interpolant value at the grid node of ``index``, read from
@@ -433,8 +442,8 @@ class Surrogate:
         Indices are absorbed in lexicographic order, which refines the
         componentwise partial order, so every parent precedes its children.
         A linear-system model's nodes are solved as stacked bands.  A
-        failing model call or a non-finite value raises a solve error
-        naming the index and its point.
+        failing model call, or a value or surplus that is not finite, raises
+        a solve error naming the index and its point.
         """
         sur = cls(distributions, maps)
         order = MultiIndexSet(sur.n_dim, list(index_set)).sorted_indices()

@@ -150,6 +150,26 @@ class TestSurplusDriver:
                                              r"\(1, 0\) at point \(-1\.0, 0\.0\)"):
             run_adaptive(cliff, AdaptiveConfig(budget=10), UNIT_SQUARE)
 
+    def test_no_candidate_is_predicted_twice_per_surrogate_state(self, monkeypatch):
+        # a candidate accepted or folded with nothing absorbed since its scoring
+        # stores its scored surplus; predicting it again gives the same bits
+        c = np.array([4.0, 25.0, 1.0, 12.0, 50.0])
+        model = lambda y: float(np.prod(1.0 / (1.0 + c * y * y)))
+        args = (model, AdaptiveConfig(300), [uniform(-1, 1)] * 5, SausageMap(9))
+        plain, plain_report = run_adaptive(*args)
+        seen = []
+        predict = Surrogate._node_value
+
+        def recorded(sur, index):
+            seen.append((id(sur), index, len(sur)))
+            return predict(sur, index)
+        monkeypatch.setattr(Surrogate, "_node_value", recorded)
+        sur, report = run_adaptive(*args)
+        assert len(seen) == len(set(seen))
+        assert report.lu_count == plain_report.lu_count == len(sur)
+        assert report.accepted == plain_report.accepted
+        assert serialize(sur) == serialize(plain)
+
 
 def frontier_from_scratch(members):
     """Forward neighbors of members whose backward neighbors all are members."""

@@ -25,6 +25,28 @@ class TestPdf:
         assert d.pdf(-0.2) == 0.0
         assert d.pdf(1.7) == 0.0
 
+    def test_wide_beta33_stays_in_range(self):
+        # width ** 7 overflowed a Python float
+        assert_allclose(beta33(0.0, 1e50).pdf(5e49), 2.1875e-50, rtol=1e-15)
+        assert 0.0 < beta33(-2.0 ** 1019, 2.0 ** 1019).pdf(0.0) < 1e-306
+        for lower, upper in ((0.0, 1.0), (-1.0, 1.0), (-3.0, 7.0)):
+            y = np.linspace(lower, upper, 1001)
+            a, b = y - lower, upper - y
+            np.testing.assert_array_max_ulp(
+                beta33(lower, upper).pdf(y),
+                140.0 * a ** 3 * b ** 3 / (upper - lower) ** 7, maxulp=8)
+
+    def test_canonical_beta33_keeps_its_bits(self):
+        # the Leja generator weighs its grid by this density, so its bits
+        # decide the shipped nodes
+        y = np.linspace(-1.0, 1.0, 100_001)
+        want = 140.0 * (y + 1.0) ** 3 * (1.0 - y) ** 3 / 2.0 ** 7
+        law = beta33(-1.0, 1.0)
+        assert law.pdf(y).tobytes() == want.tobytes()
+        for point in y[::997]:
+            a, b = np.array(point + 1.0), np.array(1.0 - point)    # 0-d, as pdf cubes them
+            assert law.pdf(point) == 140.0 * a ** 3 * b ** 3 / 2.0 ** 7
+
     def test_uniform_constant(self):
         assert uniform(-1.0, 1.0).pdf(0.3) == 0.5
         assert uniform(-1.0, 1.0).pdf(2.0) == 0.0

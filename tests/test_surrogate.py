@@ -1,4 +1,5 @@
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -137,6 +138,17 @@ class TestSurplus:
         with pytest.raises(ContractError, match="must be numbers"):
             vector.add_point((1,), ["1", "2"])
 
+    @pytest.mark.parametrize("shape", [(), (2,)])
+    def test_non_finite_surplus_refused(self, shape):
+        # both values are finite, but their difference overflows: it was
+        # stored as -inf with only a RuntimeWarning
+        sur = Surrogate(UNIT).add_point((0,), np.full(shape, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match=r"non-finite surplus at index \(1,\)"):
+                sur.add_point((1,), np.full(shape, -1e308))
+        assert sur.indices == [(0,)]
+
 
 class TestFit:
     SQUARE = [uniform(-1.0, 1.0), uniform(-1.0, 1.0)]
@@ -153,6 +165,17 @@ class TestFit:
         with pytest.raises(SolveError, match=r"non-finite model value .* index "
                                              r"\(1, 0\) at point \(-1\.0, 0\.0\)"):
             Surrogate.fit(holed, self.SQUARE, MultiIndexSet.total_degree(2, 2))
+
+    def test_non_finite_surplus_names_index_and_point(self):
+        # the level-0 node of a uniform law is at 0 and the level-1 node at -1
+        def cliff(y):
+            return 1e308 if y[0] >= 0.0 else -1e308
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolveError, match=r"non-finite surplus at index "
+                                                 r"\(1,\) at point \(-1\.0,\)"):
+                Surrogate.fit(cliff, UNIT, MultiIndexSet(1, [(0,), (1,)]))
 
     def test_model_failure_is_wrapped(self):
         def broken(y):
